@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/binary_io.h"
-#include "obs/clock.h"
 #include "obs/recorder.h"
 
 namespace spes {
@@ -249,17 +248,8 @@ Result<ClusterSession> ClusterSession::CreateImpl(
     const Trace* full_trace, const ClusterSpec& cluster,
     const PolicySpec& policy, const SimOptions& options) {
   SPES_RETURN_NOT_OK(ValidateClusterSpec(cluster));
-  SPES_RETURN_NOT_OK(ValidateSimOptions(options));
-  const int horizon = source->num_minutes();
-  if (options.train_minutes > horizon) {
-    return Status::InvalidArgument(
-        "SimOptions.train_minutes (=" + std::to_string(options.train_minutes) +
-        ") exceeds the trace horizon (=" + std::to_string(horizon) +
-        " minutes)");
-  }
-  const int end = options.end_minute > 0
-                      ? std::min(options.end_minute, horizon)
-                      : horizon;
+  SPES_ASSIGN_OR_RETURN(const int end,
+                        ResolveStreamWindow(source->num_minutes(), options));
 
   SPES_ASSIGN_OR_RETURN(std::unique_ptr<Router> router,
                         RouterRegistry::Global().Create(cluster.router));
@@ -285,54 +275,44 @@ Result<ClusterSession> ClusterSession::CreateImpl(
   for (const NodeEvent& event : cluster.events) {
     if (event.kind == NodeEvent::Kind::kAdd) ++total_nodes;
   }
+  const auto latency_hashes = SharedLatencyHashes(*source, options);
   session.nodes_.reserve(total_nodes);
   size_t add_index = 0;
   for (size_t k = 0; k < total_nodes; ++k) {
-    Node node;
-    if (k < static_cast<size_t>(cluster.nodes)) {
-      node.state = NodeState::kRoutable;
-      node.capacity = cluster.node_capacity;
-    } else {
-      node.state = NodeState::kPending;
+    NodeState state = NodeState::kRoutable;
+    int capacity = cluster.node_capacity;
+    if (k >= static_cast<size_t>(cluster.nodes)) {
+      state = NodeState::kPending;
       // Pending ids map to add events in timeline order.
       while (session.events_[add_index].kind != NodeEvent::Kind::kAdd) {
         ++add_index;
       }
-      const int capacity = session.events_[add_index].capacity;
-      node.capacity = capacity >= 0 ? capacity : cluster.node_capacity;
+      const int add_capacity = session.events_[add_index].capacity;
+      if (add_capacity >= 0) capacity = add_capacity;
       ++add_index;
     }
-    SPES_ASSIGN_OR_RETURN(node.policy, PolicyRegistry::Global().Create(policy));
-    if (full_trace == nullptr && node.policy->RequiresFullTrace()) {
+    SPES_ASSIGN_OR_RETURN(std::unique_ptr<Policy> node_policy,
+                          PolicyRegistry::Global().Create(policy));
+    if (full_trace == nullptr && node_policy->RequiresFullTrace()) {
       return Status::InvalidArgument(
-          "policy '" + node.policy->name() +
+          "policy '" + node_policy->name() +
           "' requires the full realized trace, but a streamed source only "
           "materializes the train prefix; run it over an in-memory Trace");
     }
     {
       const ScopedSpan span(options.recorder, "train", options.recorder_slot,
-                            static_cast<int>(session.nodes_.size()),
-                            node.policy->name());
-      node.policy->Train(training, options.train_minutes);
+                            static_cast<int>(k), node_policy->name());
+      node_policy->Train(training, options.train_minutes);
     }
-    node.mem = MemSet(n);
-    node.accounts.assign(n, FunctionAccount{});
-    node.last_used.assign(n, -1);
-    node.memory_series.reserve(
-        static_cast<size_t>(end - options.train_minutes));
-    session.nodes_.push_back(std::move(node));
-  }
-  if (options.latency.has_value()) {
-    const LatencySpec& latency = *options.latency;
-    // One shared hash table: the keys depend only on function names and
-    // the latency seed, never on placement, so every node samples the
-    // same per-request stream a single-fleet run would.
-    session.latency_hashes_ = std::make_shared<const std::vector<uint64_t>>(
-        ComputeFunctionHashes(*source, latency.seed));
-    for (Node& node : session.nodes_) {
-      SPES_ASSIGN_OR_RETURN(
-          node.latency, CreateLatencyLane(latency, session.latency_hashes_));
-    }
+    SPES_ASSIGN_OR_RETURN(EngineLane lane,
+                          EngineLane::Create(k, node_policy.get(), n, options,
+                                             end, latency_hashes));
+    session.nodes_.push_back(Node{.policy = std::move(node_policy),
+                                  .lane = std::move(lane),
+                                  .state = state,
+                                  .capacity = capacity,
+                                  .last_used = std::vector<int32_t>(n, -1),
+                                  .arrivals = {}});
   }
   return session;
 }
@@ -381,7 +361,7 @@ void ClusterSession::ApplyEvents(int t) {
       case NodeEvent::Kind::kFail: {
         Node& node = nodes_[static_cast<size_t>(event.node)];
         node.state = NodeState::kFailed;
-        node.mem = MemSet(source_->num_functions());  // instances lost
+        node.lane.EvictAll(t);  // instances lost
         break;
       }
     }
@@ -390,17 +370,18 @@ void ClusterSession::ApplyEvents(int t) {
 
 void ClusterSession::EnforceCapacity(Node* node, int t) {
   if (node->capacity <= 0) return;
+  MemSet& mem = node->lane.mem();
   const size_t capacity = static_cast<size_t>(node->capacity);
-  if (node->mem.Count() <= capacity) return;
+  if (mem.Count() <= capacity) return;
 
   // Idle instances (not executing this minute, unless pinning is off) in
   // LRU order by last arrival on this node; ties evict the lowest id.
   std::vector<std::pair<int32_t, uint32_t>> candidates;
-  node->mem.ForEachLoaded([this, node, t, &candidates](size_t f) {
+  mem.ForEachLoaded([this, node, t, &candidates](size_t f) {
     if (options_.pin_executing_functions && node->last_used[f] == t) return;
     candidates.emplace_back(node->last_used[f], static_cast<uint32_t>(f));
   });
-  size_t excess = node->mem.Count() - capacity;
+  size_t excess = mem.Count() - capacity;
   if (candidates.size() > excess) {
     std::partial_sort(candidates.begin(), candidates.begin() + excess,
                       candidates.end());
@@ -412,7 +393,7 @@ void ClusterSession::EnforceCapacity(Node* node, int t) {
   }
   for (const auto& [used, f] : candidates) {
     (void)used;
-    node->mem.Remove(f);
+    mem.Remove(f);
     ++node->pressure_evictions;
   }
 }
@@ -457,7 +438,7 @@ Status ClusterSession::StepLocked() {
     view.node = static_cast<int>(k);
     view.routable = node.state == NodeState::kRoutable;
     view.capacity = node.capacity;
-    view.projected_load = NodeLive(node) ? node.mem.Count() : 0;
+    view.projected_load = NodeLive(node) ? node.lane.mem().Count() : 0;
     views_.push_back(view);
   }
 
@@ -468,7 +449,7 @@ Status ClusterSession::StepLocked() {
     if (prev >= 0) {
       Node& previous = nodes_[static_cast<size_t>(prev)];
       if (previous.state == NodeState::kDraining &&
-          previous.mem.Contains(f)) {
+          previous.lane.mem().Contains(f)) {
         // Drain-sticky: the warm instance keeps serving; no new
         // assignment is made on a draining node.
         target = prev;
@@ -499,133 +480,27 @@ Status ClusterSession::StepLocked() {
       assignment_[f] = static_cast<int32_t>(target);
     }
     Node& serving = nodes_[static_cast<size_t>(target)];
-    if (!serving.mem.Contains(f)) {
+    if (!serving.lane.mem().Contains(f)) {
       ++views_[static_cast<size_t>(target)].projected_load;
     }
     serving.arrivals.push_back(inv);
+    serving.last_used[f] = t;
   }
 
   bool stop_requested = false;
-  for (size_t k = 0; k < nodes_.size(); ++k) {
-    Node& node = nodes_[k];
+  for (Node& node : nodes_) {
     if (!NodeLive(node)) {
-      node.memory_series.push_back(0);
-      if (node.latency != nullptr) {
-        // No arrivals route here (node.arrivals was cleared above), but
-        // the queue keeps draining: requests admitted before the node
-        // died or drained still complete, and waiters still time out on
-        // schedule.
-        node.cold_flags.clear();
-        node.latency->OnMinute(t, node.arrivals, node.cold_flags);
-      }
+      // Nothing routes here, but the series keeps one entry per minute
+      // and the latency queue keeps draining.
+      node.lane.Idle(t);
       continue;
     }
-
-    // 1-2. Cold-start accounting, then execution pins the instance —
-    // identical to a SimStream lane over this node's routed arrivals.
-    // The latency variant additionally records which arrivals were cold
-    // (the flags feed LatencyLane::OnMinute below); the plain variant is
-    // the original loop, untouched so disabled runs stay byte-identical.
-    if (node.latency == nullptr) {
-      for (const Invocation& inv : node.arrivals) {
-        FunctionAccount& acc = node.accounts[inv.function];
-        acc.invocations += inv.count;
-        acc.invoked_minutes += 1;
-        node.totals.invocations += inv.count;
-        if (!node.mem.Contains(inv.function)) {
-          acc.cold_starts += 1;
-          node.totals.cold_starts += 1;
-        }
-        node.mem.Add(inv.function);
-        node.last_used[inv.function] = t;
-      }
-    } else {
-      node.cold_flags.assign(node.arrivals.size(), 0);
-      for (size_t i = 0; i < node.arrivals.size(); ++i) {
-        const Invocation& inv = node.arrivals[i];
-        FunctionAccount& acc = node.accounts[inv.function];
-        acc.invocations += inv.count;
-        acc.invoked_minutes += 1;
-        node.totals.invocations += inv.count;
-        if (!node.mem.Contains(inv.function)) {
-          acc.cold_starts += 1;
-          node.totals.cold_starts += 1;
-          node.cold_flags[i] = 1;
-        }
-        node.mem.Add(inv.function);
-        node.last_used[inv.function] = t;
-      }
-    }
-
-    // 3. Policy step (timed for the RQ2 overhead measurement; the
-    // monotonic clock lives in obs/clock so the linter can confine it).
-    const double start = MonotonicSeconds();
-    node.policy->OnMinute(t, node.arrivals, &node.mem);
-    node.overhead_seconds += MonotonicSeconds() - start;
-
-    if (options_.pin_executing_functions) {
-      for (const Invocation& inv : node.arrivals) node.mem.Add(inv.function);
-    }
-
-    // Cluster-only: the node sheds idle instances above its capacity.
+    // Per node, a minute is a lane minute over its routed arrivals, with
+    // the capacity shed between the policy step and the residency sample.
+    node.lane.Admit(t, node.arrivals);
     EnforceCapacity(&node, t);
-
-    // 4. Residency accounting. "Idle" is node-local: an instance is
-    // wasted on this node unless the function arrived *here* this minute
-    // (a warm copy left behind on another node is pure waste). Only the
-    // loaded ids are visited — word-at-a-time over the membership bitset.
-    node.mem.ForEachLoaded([&node, t](size_t f) {
-      FunctionAccount& acc = node.accounts[f];
-      acc.loaded_minutes += 1;
-      node.totals.loaded_instance_minutes += 1;
-      if (node.last_used[f] != t) {
-        acc.wasted_minutes += 1;
-        node.totals.wasted_memory_minutes += 1;
-      }
-    });
-    node.memory_series.push_back(static_cast<uint32_t>(node.mem.Count()));
-
-    if (node.latency != nullptr) {
-      node.latency->OnMinute(t, node.arrivals, node.cold_flags);
-    }
-
-    if (!observers_.empty()) {
-      MinuteView view;
-      view.minute = t;
-      view.lane = k;
-      view.policy = node.policy.get();
-      view.arrivals = &node.arrivals;
-      view.mem = &node.mem;
-      view.accounts = &node.accounts;
-      view.memory_series = &node.memory_series;
-      view.totals = node.totals;
-      if (node.latency != nullptr) view.latency = &node.latency->live();
-      for (SimObserver* observer : observers_) {
-        if (!observer->OnMinute(view)) stop_requested = true;
-      }
-    }
-
-    if (options_.recorder != nullptr) {
-      // Strided per-node heartbeat on simulated-minute boundaries: the
-      // sampled counters are a pure function of sim state, so recorded
-      // and unrecorded runs stay bitwise-identical.
-      const int stride = options_.recorder->heartbeat_minute_stride();
-      if ((t + 1 - start_) % stride == 0 || t + 1 == end_) {
-        RunRecorder::Heartbeat heartbeat;
-        heartbeat.slot = options_.recorder_slot;
-        heartbeat.lane = static_cast<int>(k);
-        heartbeat.minute = t;
-        heartbeat.invocations = node.totals.invocations;
-        heartbeat.cold_starts = node.totals.cold_starts;
-        heartbeat.loaded_instance_minutes =
-            node.totals.loaded_instance_minutes;
-        heartbeat.wasted_memory_minutes = node.totals.wasted_memory_minutes;
-        heartbeat.loaded_instances = static_cast<uint32_t>(node.mem.Count());
-        if (node.latency != nullptr) {
-          heartbeat.queue_depth = node.latency->live().queue_depth;
-        }
-        options_.recorder->EmitHeartbeat(heartbeat);
-      }
+    if (!node.lane.Accrue(t, node.arrivals, observers_)) {
+      stop_requested = true;
     }
   }
 
@@ -705,14 +580,16 @@ Result<ClusterOutcome> ClusterSession::Finish() {
   double fleet_overhead = 0.0;
   // Fleet latency: the exact histogram merge of every node's outcome
   // (fixed bucket geometry makes the merge lossless).
-  const bool has_latency = nodes_[0].latency != nullptr;
   LatencyOutcome fleet_latency;
 
   outcome.nodes.reserve(nodes_.size());
   for (size_t k = 0; k < nodes_.size(); ++k) {
     Node& node = nodes_[k];
+    NodeOutcome out;
+    out.node = static_cast<int>(k);
+    out.sim = node.lane.TakeOutcome(cursor_);
     for (size_t f = 0; f < n; ++f) {
-      const FunctionAccount& acc = node.accounts[f];
+      const FunctionAccount& acc = out.sim.accounts[f];
       FunctionAccount& agg = fleet_accounts[f];
       agg.invocations += acc.invocations;
       agg.invoked_minutes += acc.invoked_minutes;
@@ -720,16 +597,16 @@ Result<ClusterOutcome> ClusterSession::Finish() {
       agg.loaded_minutes += acc.loaded_minutes;
       agg.wasted_minutes += acc.wasted_minutes;
     }
-    if (fleet_series.size() < node.memory_series.size()) {
-      fleet_series.resize(node.memory_series.size(), 0);
+    const std::vector<uint32_t>& series = out.sim.memory_series;
+    if (fleet_series.size() < series.size()) {
+      fleet_series.resize(series.size(), 0);
     }
-    for (size_t i = 0; i < node.memory_series.size(); ++i) {
-      fleet_series[i] += node.memory_series[i];
+    for (size_t i = 0; i < series.size(); ++i) fleet_series[i] += series[i];
+    fleet_overhead += out.sim.metrics.overhead_seconds;
+    if (out.sim.latency != nullptr) {
+      MergeLatencyOutcome(&fleet_latency, *out.sim.latency);
     }
-    fleet_overhead += node.overhead_seconds;
 
-    NodeOutcome out;
-    out.node = static_cast<int>(k);
     switch (node.state) {
       case NodeState::kPending:
         out.final_state = "pending";
@@ -746,17 +623,6 @@ Result<ClusterOutcome> ClusterSession::Finish() {
     }
     out.pressure_evictions = node.pressure_evictions;
     out.reroutes_in = node.reroutes_in;
-    out.sim.metrics =
-        ComputeFleetMetrics(policy_name, node.accounts, node.memory_series,
-                            node.overhead_seconds);
-    out.sim.accounts = std::move(node.accounts);
-    out.sim.memory_series = std::move(node.memory_series);
-    if (node.latency != nullptr) {
-      LatencyOutcome node_latency = node.latency->TakeOutcome();
-      MergeLatencyOutcome(&fleet_latency, node_latency);
-      out.sim.latency =
-          std::make_shared<const LatencyOutcome>(std::move(node_latency));
-    }
     out.policy = std::move(node.policy);
     outcome.nodes.push_back(std::move(out));
   }
@@ -765,7 +631,7 @@ Result<ClusterOutcome> ClusterSession::Finish() {
                                               fleet_series, fleet_overhead);
   outcome.fleet.accounts = std::move(fleet_accounts);
   outcome.fleet.memory_series = std::move(fleet_series);
-  if (has_latency) {
+  if (options_.latency.has_value()) {
     FinalizeLatencyOutcome(&fleet_latency);
     outcome.fleet.latency =
         std::make_shared<const LatencyOutcome>(std::move(fleet_latency));
@@ -804,19 +670,12 @@ Result<ClusterCheckpoint> ClusterSession::Checkpoint() const {
   checkpoint.nodes.reserve(nodes_.size());
   for (const Node& node : nodes_) {
     ClusterCheckpoint::Node out;
-    out.policy_name = node.policy->name();
+    SPES_RETURN_NOT_OK(node.lane.Save(cursor_, &out));
     out.state = static_cast<uint8_t>(node.state);
     out.capacity = node.capacity;
-    out.accounts = node.accounts;
-    out.memory_series = node.memory_series;
-    out.loaded = node.mem.ToBytes();
     out.last_used = node.last_used;
-    out.totals = node.totals;
-    out.overhead_seconds = node.overhead_seconds;
     out.pressure_evictions = node.pressure_evictions;
     out.reroutes_in = node.reroutes_in;
-    SPES_ASSIGN_OR_RETURN(out.policy_state, node.policy->SaveState());
-    if (node.latency != nullptr) out.latency_state = node.latency->SaveState();
     checkpoint.nodes.push_back(std::move(out));
   }
   if (options_.recorder != nullptr) {
@@ -832,37 +691,8 @@ Status ClusterSession::Restore(const ClusterCheckpoint& checkpoint) {
         "cannot Restore a session consumed by Finish()");
   }
   const size_t n = source_->num_functions();
-  if (checkpoint.num_functions != n) {
-    return Status::InvalidArgument(
-        "checkpoint num_functions (=" +
-        std::to_string(checkpoint.num_functions) +
-        ") does not match this session's trace (=" + std::to_string(n) + ")");
-  }
-  if (checkpoint.train_minutes != options_.train_minutes) {
-    return Status::InvalidArgument(
-        "checkpoint train_minutes (=" +
-        std::to_string(checkpoint.train_minutes) +
-        ") does not match this session (=" +
-        std::to_string(options_.train_minutes) + ")");
-  }
-  if (checkpoint.end_minute != end_) {
-    return Status::InvalidArgument(
-        "checkpoint end_minute (=" + std::to_string(checkpoint.end_minute) +
-        ") does not match this session (=" + std::to_string(end_) + ")");
-  }
-  if (checkpoint.pin_executing_functions !=
-      options_.pin_executing_functions) {
-    return Status::InvalidArgument(
-        "checkpoint pin_executing_functions (=" +
-        std::string(checkpoint.pin_executing_functions ? "true" : "false") +
-        ") does not match this session");
-  }
-  if (checkpoint.cursor < start_ || checkpoint.cursor > end_) {
-    return Status::InvalidArgument(
-        "checkpoint cursor (=" + std::to_string(checkpoint.cursor) +
-        ") is outside this session's window [" + std::to_string(start_) +
-        ", " + std::to_string(end_) + "]");
-  }
+  SPES_RETURN_NOT_OK(
+      CheckCheckpointWindow(checkpoint, n, options_, end_, "session"));
   if (checkpoint.event_index > events_.size()) {
     return Status::InvalidArgument(
         "checkpoint event_index (=" + std::to_string(checkpoint.event_index) +
@@ -890,82 +720,51 @@ Status ClusterSession::Restore(const ClusterCheckpoint& checkpoint) {
           std::to_string(nodes_.size() - 1) + "]");
     }
   }
-  const size_t expected_series =
-      static_cast<size_t>(checkpoint.cursor - start_);
   for (size_t k = 0; k < nodes_.size(); ++k) {
     const ClusterCheckpoint::Node& in = checkpoint.nodes[k];
-    if (in.policy_name != nodes_[k].policy->name()) {
-      return Status::InvalidArgument(
-          "checkpoint node " + std::to_string(k) + " holds policy '" +
-          in.policy_name + "' but this session has '" +
-          nodes_[k].policy->name() + "'");
-    }
+    const std::string where = "checkpoint node " + std::to_string(k);
+    SPES_RETURN_NOT_OK(
+        nodes_[k].lane.CheckShape(in, where, "session", checkpoint.cursor));
     if (in.state > static_cast<uint8_t>(NodeState::kFailed)) {
-      return Status::InvalidArgument(
-          "checkpoint node " + std::to_string(k) + " state (=" +
-          std::to_string(in.state) + ") is not a node lifecycle state");
+      return Status::InvalidArgument(where + " state (=" +
+                                     std::to_string(in.state) +
+                                     ") is not a node lifecycle state");
     }
     if (in.capacity != nodes_[k].capacity) {
       return Status::InvalidArgument(
-          "checkpoint node " + std::to_string(k) + " capacity (=" +
-          std::to_string(in.capacity) +
+          where + " capacity (=" + std::to_string(in.capacity) +
           ") does not match this session's cluster spec (=" +
           std::to_string(nodes_[k].capacity) + ")");
     }
-    if (in.accounts.size() != n || in.loaded.size() != n ||
-        in.last_used.size() != n) {
+    if (in.last_used.size() != n) {
       return Status::InvalidArgument(
-          "checkpoint node " + std::to_string(k) +
-          " is sized for (=" + std::to_string(in.accounts.size()) +
-          ") functions, expected (=" + std::to_string(n) + ")");
+          where + " last_used is sized for (=" +
+          std::to_string(in.last_used.size()) + ") functions, expected (=" +
+          std::to_string(n) + ")");
     }
-    // Every node — live, pending or dead — pushes one series entry per
-    // simulated minute, so the length pins the cursor for all of them.
-    if (in.memory_series.size() != expected_series) {
-      return Status::InvalidArgument(
-          "checkpoint node " + std::to_string(k) + " memory series has (=" +
-          std::to_string(in.memory_series.size()) +
-          ") entries but the cursor implies (=" +
-          std::to_string(expected_series) + ")");
-    }
-    // A LatencyLane blob is never empty, so presence of latency state is
-    // exactly "the origin session ran with a latency block".
-    if (in.latency_state.empty() != (nodes_[k].latency == nullptr)) {
-      return Status::InvalidArgument(
-          "checkpoint node " + std::to_string(k) +
-          (in.latency_state.empty()
-               ? " has no latency state but this session has a latency block"
-               : " carries latency state but this session has no latency "
-                 "block"));
+    // A last arrival at or after the cursor would make an idle instance
+    // look executing, shielding it from capacity eviction.
+    for (size_t f = 0; f < n; ++f) {
+      const int32_t used = in.last_used[f];
+      if (used < -1 || used >= checkpoint.cursor) {
+        return Status::InvalidArgument(
+            where + " last_used[" + std::to_string(f) + "] (=" +
+            std::to_string(used) + ") is outside [-1, " +
+            std::to_string(checkpoint.cursor) + ")");
+      }
     }
   }
 
-  // Shape checks all passed; hand the policies (and latency lanes) their
-  // state, then reinstate the engine-side counters. A failure here leaves
+  // Shape checks all passed; hand each node's lane its policy, latency
+  // and engine state, then the cluster-side fields. A failure here leaves
   // the session in an unspecified mix of old and new state — callers must
   // discard the session on a non-OK Restore.
   for (size_t k = 0; k < nodes_.size(); ++k) {
-    SPES_RETURN_NOT_OK(
-        nodes_[k].policy->RestoreState(checkpoint.nodes[k].policy_state));
-    if (nodes_[k].latency != nullptr) {
-      SPES_RETURN_NOT_OK(nodes_[k].latency->RestoreState(
-          checkpoint.nodes[k].latency_state, expected_series));
-    }
-  }
-  for (size_t k = 0; k < nodes_.size(); ++k) {
     const ClusterCheckpoint::Node& in = checkpoint.nodes[k];
     Node& node = nodes_[k];
+    SPES_RETURN_NOT_OK(node.lane.Load(in, checkpoint.cursor));
     node.state = static_cast<NodeState>(in.state);
-    node.accounts = in.accounts;
-    node.memory_series = in.memory_series;
-    MemSet mem(n);
-    for (size_t f = 0; f < n; ++f) {
-      if (in.loaded[f]) mem.Add(f);
-    }
-    node.mem = std::move(mem);
     node.last_used = in.last_used;
-    node.totals = in.totals;
-    node.overhead_seconds = in.overhead_seconds;
     node.pressure_evictions = in.pressure_evictions;
     node.reroutes_in = in.reroutes_in;
   }
@@ -985,12 +784,7 @@ std::string SerializeClusterCheckpoint(const ClusterCheckpoint& checkpoint) {
   BinaryWriter w;
   w.PutBytes(kClusterCheckpointMagic);
   w.PutU32(kClusterCheckpointVersion);
-  w.PutI32(checkpoint.cursor);
-  w.PutI32(checkpoint.train_minutes);
-  w.PutI32(checkpoint.end_minute);
-  w.PutBool(checkpoint.pin_executing_functions);
-  w.PutU64(checkpoint.num_functions);
-  w.PutBool(checkpoint.stopped);
+  WriteCheckpointWindow(w, checkpoint);
   w.PutU64(checkpoint.reroutes);
   w.PutU64(checkpoint.event_index);
   w.PutU64(checkpoint.assignment.size());
@@ -1000,25 +794,10 @@ std::string SerializeClusterCheckpoint(const ClusterCheckpoint& checkpoint) {
     w.PutBytes(node.policy_name);
     w.PutU8(node.state);
     w.PutI32(node.capacity);
-    w.PutU64(node.accounts.size());
-    for (const FunctionAccount& acc : node.accounts) {
-      w.PutU64(acc.invocations);
-      w.PutU64(acc.invoked_minutes);
-      w.PutU64(acc.cold_starts);
-      w.PutU64(acc.loaded_minutes);
-      w.PutU64(acc.wasted_minutes);
-    }
-    w.PutU64(node.memory_series.size());
-    for (uint32_t v : node.memory_series) w.PutU32(v);
-    w.PutU64(node.loaded.size());
-    for (uint8_t v : node.loaded) w.PutU8(v);
+    WriteLaneCounters(w, node);
     w.PutU64(node.last_used.size());
     for (int32_t v : node.last_used) w.PutI32(v);
-    w.PutU64(node.totals.invocations);
-    w.PutU64(node.totals.cold_starts);
-    w.PutU64(node.totals.loaded_instance_minutes);
-    w.PutU64(node.totals.wasted_memory_minutes);
-    w.PutDouble(node.overhead_seconds);
+    WriteLaneTotals(w, node);
     w.PutU64(node.pressure_evictions);
     w.PutU64(node.reroutes_in);
     w.PutBytes(node.policy_state);
@@ -1042,12 +821,7 @@ Result<ClusterCheckpoint> ParseClusterCheckpoint(const std::string& bytes) {
         std::to_string(kClusterCheckpointVersion) + ")");
   }
   ClusterCheckpoint checkpoint;
-  SPES_ASSIGN_OR_RETURN(checkpoint.cursor, r.I32());
-  SPES_ASSIGN_OR_RETURN(checkpoint.train_minutes, r.I32());
-  SPES_ASSIGN_OR_RETURN(checkpoint.end_minute, r.I32());
-  SPES_ASSIGN_OR_RETURN(checkpoint.pin_executing_functions, r.Bool());
-  SPES_ASSIGN_OR_RETURN(checkpoint.num_functions, r.U64());
-  SPES_ASSIGN_OR_RETURN(checkpoint.stopped, r.Bool());
+  SPES_RETURN_NOT_OK(ReadCheckpointWindow(r, &checkpoint));
   SPES_ASSIGN_OR_RETURN(checkpoint.reroutes, r.U64());
   SPES_ASSIGN_OR_RETURN(checkpoint.event_index, r.U64());
   SPES_ASSIGN_OR_RETURN(const uint64_t num_assignment, r.Length(4));
@@ -1066,40 +840,14 @@ Result<ClusterCheckpoint> ParseClusterCheckpoint(const std::string& bytes) {
     SPES_ASSIGN_OR_RETURN(node.policy_name, r.Bytes());
     SPES_ASSIGN_OR_RETURN(node.state, r.U8());
     SPES_ASSIGN_OR_RETURN(node.capacity, r.I32());
-    SPES_ASSIGN_OR_RETURN(const uint64_t num_accounts, r.Length(40));
-    node.accounts.reserve(num_accounts);
-    for (uint64_t i = 0; i < num_accounts; ++i) {
-      FunctionAccount acc;
-      SPES_ASSIGN_OR_RETURN(acc.invocations, r.U64());
-      SPES_ASSIGN_OR_RETURN(acc.invoked_minutes, r.U64());
-      SPES_ASSIGN_OR_RETURN(acc.cold_starts, r.U64());
-      SPES_ASSIGN_OR_RETURN(acc.loaded_minutes, r.U64());
-      SPES_ASSIGN_OR_RETURN(acc.wasted_minutes, r.U64());
-      node.accounts.push_back(acc);
-    }
-    SPES_ASSIGN_OR_RETURN(const uint64_t num_series, r.Length(4));
-    node.memory_series.reserve(num_series);
-    for (uint64_t i = 0; i < num_series; ++i) {
-      SPES_ASSIGN_OR_RETURN(const uint32_t v, r.U32());
-      node.memory_series.push_back(v);
-    }
-    SPES_ASSIGN_OR_RETURN(const uint64_t num_loaded, r.Length(1));
-    node.loaded.reserve(num_loaded);
-    for (uint64_t i = 0; i < num_loaded; ++i) {
-      SPES_ASSIGN_OR_RETURN(const uint8_t v, r.U8());
-      node.loaded.push_back(v);
-    }
+    SPES_RETURN_NOT_OK(ReadLaneCounters(r, &node));
     SPES_ASSIGN_OR_RETURN(const uint64_t num_last_used, r.Length(4));
     node.last_used.reserve(num_last_used);
     for (uint64_t i = 0; i < num_last_used; ++i) {
       SPES_ASSIGN_OR_RETURN(const int32_t v, r.I32());
       node.last_used.push_back(v);
     }
-    SPES_ASSIGN_OR_RETURN(node.totals.invocations, r.U64());
-    SPES_ASSIGN_OR_RETURN(node.totals.cold_starts, r.U64());
-    SPES_ASSIGN_OR_RETURN(node.totals.loaded_instance_minutes, r.U64());
-    SPES_ASSIGN_OR_RETURN(node.totals.wasted_memory_minutes, r.U64());
-    SPES_ASSIGN_OR_RETURN(node.overhead_seconds, r.Double());
+    SPES_RETURN_NOT_OK(ReadLaneTotals(r, &node));
     SPES_ASSIGN_OR_RETURN(node.pressure_evictions, r.U64());
     SPES_ASSIGN_OR_RETURN(node.reroutes_in, r.U64());
     SPES_ASSIGN_OR_RETURN(node.policy_state, r.Bytes());

@@ -38,6 +38,7 @@
 #include "sim/accounting.h"
 #include "sim/columnar.h"
 #include "sim/engine.h"
+#include "sim/engine_lane.h"
 #include "sim/memset.h"
 #include "sim/observer.h"
 #include "sim/policy.h"
@@ -271,27 +272,20 @@ class ClusterSession {
     kFailed,    ///< gone; memory lost
   };
 
+  /// A node is an engine lane plus a capacity and a lifecycle state.
   struct Node {
+    /// The node's trained policy; `lane` borrows it.
     std::unique_ptr<Policy> policy;
+    EngineLane lane;
     NodeState state = NodeState::kRoutable;
     int capacity = 0;  ///< 0 = uncapped
-    MemSet mem{0};
-    std::vector<FunctionAccount> accounts;
-    std::vector<uint32_t> memory_series;
-    std::vector<int32_t> last_used;  ///< minute f last arrived here; -1 never
-    LiveTotals totals;
-    double overhead_seconds = 0.0;
+    /// LRU clock: the minute f last arrived here; -1 = never. Stamped
+    /// when an arrival is routed to this node.
+    std::vector<int32_t> last_used;
     uint64_t pressure_evictions = 0;
     uint64_t reroutes_in = 0;
     /// This minute's arrivals routed here (scratch, rebuilt per minute).
     std::vector<Invocation> arrivals;
-    /// Per-node latency/queue state when SimOptions.latency is set; null
-    /// (and the latency path untouched) otherwise. A failed node's queue
-    /// keeps draining — admitted requests complete even if the node dies
-    /// later in the window.
-    std::unique_ptr<LatencyLane> latency;
-    /// Scratch: per-arrival cold flags for the latency path.
-    std::vector<uint8_t> cold_flags;
   };
 
   ClusterSession(TraceSource* source, std::unique_ptr<TraceSource> owned,
@@ -354,10 +348,6 @@ class ClusterSession {
   // Per-minute scratch, reused across steps.
   std::vector<Invocation> arrivals_;
   std::vector<NodeView> views_;
-
-  /// Per-request sampling keys shared by every node's latency lane; null
-  /// when the latency subsystem is disabled.
-  std::shared_ptr<const std::vector<uint64_t>> latency_hashes_;
 
   /// Open "simulate" span token when SimOptions.recorder is set; closed
   /// by Finish(). Observability only — never feeds sim state.

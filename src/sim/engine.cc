@@ -37,8 +37,8 @@ Status ValidateSimOptions(const SimOptions& options) {
 Result<SimulationOutcome> Simulate(const Trace& trace, Policy* policy,
                                    const SimOptions& options) {
   // The batch entry point is a full-window streaming session: open a
-  // single-lane SimStream and drain it. All simulation semantics live in
-  // sim/stream.cc.
+  // single-lane SimStream and drain it. The minute step lives in
+  // sim/engine_lane.cc.
   SPES_ASSIGN_OR_RETURN(SimStream stream,
                         SimStream::Create(trace, policy, options));
   return stream.Finish();

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/binary_io.h"
-#include "obs/clock.h"
 #include "obs/recorder.h"
 
 namespace spes {
@@ -43,21 +42,6 @@ Status ValidateStreamPolicies(const std::vector<Policy*>& policies) {
   return Status::OK();
 }
 
-/// Validates the options against `horizon` and resolves the end minute.
-Result<int> ResolveStreamWindow(int horizon, const SimOptions& options) {
-  SPES_RETURN_NOT_OK(ValidateSimOptions(options));
-  if (options.train_minutes > horizon) {
-    return Status::InvalidArgument(
-        "SimOptions.train_minutes (=" + std::to_string(options.train_minutes) +
-        ") exceeds the trace horizon (=" + std::to_string(horizon) +
-        " minutes)");
-  }
-  // end_minute == 0 means the trace horizon; a larger request clamps to it
-  // (a policy cannot be replayed past the recorded trace).
-  return options.end_minute > 0 ? std::min(options.end_minute, horizon)
-                                : horizon;
-}
-
 }  // namespace
 
 SimStream::SimStream(TraceSource* source, std::unique_ptr<TraceSource> owned,
@@ -83,39 +67,25 @@ Result<SimStream> SimStream::Create(TraceSource& source, Policy* policy,
 Result<SimStream> SimStream::Create(const Trace& trace,
                                     std::vector<Policy*> policies,
                                     const SimOptions& options) {
-  SPES_RETURN_NOT_OK(ValidateStreamPolicies(policies));
-  SPES_ASSIGN_OR_RETURN(const int end,
-                        ResolveStreamWindow(trace.num_minutes(), options));
-
   auto owned = std::make_unique<InMemoryTraceSource>(trace);
   TraceSource* source = owned.get();
-  SimStream stream(source, std::move(owned), options, end);
-  const size_t n = trace.num_functions();
-  stream.lanes_.reserve(policies.size());
-  for (Policy* policy : policies) {
-    const ScopedSpan span(options.recorder, "train", options.recorder_slot,
-                          static_cast<int>(stream.lanes_.size()),
-                          policy->name());
-    // In-memory streams train on the real full trace, so policies that
-    // peek past the train window (the oracle) keep their exact behaviour.
-    policy->Train(trace, options.train_minutes);
-    Lane lane;
-    lane.policy = policy;
-    lane.mem = MemSet(n);
-    lane.cols.Reset(n);
-    lane.memory_series.reserve(static_cast<size_t>(end -
-                                                   options.train_minutes));
-    stream.lanes_.push_back(std::move(lane));
-  }
-  SPES_RETURN_NOT_OK(stream.EnableLatency());
-  return stream;
+  return CreateImpl(source, std::move(owned), &trace, policies, options);
 }
 
 Result<SimStream> SimStream::Create(TraceSource& source,
                                     std::vector<Policy*> policies,
                                     const SimOptions& options) {
+  return CreateImpl(&source, nullptr, /*full_trace=*/nullptr, policies,
+                    options);
+}
+
+Result<SimStream> SimStream::CreateImpl(TraceSource* source,
+                                        std::unique_ptr<TraceSource> owned,
+                                        const Trace* full_trace,
+                                        const std::vector<Policy*>& policies,
+                                        const SimOptions& options) {
   SPES_RETURN_NOT_OK(ValidateStreamPolicies(policies));
-  for (size_t i = 0; i < policies.size(); ++i) {
+  for (size_t i = 0; full_trace == nullptr && i < policies.size(); ++i) {
     if (policies[i]->RequiresFullTrace()) {
       return Status::InvalidArgument(
           "policy '" + policies[i]->name() + "'" +
@@ -126,45 +96,35 @@ Result<SimStream> SimStream::Create(TraceSource& source,
     }
   }
   SPES_ASSIGN_OR_RETURN(const int end,
-                        ResolveStreamWindow(source.num_minutes(), options));
-  // Policies train on a materialized prefix — exactly the minutes the
-  // Train() contract allows them to observe — shared across lanes.
-  SPES_ASSIGN_OR_RETURN(const Trace train_prefix,
-                        source.MaterializePrefix(options.train_minutes));
+                        ResolveStreamWindow(source->num_minutes(), options));
+  // Streamed sources train on a materialized prefix — exactly the minutes
+  // the Train() contract allows them to observe — shared across lanes.
+  // In-memory streams train on the real full trace, so policies that peek
+  // past the train window (the oracle) keep their exact behaviour.
+  Trace train_prefix;
+  if (full_trace == nullptr) {
+    SPES_ASSIGN_OR_RETURN(train_prefix,
+                          source->MaterializePrefix(options.train_minutes));
+  }
+  const Trace& training = full_trace != nullptr ? *full_trace : train_prefix;
 
-  SimStream stream(&source, nullptr, options, end);
-  const size_t n = source.num_functions();
+  SimStream stream(source, std::move(owned), options, end);
+  const size_t n = source->num_functions();
+  const auto latency_hashes = SharedLatencyHashes(*source, options);
   stream.lanes_.reserve(policies.size());
   for (Policy* policy : policies) {
-    const ScopedSpan span(options.recorder, "train", options.recorder_slot,
-                          static_cast<int>(stream.lanes_.size()),
-                          policy->name());
-    policy->Train(train_prefix, options.train_minutes);
-    Lane lane;
-    lane.policy = policy;
-    lane.mem = MemSet(n);
-    lane.cols.Reset(n);
-    lane.memory_series.reserve(static_cast<size_t>(end -
-                                                   options.train_minutes));
+    const size_t index = stream.lanes_.size();
+    {
+      const ScopedSpan span(options.recorder, "train", options.recorder_slot,
+                            static_cast<int>(index), policy->name());
+      policy->Train(training, options.train_minutes);
+    }
+    SPES_ASSIGN_OR_RETURN(EngineLane lane,
+                          EngineLane::Create(index, policy, n, options, end,
+                                             latency_hashes));
     stream.lanes_.push_back(std::move(lane));
   }
-  SPES_RETURN_NOT_OK(stream.EnableLatency());
   return stream;
-}
-
-Status SimStream::EnableLatency() {
-  if (!options_.latency.has_value()) return Status::OK();
-  const LatencySpec& spec = *options_.latency;
-  // One shared hash table: the keys depend only on function names and the
-  // latency seed, so lockstep lanes (and a cluster's nodes) sample
-  // identical per-request streams regardless of placement.
-  latency_hashes_ = std::make_shared<const std::vector<uint64_t>>(
-      ComputeFunctionHashes(*source_, spec.seed));
-  for (Lane& lane : lanes_) {
-    SPES_ASSIGN_OR_RETURN(lane.latency,
-                          CreateLatencyLane(spec, latency_hashes_));
-  }
-  return Status::OK();
 }
 
 void SimStream::AddObserver(SimObserver* observer) {
@@ -185,114 +145,9 @@ Status SimStream::StepLocked() {
   ++minutes_decoded_;
 
   bool stop_requested = false;
-  for (size_t lane_index = 0; lane_index < lanes_.size(); ++lane_index) {
-    Lane& lane = lanes_[lane_index];
-    LaneColumns& cols = lane.cols;
-
-    // 1-2. Cold-start accounting, then execution pins the instance. The
-    // latency variant additionally records which arrivals were cold (the
-    // flags feed LatencyLane::OnMinute below); the plain variant is the
-    // original loop, untouched so disabled runs stay byte-identical.
-    if (lane.latency == nullptr) {
-      for (const Invocation& inv : arrivals_) {
-        cols.invocations[inv.function] += inv.count;
-        cols.invoked_minutes[inv.function] += 1;
-        lane.totals.invocations += inv.count;
-        if (!lane.mem.Contains(inv.function)) {
-          cols.cold_starts[inv.function] += 1;
-          lane.totals.cold_starts += 1;
-        }
-        lane.mem.Add(inv.function);
-      }
-    } else {
-      cold_flags_.assign(arrivals_.size(), 0);
-      for (size_t i = 0; i < arrivals_.size(); ++i) {
-        const Invocation& inv = arrivals_[i];
-        cols.invocations[inv.function] += inv.count;
-        cols.invoked_minutes[inv.function] += 1;
-        lane.totals.invocations += inv.count;
-        if (!lane.mem.Contains(inv.function)) {
-          cols.cold_starts[inv.function] += 1;
-          lane.totals.cold_starts += 1;
-          cold_flags_[i] = 1;
-        }
-        lane.mem.Add(inv.function);
-      }
-    }
-
-    // 3. Policy step (timed for the RQ2 overhead measurement; the
-    // monotonic clock lives in obs/clock so the linter can confine it).
-    const double start = MonotonicSeconds();
-    lane.policy->OnMinute(t, arrivals_, &lane.mem);
-    lane.overhead_seconds += MonotonicSeconds() - start;
-
-    if (options_.pin_executing_functions) {
-      for (const Invocation& inv : arrivals_) lane.mem.Add(inv.function);
-    }
-
-    // 4. Residency accounting: a word-at-a-time bitset diff opens/closes
-    // residency intervals, live totals come from the maintained popcount,
-    // and the wasted count follows from the arrivals that are loaded at
-    // this sample. Equivalent to the per-function scan, minute by minute.
-    cols.AccrueResidency(t, lane.mem);
-    const uint64_t live = lane.mem.Count();
-    lane.totals.loaded_instance_minutes += live;
-    uint64_t invoked_loaded_now = 0;
-    for (const Invocation& inv : arrivals_) {
-      if (lane.mem.Contains(inv.function)) {
-        cols.invoked_loaded_minutes[inv.function] += 1;
-        ++invoked_loaded_now;
-      }
-    }
-    lane.totals.wasted_memory_minutes += live - invoked_loaded_now;
-    lane.memory_series.push_back(static_cast<uint32_t>(live));
-
-    if (lane.latency != nullptr) {
-      lane.latency->OnMinute(t, arrivals_, cold_flags_);
-    }
-
-    if (!observers_.empty()) {
-      // Observers see the classic account view; materializing it per
-      // minute is the documented cost of attaching one.
-      cols.Materialize(t + 1, lane.mem, &lane.scratch_accounts);
-      MinuteView view;
-      view.minute = t;
-      view.lane = lane_index;
-      view.policy = lane.policy;
-      view.arrivals = &arrivals_;
-      view.mem = &lane.mem;
-      view.accounts = &lane.scratch_accounts;
-      view.memory_series = &lane.memory_series;
-      view.totals = lane.totals;
-      if (lane.latency != nullptr) view.latency = &lane.latency->live();
-      for (SimObserver* observer : observers_) {
-        if (!observer->OnMinute(view)) stop_requested = true;
-      }
-    }
-
-    if (options_.recorder != nullptr) {
-      // Strided heartbeat: sampled on simulated-minute boundaries (plus
-      // the final minute), so the recorded counters are a pure function
-      // of sim state — wall-clock speed never changes what is sampled.
-      const int stride = options_.recorder->heartbeat_minute_stride();
-      if ((t + 1 - start_) % stride == 0 || t + 1 == end_) {
-        RunRecorder::Heartbeat heartbeat;
-        heartbeat.slot = options_.recorder_slot;
-        heartbeat.lane = static_cast<int>(lane_index);
-        heartbeat.minute = t;
-        heartbeat.invocations = lane.totals.invocations;
-        heartbeat.cold_starts = lane.totals.cold_starts;
-        heartbeat.loaded_instance_minutes =
-            lane.totals.loaded_instance_minutes;
-        heartbeat.wasted_memory_minutes =
-            lane.totals.wasted_memory_minutes;
-        heartbeat.loaded_instances = static_cast<uint32_t>(lane.mem.Count());
-        if (lane.latency != nullptr) {
-          heartbeat.queue_depth = lane.latency->live().queue_depth;
-        }
-        options_.recorder->EmitHeartbeat(heartbeat);
-      }
-    }
+  for (EngineLane& lane : lanes_) {
+    lane.Admit(t, arrivals_);
+    if (!lane.Accrue(t, arrivals_, observers_)) stop_requested = true;
   }
 
   ++cursor_;
@@ -325,7 +180,7 @@ void SimStream::EnsureStarted() {
     simulate_span_ = options_.recorder->BeginSpan(
         "simulate", options_.recorder_slot, 0,
         lanes_.size() == 1
-            ? lanes_[0].policy->name()
+            ? lanes_[0].policy()->name()
             : std::to_string(lanes_.size()) + " lockstep lanes");
   }
   StreamInfo info;
@@ -354,12 +209,8 @@ Status SimStream::RunUntil(int minute) {
   return Status::OK();
 }
 
-FleetMetrics SimStream::SnapshotMetrics(size_t lane_index) const {
-  const Lane& lane = lanes_[lane_index];
-  std::vector<FunctionAccount> accounts;
-  lane.cols.Materialize(cursor_, lane.mem, &accounts);
-  return ComputeFleetMetrics(lane.policy->name(), accounts,
-                             lane.memory_series, lane.overhead_seconds);
+FleetMetrics SimStream::SnapshotMetrics(size_t lane) const {
+  return lanes_[lane].Snapshot(cursor_);
 }
 
 Result<std::vector<SimulationOutcome>> SimStream::FinishAll() {
@@ -386,19 +237,8 @@ Result<std::vector<SimulationOutcome>> SimStream::FinishAll() {
                                options_.recorder_slot, 0);
   std::vector<SimulationOutcome> outcomes;
   outcomes.reserve(lanes_.size());
-  for (Lane& lane : lanes_) {
-    SimulationOutcome outcome;
-    lane.cols.Materialize(cursor_, lane.mem, &outcome.accounts);
-    outcome.metrics = ComputeFleetMetrics(lane.policy->name(),
-                                          outcome.accounts,
-                                          lane.memory_series,
-                                          lane.overhead_seconds);
-    outcome.memory_series = std::move(lane.memory_series);
-    if (lane.latency != nullptr) {
-      outcome.latency =
-          std::make_shared<const LatencyOutcome>(lane.latency->TakeOutcome());
-    }
-    outcomes.push_back(std::move(outcome));
+  for (EngineLane& lane : lanes_) {
+    outcomes.push_back(lane.TakeOutcome(cursor_));
   }
   for (SimObserver* observer : observers_) {
     for (size_t lane = 0; lane < outcomes.size(); ++lane) {
@@ -424,9 +264,9 @@ Result<SimCheckpoint> SimStream::Checkpoint() const {
         "cannot Checkpoint a stream consumed by Finish()");
   }
   for (size_t i = 0; i < lanes_.size(); ++i) {
-    if (!lanes_[i].policy->SupportsCheckpoint()) {
+    if (!lanes_[i].policy()->SupportsCheckpoint()) {
       return Status::NotImplemented(
-          "policy '" + lanes_[i].policy->name() + "' (lane " +
+          "policy '" + lanes_[i].policy()->name() + "' (lane " +
           std::to_string(i) + ") does not support checkpointing");
     }
   }
@@ -438,16 +278,9 @@ Result<SimCheckpoint> SimStream::Checkpoint() const {
   checkpoint.num_functions = source_->num_functions();
   checkpoint.stopped = stopped_;
   checkpoint.lanes.reserve(lanes_.size());
-  for (const Lane& lane : lanes_) {
+  for (const EngineLane& lane : lanes_) {
     SimCheckpoint::Lane out;
-    out.policy_name = lane.policy->name();
-    lane.cols.Materialize(cursor_, lane.mem, &out.accounts);
-    out.memory_series = lane.memory_series;
-    out.loaded = lane.mem.ToBytes();
-    out.totals = lane.totals;
-    out.overhead_seconds = lane.overhead_seconds;
-    SPES_ASSIGN_OR_RETURN(out.policy_state, lane.policy->SaveState());
-    if (lane.latency != nullptr) out.latency_state = lane.latency->SaveState();
+    SPES_RETURN_NOT_OK(lane.Save(cursor_, &out));
     checkpoint.lanes.push_back(std::move(out));
   }
   if (options_.recorder != nullptr) {
@@ -461,103 +294,26 @@ Status SimStream::Restore(const SimCheckpoint& checkpoint) {
   if (finished_) {
     return Status::OutOfRange("cannot Restore a stream consumed by Finish()");
   }
-  const size_t n = source_->num_functions();
-  if (checkpoint.num_functions != n) {
-    return Status::InvalidArgument(
-        "checkpoint num_functions (=" +
-        std::to_string(checkpoint.num_functions) +
-        ") does not match this stream's trace (=" + std::to_string(n) + ")");
-  }
-  if (checkpoint.train_minutes != options_.train_minutes) {
-    return Status::InvalidArgument(
-        "checkpoint train_minutes (=" +
-        std::to_string(checkpoint.train_minutes) +
-        ") does not match this stream (=" +
-        std::to_string(options_.train_minutes) + ")");
-  }
-  if (checkpoint.end_minute != end_) {
-    return Status::InvalidArgument(
-        "checkpoint end_minute (=" + std::to_string(checkpoint.end_minute) +
-        ") does not match this stream (=" + std::to_string(end_) + ")");
-  }
-  if (checkpoint.pin_executing_functions !=
-      options_.pin_executing_functions) {
-    return Status::InvalidArgument(
-        "checkpoint pin_executing_functions (=" +
-        std::string(checkpoint.pin_executing_functions ? "true" : "false") +
-        ") does not match this stream");
-  }
-  if (checkpoint.cursor < start_ || checkpoint.cursor > end_) {
-    return Status::InvalidArgument(
-        "checkpoint cursor (=" + std::to_string(checkpoint.cursor) +
-        ") is outside this stream's window [" + std::to_string(start_) +
-        ", " + std::to_string(end_) + "]");
-  }
+  SPES_RETURN_NOT_OK(CheckCheckpointWindow(
+      checkpoint, source_->num_functions(), options_, end_, "stream"));
   if (checkpoint.lanes.size() != lanes_.size()) {
     return Status::InvalidArgument(
         "checkpoint has (=" + std::to_string(checkpoint.lanes.size()) +
         ") lanes but this stream has (=" + std::to_string(lanes_.size()) +
         ")");
   }
-  const size_t expected_series =
-      static_cast<size_t>(checkpoint.cursor - start_);
   for (size_t i = 0; i < lanes_.size(); ++i) {
-    const SimCheckpoint::Lane& in = checkpoint.lanes[i];
-    if (in.policy_name != lanes_[i].policy->name()) {
-      return Status::InvalidArgument(
-          "checkpoint lane " + std::to_string(i) + " holds policy '" +
-          in.policy_name + "' but this stream has '" +
-          lanes_[i].policy->name() + "'");
-    }
-    if (in.accounts.size() != n || in.loaded.size() != n) {
-      return Status::InvalidArgument(
-          "checkpoint lane " + std::to_string(i) +
-          " is sized for (=" + std::to_string(in.accounts.size()) +
-          ") functions, expected (=" + std::to_string(n) + ")");
-    }
-    if (in.memory_series.size() != expected_series) {
-      return Status::InvalidArgument(
-          "checkpoint lane " + std::to_string(i) + " memory series has (=" +
-          std::to_string(in.memory_series.size()) +
-          ") entries but the cursor implies (=" +
-          std::to_string(expected_series) + ")");
-    }
-    // A LatencyLane blob is never empty, so presence of latency state is
-    // exactly "the origin stream ran with a latency block".
-    if (in.latency_state.empty() != (lanes_[i].latency == nullptr)) {
-      return Status::InvalidArgument(
-          "checkpoint lane " + std::to_string(i) +
-          (in.latency_state.empty()
-               ? " has no latency state but this stream has a latency block"
-               : " carries latency state but this stream has no latency "
-                 "block"));
-    }
+    SPES_RETURN_NOT_OK(lanes_[i].CheckShape(
+        checkpoint.lanes[i], "checkpoint lane " + std::to_string(i), "stream",
+        checkpoint.cursor));
   }
 
-  // Shape checks all passed; hand the policies their state, then reinstate
-  // the engine-side counters. A RestoreState failure here (e.g. a corrupt
-  // policy blob) leaves the stream in an unspecified mix of old and new
-  // state — callers must discard the stream on a non-OK Restore.
+  // Shape checks all passed; hand each lane its policy and latency state,
+  // then its engine-side counters. A RestoreState failure here (e.g. a
+  // corrupt policy blob) leaves the stream in an unspecified mix of old
+  // and new state — callers must discard the stream on a non-OK Restore.
   for (size_t i = 0; i < lanes_.size(); ++i) {
-    SPES_RETURN_NOT_OK(
-        lanes_[i].policy->RestoreState(checkpoint.lanes[i].policy_state));
-    if (lanes_[i].latency != nullptr) {
-      SPES_RETURN_NOT_OK(lanes_[i].latency->RestoreState(
-          checkpoint.lanes[i].latency_state, expected_series));
-    }
-  }
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    const SimCheckpoint::Lane& in = checkpoint.lanes[i];
-    Lane& lane = lanes_[i];
-    lane.memory_series = in.memory_series;
-    lane.totals = in.totals;
-    lane.overhead_seconds = in.overhead_seconds;
-    MemSet mem(n);
-    for (size_t f = 0; f < n; ++f) {
-      if (in.loaded[f]) mem.Add(f);
-    }
-    lane.mem = std::move(mem);
-    lane.cols.LoadFrom(in.accounts, lane.mem, checkpoint.cursor);
+    SPES_RETURN_NOT_OK(lanes_[i].Load(checkpoint.lanes[i], checkpoint.cursor));
   }
   cursor_ = checkpoint.cursor;
   stopped_ = checkpoint.stopped;
@@ -576,32 +332,12 @@ std::string SerializeCheckpoint(const SimCheckpoint& checkpoint) {
   BinaryWriter w;
   w.PutBytes(kCheckpointMagic);
   w.PutU32(has_latency ? kCheckpointVersionLatency : kCheckpointVersion);
-  w.PutI32(checkpoint.cursor);
-  w.PutI32(checkpoint.train_minutes);
-  w.PutI32(checkpoint.end_minute);
-  w.PutBool(checkpoint.pin_executing_functions);
-  w.PutU64(checkpoint.num_functions);
-  w.PutBool(checkpoint.stopped);
+  WriteCheckpointWindow(w, checkpoint);
   w.PutU64(checkpoint.lanes.size());
   for (const SimCheckpoint::Lane& lane : checkpoint.lanes) {
     w.PutBytes(lane.policy_name);
-    w.PutU64(lane.accounts.size());
-    for (const FunctionAccount& acc : lane.accounts) {
-      w.PutU64(acc.invocations);
-      w.PutU64(acc.invoked_minutes);
-      w.PutU64(acc.cold_starts);
-      w.PutU64(acc.loaded_minutes);
-      w.PutU64(acc.wasted_minutes);
-    }
-    w.PutU64(lane.memory_series.size());
-    for (uint32_t v : lane.memory_series) w.PutU32(v);
-    w.PutU64(lane.loaded.size());
-    for (uint8_t v : lane.loaded) w.PutU8(v);
-    w.PutU64(lane.totals.invocations);
-    w.PutU64(lane.totals.cold_starts);
-    w.PutU64(lane.totals.loaded_instance_minutes);
-    w.PutU64(lane.totals.wasted_memory_minutes);
-    w.PutDouble(lane.overhead_seconds);
+    WriteLaneCounters(w, lane);
+    WriteLaneTotals(w, lane);
     w.PutBytes(lane.policy_state);
     if (has_latency) w.PutBytes(lane.latency_state);
   }
@@ -623,12 +359,7 @@ Result<SimCheckpoint> ParseCheckpoint(const std::string& bytes) {
         std::to_string(kCheckpointVersionLatency) + ")");
   }
   SimCheckpoint checkpoint;
-  SPES_ASSIGN_OR_RETURN(checkpoint.cursor, r.I32());
-  SPES_ASSIGN_OR_RETURN(checkpoint.train_minutes, r.I32());
-  SPES_ASSIGN_OR_RETURN(checkpoint.end_minute, r.I32());
-  SPES_ASSIGN_OR_RETURN(checkpoint.pin_executing_functions, r.Bool());
-  SPES_ASSIGN_OR_RETURN(checkpoint.num_functions, r.U64());
-  SPES_ASSIGN_OR_RETURN(checkpoint.stopped, r.Bool());
+  SPES_RETURN_NOT_OK(ReadCheckpointWindow(r, &checkpoint));
   // Minimal encoded lane: 80 bytes (empty name/blob/vector prefixes +
   // totals + overhead) — bounds reserve() against corrupt counts.
   SPES_ASSIGN_OR_RETURN(const uint64_t num_lanes, r.Length(80));
@@ -636,34 +367,8 @@ Result<SimCheckpoint> ParseCheckpoint(const std::string& bytes) {
   for (uint64_t i = 0; i < num_lanes; ++i) {
     SimCheckpoint::Lane lane;
     SPES_ASSIGN_OR_RETURN(lane.policy_name, r.Bytes());
-    SPES_ASSIGN_OR_RETURN(const uint64_t num_accounts, r.Length(40));
-    lane.accounts.reserve(num_accounts);
-    for (uint64_t k = 0; k < num_accounts; ++k) {
-      FunctionAccount acc;
-      SPES_ASSIGN_OR_RETURN(acc.invocations, r.U64());
-      SPES_ASSIGN_OR_RETURN(acc.invoked_minutes, r.U64());
-      SPES_ASSIGN_OR_RETURN(acc.cold_starts, r.U64());
-      SPES_ASSIGN_OR_RETURN(acc.loaded_minutes, r.U64());
-      SPES_ASSIGN_OR_RETURN(acc.wasted_minutes, r.U64());
-      lane.accounts.push_back(acc);
-    }
-    SPES_ASSIGN_OR_RETURN(const uint64_t num_series, r.Length(4));
-    lane.memory_series.reserve(num_series);
-    for (uint64_t k = 0; k < num_series; ++k) {
-      SPES_ASSIGN_OR_RETURN(const uint32_t v, r.U32());
-      lane.memory_series.push_back(v);
-    }
-    SPES_ASSIGN_OR_RETURN(const uint64_t num_loaded, r.Length(1));
-    lane.loaded.reserve(num_loaded);
-    for (uint64_t k = 0; k < num_loaded; ++k) {
-      SPES_ASSIGN_OR_RETURN(const uint8_t v, r.U8());
-      lane.loaded.push_back(v);
-    }
-    SPES_ASSIGN_OR_RETURN(lane.totals.invocations, r.U64());
-    SPES_ASSIGN_OR_RETURN(lane.totals.cold_starts, r.U64());
-    SPES_ASSIGN_OR_RETURN(lane.totals.loaded_instance_minutes, r.U64());
-    SPES_ASSIGN_OR_RETURN(lane.totals.wasted_memory_minutes, r.U64());
-    SPES_ASSIGN_OR_RETURN(lane.overhead_seconds, r.Double());
+    SPES_RETURN_NOT_OK(ReadLaneCounters(r, &lane));
+    SPES_RETURN_NOT_OK(ReadLaneTotals(r, &lane));
     SPES_ASSIGN_OR_RETURN(lane.policy_state, r.Bytes());
     if (version >= kCheckpointVersionLatency) {
       SPES_ASSIGN_OR_RETURN(lane.latency_state, r.Bytes());

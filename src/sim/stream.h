@@ -34,6 +34,7 @@
 #include "sim/accounting.h"
 #include "sim/columnar.h"
 #include "sim/engine.h"
+#include "sim/engine_lane.h"
 #include "sim/memset.h"
 #include "sim/observer.h"
 #include "sim/policy.h"
@@ -123,7 +124,7 @@ class SimStream {
   [[nodiscard]] int start_minute() const { return start_; }     ///< == train_minutes
   [[nodiscard]] int end_minute() const { return end_; }         ///< resolved end
   [[nodiscard]] size_t num_lanes() const { return lanes_.size(); }
-  [[nodiscard]] const Policy* policy(size_t lane) const { return lanes_[lane].policy; }
+  [[nodiscard]] const Policy* policy(size_t lane) const { return lanes_[lane].policy(); }
   /// Minutes decoded so far: one arrival decode serves every lane, so
   /// this counts simulated minutes, not minutes x lanes.
   [[nodiscard]] int64_t minutes_decoded() const { return minutes_decoded_; }
@@ -182,31 +183,21 @@ class SimStream {
   Status Restore(const SimCheckpoint& checkpoint);
 
  private:
-  struct Lane {
-    Policy* policy = nullptr;
-    MemSet mem{0};
-    /// Columnar (SoA) per-function counters — the hot-loop representation.
-    LaneColumns cols;
-    std::vector<uint32_t> memory_series;
-    LiveTotals totals;
-    double overhead_seconds = 0.0;
-    /// Classic account view, materialized on demand (observers attached,
-    /// snapshots, checkpoints, outcomes); empty on the fast path.
-    std::vector<FunctionAccount> scratch_accounts;
-    /// Per-lane latency/queue state when SimOptions.latency is set; null
-    /// (and the latency path untouched) otherwise.
-    std::unique_ptr<LatencyLane> latency;
-  };
-
   SimStream(TraceSource* source, std::unique_ptr<TraceSource> owned,
             const SimOptions& options, int end);
 
+  /// Shared body of the Create() overloads. `full_trace` is non-null for
+  /// the in-memory path (policies then train on the real full trace);
+  /// when null, the train prefix is materialized from `source` and
+  /// RequiresFullTrace() policies are rejected.
+  static Result<SimStream> CreateImpl(TraceSource* source,
+                                      std::unique_ptr<TraceSource> owned,
+                                      const Trace* full_trace,
+                                      const std::vector<Policy*>& policies,
+                                      const SimOptions& options);
+
   /// Delivers OnStreamStart exactly once, before any other callback.
   void EnsureStarted();
-
-  /// Builds each lane's LatencyLane from options_.latency (called by the
-  /// Create() overloads after the lanes exist).
-  Status EnableLatency();
 
   /// One simulated minute for every lane over a single arrival decode.
   /// Fails (without advancing the cursor) when the source fails mid-run —
@@ -225,7 +216,7 @@ class SimStream {
   bool stopped_ = false;   ///< early stop requested
   bool finished_ = false;  ///< outcomes moved out
   int64_t minutes_decoded_ = 0;
-  std::vector<Lane> lanes_;
+  std::vector<EngineLane> lanes_;
   std::vector<SimObserver*> observers_;
 
   /// Block-transposed minute-major decode shared by every lane.
@@ -233,11 +224,6 @@ class SimStream {
   /// This minute's arrivals, copied from the decoder block (the Policy
   /// API takes a vector); reused across steps.
   std::vector<Invocation> arrivals_;
-  /// Per-request sampling keys shared by every latency lane; null when
-  /// the latency subsystem is disabled.
-  std::shared_ptr<const std::vector<uint64_t>> latency_hashes_;
-  /// Scratch: this minute's per-arrival cold flags (latency path only).
-  std::vector<uint8_t> cold_flags_;
   /// Open "simulate" span token when SimOptions.recorder is set; closed
   /// by FinishAll(). Observability only — never feeds sim state.
   uint64_t simulate_span_ = 0;

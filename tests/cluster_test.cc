@@ -338,6 +338,44 @@ TEST(ClusterSessionTest, CapacityPressureEvictsIdleInstancesLru) {
   EXPECT_EQ(node.sim.metrics.max_memory, 2u);
 }
 
+TEST(ClusterSessionTest, RestoreRejectsLastUsedOutsideTheElapsedWindow) {
+  // A last_used stamp at or past the cursor would make an idle instance
+  // look executing, shielding it from pressure eviction; below -1 it is
+  // no minute at all. Restore must reject both, naming node and function.
+  const Trace trace = MakeFleet({1, 3}, 90);
+  ScenarioSpec spec = KeepAliveClusterSpec(2, "hash");
+  spec.cluster->node_capacity = 1;
+  ClusterSession original = ClusterSession::Create(trace, *spec.cluster,
+                                                   spec.policy, spec.options)
+                                .ValueOrDie();
+  ASSERT_TRUE(original.RunUntil(30).ok());
+  const ClusterCheckpoint checkpoint =
+      ParseClusterCheckpoint(
+          SerializeClusterCheckpoint(original.Checkpoint().ValueOrDie()))
+          .ValueOrDie();
+
+  ClusterSession target = ClusterSession::Create(trace, *spec.cluster,
+                                                 spec.policy, spec.options)
+                              .ValueOrDie();
+  ASSERT_TRUE(target.Restore(checkpoint).ok());  // untouched bytes are fine
+  for (const int32_t bad : {30, 31, -2}) {
+    ClusterCheckpoint edited = checkpoint;
+    edited.nodes[1].last_used[1] = bad;
+    const Status status = target.Restore(edited);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(status.message().find("node 1"), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("last_used[1] (=" + std::to_string(bad)),
+              std::string::npos)
+        << status.message();
+  }
+  // The last minute before the cursor and "never" are both in range.
+  ClusterCheckpoint edge = checkpoint;
+  edge.nodes[0].last_used[0] = 29;
+  edge.nodes[0].last_used[1] = -1;
+  EXPECT_TRUE(target.Restore(edge).ok());
+}
+
 TEST(ClusterSessionTest, UncappedNodesNeverPressureEvict) {
   const Trace trace = MakeFleet({1, 3}, 90);
   const ScenarioOutcome run =
