@@ -12,6 +12,7 @@
 //   ./build/scenario_catalog
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "cluster/router.h"
@@ -43,42 +44,27 @@ void PrintSchema(const std::string& name, const std::string& summary,
   std::printf("\n");
 }
 
+/// Prints a titled catalog of every entry in `registry`, in name order.
+template <class Product>
+void PrintCatalog(const std::string& title, const Registry<Product>& registry) {
+  std::printf("%s\n%s\n\n", title.c_str(),
+              std::string(title.size(), '=').c_str());
+  for (const std::string& name : registry.Names()) {
+    const typename Registry<Product>::Entry* entry = registry.Find(name);
+    PrintSchema(name, entry->summary, entry->params);
+  }
+}
+
 }  // namespace
 
 int main() {
   const PolicyRegistry& policies = PolicyRegistry::Global();
-  const TransformRegistry& transforms = TransformRegistry::Global();
-  const RouterRegistry& routers = RouterRegistry::Global();
 
   // 1. The catalog: every canonical name with its parameter schema.
-  std::printf("registered policies\n");
-  std::printf("===================\n\n");
-  for (const std::string& name : policies.Names()) {
-    const PolicyRegistry::Entry* entry = policies.Find(name);
-    PrintSchema(name, entry->summary, entry->params);
-  }
-
-  std::printf("registered trace transforms\n");
-  std::printf("===========================\n\n");
-  for (const std::string& name : transforms.Names()) {
-    const TransformRegistry::Entry* entry = transforms.Find(name);
-    PrintSchema(name, entry->summary, entry->params);
-  }
-
-  std::printf("registered cluster routers\n");
-  std::printf("==========================\n\n");
-  for (const std::string& name : routers.Names()) {
-    const RouterRegistry::Entry* entry = routers.Find(name);
-    PrintSchema(name, entry->summary, entry->params);
-  }
-
-  std::printf("registered latency models\n");
-  std::printf("=========================\n\n");
-  const LatencyModelRegistry& latency_models = LatencyModelRegistry::Global();
-  for (const std::string& name : latency_models.Names()) {
-    const LatencyModelRegistry::Entry* entry = latency_models.Find(name);
-    PrintSchema(name, entry->summary, entry->params);
-  }
+  PrintCatalog("registered policies", policies);
+  PrintCatalog("registered trace transforms", TransformRegistry::Global());
+  PrintCatalog("registered cluster routers", RouterRegistry::Global());
+  PrintCatalog("registered latency models", LatencyModelRegistry::Global());
   // The admission side of a latency block: `<model> @ queue{...}`.
   PrintSchema("queue",
               "per-lane/per-node admission control for latency blocks",

@@ -234,14 +234,9 @@ Status ValidateClusterSpec(const ClusterSpec& spec) {
 ClusterSession::ClusterSession(TraceSource* source,
                                std::unique_ptr<TraceSource> owned,
                                const SimOptions& options, int end)
-    : owned_source_(std::move(owned)),
-      source_(source),
-      options_(options),
-      start_(options.train_minutes),
-      end_(end),
-      cursor_(options.train_minutes),
-      assignment_(source->num_functions(), -1),
-      decoder_(source) {}
+    : SessionCore("ClusterSession", source, options, end),
+      owned_source_(std::move(owned)),
+      assignment_(source->num_functions(), -1) {}
 
 Result<ClusterSession> ClusterSession::CreateImpl(
     TraceSource* source, std::unique_ptr<TraceSource> owned,
@@ -398,23 +393,6 @@ void ClusterSession::EnforceCapacity(Node* node, int t) {
   }
 }
 
-void ClusterSession::EnsureStarted() {
-  if (started_) return;
-  started_ = true;
-  if (options_.recorder != nullptr) {
-    simulate_span_ = options_.recorder->BeginSpan(
-        "simulate", options_.recorder_slot, 0,
-        std::to_string(nodes_.size()) + "-node cluster");
-  }
-  StreamInfo info;
-  info.train_minutes = options_.train_minutes;
-  info.start_minute = start_;
-  info.end_minute = end_;
-  info.num_lanes = nodes_.size();
-  info.num_functions = source_->num_functions();
-  for (SimObserver* observer : observers_) observer->OnStreamStart(info);
-}
-
 Status ClusterSession::StepLocked() {
   const int t = cursor_;
 
@@ -509,62 +487,8 @@ Status ClusterSession::StepLocked() {
   return Status::OK();
 }
 
-Status ClusterSession::Step() {
-  if (finished_) {
-    return Status::OutOfRange("ClusterSession was consumed by Finish()");
-  }
-  if (stopped_) {
-    return Status::Cancelled(
-        "ClusterSession was stopped early at minute (=" +
-        std::to_string(cursor_) + ")");
-  }
-  if (cursor_ >= end_) {
-    return Status::OutOfRange(
-        "ClusterSession is exhausted: cursor (=" + std::to_string(cursor_) +
-        ") reached end_minute (=" + std::to_string(end_) + ")");
-  }
-  EnsureStarted();
-  return StepLocked();
-}
-
-Status ClusterSession::RunUntil(int minute) {
-  if (finished_) {
-    return Status::OutOfRange("ClusterSession was consumed by Finish()");
-  }
-  const int target = std::min(minute, end_);
-  while (cursor_ < target && !stopped_) {
-    SPES_RETURN_NOT_OK(Step());
-  }
-  if (stopped_ && cursor_ < target) {
-    // Same signal Step() gives: an early stop left the target unreached.
-    return Status::Cancelled(
-        "ClusterSession was stopped early at minute (=" +
-        std::to_string(cursor_) + ") before reaching minute (=" +
-        std::to_string(target) + ")");
-  }
-  return Status::OK();
-}
-
 Result<ClusterOutcome> ClusterSession::Finish() {
-  if (finished_) {
-    return Status::OutOfRange(
-        "ClusterSession was already consumed by Finish()");
-  }
-  EnsureStarted();
-  // An early stop still yields the partial-window outcome, so Cancelled
-  // is success here — mirroring SimStream::FinishAll().
-  const Status run = RunUntil(end_);
-  if (!run.ok() && run.code() != StatusCode::kCancelled) return run;
-  finished_ = true;
-  if (options_.recorder != nullptr) {
-    options_.recorder->EndSpan(simulate_span_);
-    simulate_span_ = 0;
-    options_.recorder->DecoderEvent(options_.recorder_slot,
-                                    decoder_.blocks_decoded(),
-                                    decoder_.invocations_decoded());
-  }
-  const ScopedSpan finish_span(options_.recorder, "finish",
-                               options_.recorder_slot, 0);
+  SPES_ASSIGN_OR_RETURN(const ScopedSpan finish_span, BeginFinish());
 
   const size_t n = source_->num_functions();
   const std::string policy_name = nodes_[0].policy->name();

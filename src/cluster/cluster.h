@@ -198,7 +198,7 @@ Result<ClusterCheckpoint> ParseClusterCheckpoint(const std::string& bytes);
 /// first simulated minute. The trace and observers are borrowed and must
 /// outlive the session. Not thread-safe; drive each session from one
 /// thread.
-class ClusterSession {
+class ClusterSession : private SessionCore<ClusterSession> {
  public:
   static Result<ClusterSession> Create(const Trace& trace,
                                        const ClusterSpec& cluster,
@@ -240,12 +240,12 @@ class ClusterSession {
   /// \brief Simulates one minute across all live nodes. Cancelled once
   /// the session was stopped early by an observer, OutOfRange once it is
   /// exhausted or consumed by Finish().
-  Status Step();
+  Status Step() { return StepOnce(); }
 
   /// \brief Steps until the cursor reaches min(minute, end_minute()).
   /// Cancelled when an observer stop halts the session short of the
   /// target, matching Step(); OutOfRange once consumed by Finish().
-  Status RunUntil(int minute);
+  Status RunUntil(int minute) { return RunUntilMinute(minute); }
 
   /// \brief Runs to the end of the window (unless already stopped) and
   /// returns the aggregated + per-node outcome, consuming the session.
@@ -288,6 +288,8 @@ class ClusterSession {
     std::vector<Invocation> arrivals;
   };
 
+  friend class SessionCore<ClusterSession>;
+
   ClusterSession(TraceSource* source, std::unique_ptr<TraceSource> owned,
                  const SimOptions& options, int end);
 
@@ -310,8 +312,12 @@ class ClusterSession {
   /// Applies every event scheduled at or before minute `t`.
   void ApplyEvents(int t);
 
-  /// Delivers OnStreamStart exactly once, before any other callback.
-  void EnsureStarted();
+  /// SessionCore hooks: StreamInfo::num_lanes is the node-id space, and
+  /// the "simulate" span reads "<N>-node cluster".
+  [[nodiscard]] size_t LaneCount() const { return nodes_.size(); }
+  [[nodiscard]] std::string SimulateLabel() const {
+    return std::to_string(nodes_.size()) + "-node cluster";
+  }
 
   /// One simulated minute: shared decode, routing, then one engine-lane
   /// step plus pressure eviction per live node. Internal on a router
@@ -324,15 +330,6 @@ class ClusterSession {
   /// The in-memory adapter when created from a Trace; null for borrowed
   /// sources. Heap-allocated so source_ stays stable across moves.
   std::unique_ptr<TraceSource> owned_source_;
-  TraceSource* source_;
-  SimOptions options_;
-  int start_;
-  int end_;
-  int cursor_;
-  bool started_ = false;
-  bool stopped_ = false;
-  bool finished_ = false;
-  int64_t minutes_decoded_ = 0;
   uint64_t reroutes_ = 0;
   std::unique_ptr<Router> router_;
   std::vector<Node> nodes_;
@@ -340,18 +337,10 @@ class ClusterSession {
   size_t event_index_ = 0;
   /// Sticky function->node assignment; -1 = unassigned.
   std::vector<int32_t> assignment_;
-  std::vector<SimObserver*> observers_;
-
-  /// Block-transposed minute-major decode shared by every node.
-  ArrivalDecoder decoder_;
 
   // Per-minute scratch, reused across steps.
   std::vector<Invocation> arrivals_;
   std::vector<NodeView> views_;
-
-  /// Open "simulate" span token when SimOptions.recorder is set; closed
-  /// by Finish(). Observability only — never feeds sim state.
-  uint64_t simulate_span_ = 0;
 };
 
 }  // namespace spes

@@ -2,11 +2,12 @@
 //
 // A Router is the cluster counterpart of a provisioning Policy: a small,
 // stateless strategy object consulted once per arriving function per
-// minute to pick the node that serves it. Routers self-register in a
-// RouterRegistry mirroring PolicyRegistry (core/policy_registry.h):
-// canonical lowercase names, typed ParamSpec schemas with defaults, and
-// Result<> errors naming the offending field, so a ClusterSpec names its
-// router as data — `hash`, `least_loaded{}`, `locality{pressure=0.9}`.
+// minute to pick the node that serves it. Routers self-register in the
+// RouterRegistry, an alias of the shared Registry<Product> template
+// (core/param_spec.h): canonical lowercase names, typed ParamSpec schemas
+// with defaults, and Result<> errors naming the offending field, so a
+// ClusterSpec names its router as data — `hash`, `least_loaded{}`,
+// `locality{pressure=0.9}`.
 //
 // Routers are deliberately stateless: the sticky function→node assignment
 // map lives in the ClusterSession (cluster/cluster.h), which passes each
@@ -17,8 +18,6 @@
 #define SPES_CLUSTER_ROUTER_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,10 +37,6 @@ using RouterParams = ParamMap;
 /// \brief Parses `name{param=value,...}` into a RouterSpec (same grammar
 /// as policy specs; errors say "router spec ...").
 Result<RouterSpec> ParseRouterSpec(const std::string& text);
-
-/// \brief Inverse of ParseRouterSpec: canonical `name{k=v,...}` form with
-/// keys in lexicographic order; just `name` when no overrides.
-std::string FormatRouterSpec(const RouterSpec& spec);
 
 /// \brief Live, read-only facts about one node at routing time.
 struct NodeView {
@@ -81,64 +76,13 @@ class Router {
   [[nodiscard]] virtual int Route(const RoutingContext& context) const = 0;
 };
 
-/// \brief Builds a router instance from validated parameters. May reject
-/// out-of-domain values (e.g. a pressure outside (0, 1]) with a Status.
-using RouterFactory =
-    std::function<Result<std::unique_ptr<Router>>(const RouterParams&)>;
-
 /// \brief Name -> (schema, factory) table for cluster routers.
-///
-/// Global() holds every built-in router (`hash`, `least_loaded`,
-/// `locality`); additional registries can be constructed freely, e.g. by
-/// tests.
-class RouterRegistry {
- public:
-  /// \brief One registered router.
-  struct Entry {
-    /// Canonical lowercase identifier, e.g. "least_loaded".
-    std::string canonical_name;
-    /// One-line human description for catalogs.
-    std::string summary;
-    /// Accepted parameters with defaults; order is the display order.
-    std::vector<ParamSpec> params;
-    RouterFactory factory;
-  };
+using RouterRegistry = Registry<std::unique_ptr<Router>>;
 
-  /// \brief Adds an entry. Fails with AlreadyExists when the name is taken
-  /// and InvalidArgument on an empty name, a missing factory, or a
-  /// duplicated parameter declaration.
-  Status Register(Entry entry);
-
-  /// \brief Builds a router from `spec`: unknown names yield NotFound
-  /// (listing the registered alternatives); unknown parameters, type
-  /// mismatches (ints coerce to doubles, nothing else converts) and
-  /// rejected values yield InvalidArgument naming the offending field.
-  [[nodiscard]] Result<std::unique_ptr<Router>> Create(const RouterSpec& spec) const;
-
-  /// \brief Convenience: Create(ParseRouterSpec(text)).
-  [[nodiscard]] Result<std::unique_ptr<Router>> CreateFromString(
-      const std::string& text) const;
-
-  /// \brief True when `name` is registered.
-  [[nodiscard]] bool Contains(const std::string& name) const;
-
-  /// \brief Registered canonical names in lexicographic order.
-  [[nodiscard]] std::vector<std::string> Names() const;
-
-  /// \brief Introspection: the entry for `name`, or nullptr when unknown.
-  [[nodiscard]] const Entry* Find(const std::string& name) const;
-
-  /// \brief The process-wide registry, with all built-in routers
-  /// registered on first use. Registration of additional entries is not
-  /// synchronized; do it before fanning out worker threads.
-  static RouterRegistry& Global();
-
- private:
-  std::map<std::string, Entry> entries_;
-};
-
-/// \brief Registers the built-in routers (called by Global()).
-void RegisterBuiltinRouters(RouterRegistry& registry);
+/// \brief Every built-in router: `hash`, `least_loaded`, `locality`
+/// (registered in cluster/routers.cc).
+template <>
+RouterRegistry& RouterRegistry::Global();
 
 }  // namespace spes
 

@@ -1,4 +1,5 @@
-// The built-in routing strategies: hash, least_loaded, locality.
+// The built-in routing strategies (hash, least_loaded, locality) and the
+// RouterRegistry::Global() that registers them.
 //
 // All three are pure functions of the RoutingContext. Tie-breaking is
 // always "lowest node id", and the hash is FNV-1a over the function name
@@ -17,6 +18,8 @@
 namespace spes {
 
 namespace {
+
+constexpr char kKind[] = "router";
 
 // Placement hashes use MixNameSeed (common/rng.h) — the same stable
 // name-keyed mixing the stochastic trace transforms draw their
@@ -145,8 +148,6 @@ class LocalityRouter : public Router {
   uint64_t seed_;
 };
 
-}  // namespace
-
 void RegisterBuiltinRouters(RouterRegistry& registry) {
   registry
       .Register(
@@ -196,6 +197,22 @@ void RegisterBuiltinRouters(RouterRegistry& registry) {
                  pressure, static_cast<uint64_t>(seed)));
            }})
       .CheckOK();
+}
+
+}  // namespace
+
+Result<RouterSpec> ParseRouterSpec(const std::string& text) {
+  return ParseNamedSpec(text, kKind);
+}
+
+template <>
+RouterRegistry& RouterRegistry::Global() {
+  static RouterRegistry* registry = [] {
+    auto* r = new RouterRegistry(kKind);
+    RegisterBuiltinRouters(*r);
+    return r;
+  }();
+  return *registry;
 }
 
 }  // namespace spes

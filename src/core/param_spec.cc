@@ -206,23 +206,47 @@ const std::string& ParamMap::GetString(const std::string& name) const {
   return At(name).AsString();
 }
 
-Status ValidateParamSchema(const std::string& kind, const std::string& owner,
-                           const std::vector<ParamSpec>& params) {
+Status ValidateRegistryEntry(const std::string& kind, const std::string& name,
+                             bool has_factory,
+                             const std::vector<ParamSpec>& params) {
+  if (!IsSpecIdentifier(name)) {
+    return Status::InvalidArgument(kind + " canonical name '" + name +
+                                   "' is not an identifier");
+  }
+  if (!has_factory) {
+    return Status::InvalidArgument(kind + " '" + name +
+                                   "' registered without a factory");
+  }
   for (size_t i = 0; i < params.size(); ++i) {
     if (params[i].default_value.type() != params[i].type) {
       return Status::InvalidArgument(
-          kind + " '" + owner + "' parameter '" + params[i].name +
+          kind + " '" + name + "' parameter '" + params[i].name +
           "' default does not match its declared type");
     }
     for (size_t j = i + 1; j < params.size(); ++j) {
       if (params[i].name == params[j].name) {
-        return Status::InvalidArgument(kind + " '" + owner +
+        return Status::InvalidArgument(kind + " '" + name +
                                        "' declares parameter '" +
                                        params[i].name + "' twice");
       }
     }
   }
   return Status::OK();
+}
+
+Status UnknownSpecName(const std::string& kind, const std::string& name,
+                       const std::vector<std::string>& registered) {
+  if (name.empty()) {
+    return Status::InvalidArgument(kind + " spec name must not be empty");
+  }
+  // The plural of every kind noun: "policy" -> "policies", else "+s".
+  const std::string plural =
+      !kind.empty() && kind.back() == 'y'
+          ? kind.substr(0, kind.size() - 1) + "ies"
+          : kind + "s";
+  return Status::NotFound("unknown " + kind + " '" + name +
+                          "'; registered " + plural + ": " +
+                          JoinNames(registered));
 }
 
 Result<ParamMap> MergeSpecParams(const std::string& kind,

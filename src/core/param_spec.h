@@ -1,22 +1,28 @@
-// Shared typed-parameter machinery for registry-built components.
+// Shared typed-parameter machinery and the one registry template behind
+// every registry-built component.
 //
-// Two registries build instances from data: PolicyRegistry
-// (core/policy_registry.h) builds provisioning policies and
-// TransformRegistry (trace/transform.h) builds trace transforms. Both
+// Four registries build instances from data, each an alias of
+// Registry<Product> below: PolicyRegistry (core/policy_registry.h) builds
+// provisioning policies, RouterRegistry (cluster/router.h) cluster
+// routers, LatencyModelRegistry (latency/latency_model.h) service-time
+// models and TransformRegistry (trace/transform.h) trace transforms. All
 // speak the same spec language — `name{param=value,...}` strings, typed
 // parameter schemas with defaults, Result<> errors naming the offending
 // field — so the common plumbing lives here: the ParamValue variant, the
-// NamedSpec structure, spec-string parse/format, schema validation, and
-// the default-merging type check. Error messages are parameterized by a
-// `kind` noun ("policy", "transform") so each registry keeps precise,
-// caller-facing diagnostics.
+// NamedSpec structure, spec-string parse/format, schema validation, the
+// default-merging type check and the registry itself. Error messages are
+// parameterized by a `kind` noun ("policy", "router", "latency model",
+// "transform"), the only per-registry datum, so each registry keeps
+// precise, caller-facing diagnostics.
 
 #ifndef SPES_CORE_PARAM_SPEC_H_
 #define SPES_CORE_PARAM_SPEC_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -78,7 +84,8 @@ struct ParamSpec {
 
 /// \brief A registry-buildable component as data: canonical name plus
 /// parameter overrides. Parameters not listed take the registered
-/// defaults. PolicySpec and TransformSpec are aliases of this type.
+/// defaults. PolicySpec, RouterSpec, LatencyModelSpec and TransformSpec
+/// are aliases of this type.
 struct NamedSpec {
   std::string name;
   std::map<std::string, ParamValue> params;
@@ -125,11 +132,18 @@ class ParamMap {
   std::map<std::string, ParamValue> values_;
 };
 
-/// \brief Registration-time schema check shared by the registries: every
-/// declared default must match its declared type and no parameter may be
-/// declared twice. Errors read "<kind> '<owner>' parameter '<p>' ...".
-Status ValidateParamSchema(const std::string& kind, const std::string& owner,
-                           const std::vector<ParamSpec>& params);
+/// \brief Registration-time check shared by the registries: the name must
+/// be an identifier, the entry must carry a factory, every declared
+/// default must match its declared type and no parameter may be declared
+/// twice. Errors are InvalidArgument and name the `kind` and `name`.
+Status ValidateRegistryEntry(const std::string& kind, const std::string& name,
+                             bool has_factory,
+                             const std::vector<ParamSpec>& params);
+
+/// \brief The lookup error for a name no entry matched: InvalidArgument
+/// for an empty name, otherwise NotFound listing the `registered` names.
+Status UnknownSpecName(const std::string& kind, const std::string& name,
+                       const std::vector<std::string>& registered);
 
 /// \brief Build-time parameter resolution shared by the registries:
 /// overlays `spec.params` onto the declared defaults, rejecting unknown
@@ -155,6 +169,98 @@ Result<double> DoubleParamInRange(const ParamMap& params,
                                   const std::string& owner,
                                   const std::string& name, double min_value,
                                   double max_value);
+
+/// \brief Name -> (schema, factory) table that builds a `Product` from a
+/// NamedSpec. Every registry-built component is an alias of it, told
+/// apart only by the `kind` noun its errors use.
+///
+/// Global() is declared here and specialized once per product, next to
+/// that product's built-ins; additional registries can be constructed
+/// freely, e.g. by tests.
+template <class Product>
+class Registry {
+ public:
+  /// \brief Builds a product from validated parameters. May reject
+  /// out-of-domain values (e.g. a non-positive capacity) with a Status.
+  using Factory = std::function<Result<Product>(const ParamMap&)>;
+
+  /// \brief One registered component.
+  struct Entry {
+    /// Canonical lowercase identifier, e.g. "fixed_keepalive".
+    std::string canonical_name;
+    /// One-line human description for catalogs.
+    std::string summary;
+    /// Accepted parameters with defaults; order is the display order.
+    std::vector<ParamSpec> params;
+    Factory factory;
+  };
+
+  /// \brief An empty registry whose errors call its components `kind`
+  /// ("policy", "router", ...).
+  explicit Registry(std::string kind) : kind_(std::move(kind)) {}
+
+  /// \brief Adds an entry. Fails with AlreadyExists when the name is taken
+  /// and InvalidArgument on a non-identifier name, a missing factory, a
+  /// duplicated parameter declaration or a mistyped default.
+  Status Register(Entry entry) {
+    SPES_RETURN_NOT_OK(ValidateRegistryEntry(kind_, entry.canonical_name,
+                                             static_cast<bool>(entry.factory),
+                                             entry.params));
+    const std::string name = entry.canonical_name;
+    if (!entries_.emplace(name, std::move(entry)).second) {
+      return Status::AlreadyExists(kind_ + " '" + name +
+                                   "' is already registered");
+    }
+    return Status::OK();
+  }
+
+  /// \brief Builds a product from `spec`: unknown names yield NotFound
+  /// (listing the registered alternatives); unknown parameters, type
+  /// mismatches (ints coerce to doubles, nothing else converts) and
+  /// rejected values yield InvalidArgument naming the offending field.
+  [[nodiscard]] Result<Product> Create(const NamedSpec& spec) const {
+    const Entry* entry = Find(spec.name);
+    if (entry == nullptr) return UnknownSpecName(kind_, spec.name, Names());
+    SPES_ASSIGN_OR_RETURN(const ParamMap params,
+                          MergeSpecParams(kind_, spec, entry->params));
+    return entry->factory(params);
+  }
+
+  /// \brief Convenience: Create(ParseNamedSpec(text, kind)).
+  [[nodiscard]] Result<Product> CreateFromString(
+      const std::string& text) const {
+    SPES_ASSIGN_OR_RETURN(const NamedSpec spec, ParseNamedSpec(text, kind_));
+    return Create(spec);
+  }
+
+  /// \brief True when `name` is registered.
+  [[nodiscard]] bool Contains(const std::string& name) const {
+    return entries_.count(name) > 0;
+  }
+
+  /// \brief Registered canonical names in lexicographic order.
+  [[nodiscard]] std::vector<std::string> Names() const {
+    std::vector<std::string> names;
+    names.reserve(entries_.size());
+    for (const auto& [name, entry] : entries_) names.push_back(name);
+    return names;
+  }
+
+  /// \brief Introspection: the entry for `name`, or nullptr when unknown.
+  [[nodiscard]] const Entry* Find(const std::string& name) const {
+    auto it = entries_.find(name);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+
+  /// \brief The process-wide registry, with every built-in registered on
+  /// first use. Registration of additional entries is not synchronized;
+  /// do it before fanning out worker threads.
+  static Registry& Global();
+
+ private:
+  std::string kind_;
+  std::map<std::string, Entry> entries_;
+};
 
 }  // namespace spes
 

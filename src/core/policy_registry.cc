@@ -1,85 +1,19 @@
 #include "core/policy_registry.h"
 
-#include <utility>
-
-#include "core/spes_policy.h"
-#include "policies/defuse.h"
-#include "policies/faascache.h"
-#include "policies/fixed_keepalive.h"
-#include "policies/hybrid_histogram.h"
-#include "policies/oracle.h"
-
 namespace spes {
 
+namespace {
+constexpr char kKind[] = "policy";
+}  // namespace
+
 Result<PolicySpec> ParsePolicySpec(const std::string& text) {
-  return ParseNamedSpec(text, "policy");
+  return ParseNamedSpec(text, kKind);
 }
 
-std::string FormatPolicySpec(const PolicySpec& spec) {
-  return FormatNamedSpec(spec);
-}
-
-Status PolicyRegistry::Register(Entry entry) {
-  if (!IsSpecIdentifier(entry.canonical_name)) {
-    return Status::InvalidArgument("policy canonical name '" +
-                                   entry.canonical_name +
-                                   "' is not an identifier");
-  }
-  if (!entry.factory) {
-    return Status::InvalidArgument("policy '" + entry.canonical_name +
-                                   "' registered without a factory");
-  }
-  SPES_RETURN_NOT_OK(
-      ValidateParamSchema("policy", entry.canonical_name, entry.params));
-  const std::string name = entry.canonical_name;
-  if (!entries_.emplace(name, std::move(entry)).second) {
-    return Status::AlreadyExists("policy '" + name +
-                                 "' is already registered");
-  }
-  return Status::OK();
-}
-
-Result<std::unique_ptr<Policy>> PolicyRegistry::Create(
-    const PolicySpec& spec) const {
-  if (spec.name.empty()) {
-    return Status::InvalidArgument("PolicySpec.name must not be empty");
-  }
-  const Entry* entry = Find(spec.name);
-  if (entry == nullptr) {
-    return Status::NotFound("unknown policy '" + spec.name +
-                            "'; registered policies: " + JoinNames(Names()));
-  }
-  SPES_ASSIGN_OR_RETURN(PolicyParams params,
-                        MergeSpecParams("policy", spec, entry->params));
-  return entry->factory(params);
-}
-
-Result<std::unique_ptr<Policy>> PolicyRegistry::CreateFromString(
-    const std::string& text) const {
-  SPES_ASSIGN_OR_RETURN(const PolicySpec spec, ParsePolicySpec(text));
-  return Create(spec);
-}
-
-bool PolicyRegistry::Contains(const std::string& name) const {
-  return entries_.count(name) > 0;
-}
-
-std::vector<std::string> PolicyRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) names.push_back(name);
-  return names;
-}
-
-const PolicyRegistry::Entry* PolicyRegistry::Find(
-    const std::string& name) const {
-  auto it = entries_.find(name);
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
+template <>
 PolicyRegistry& PolicyRegistry::Global() {
   static PolicyRegistry* registry = [] {
-    auto* r = new PolicyRegistry();
+    auto* r = new PolicyRegistry(kKind);
     RegisterSpesPolicy(*r);
     RegisterDefusePolicy(*r);
     RegisterFaasCachePolicy(*r);

@@ -10,15 +10,15 @@
 //   fixed_keepalive{minutes=10}
 //   hybrid_histogram{granularity=application,tail_percentile=99}
 //   spes{theta_prewarm=3,enable_online_corr=false}
-// ParsePolicySpec()/FormatPolicySpec() convert between the string and
+// ParsePolicySpec()/FormatNamedSpec() convert between the string and
 // structured forms; the round trip is exact for every value the parser
 // itself produces (values are unquoted, so a *string* parameter whose
 // text reads as a number or bool — none of the built-in schemas has one —
 // would re-parse as that type).
 //
-// The typed-parameter machinery (ParamValue, ParamSpec, spec-string
-// grammar, default merging) is shared with the trace-transform registry
-// (trace/transform.h) and lives in core/param_spec.h.
+// PolicyRegistry is the shared Registry<Product> template of
+// core/param_spec.h, which also holds the typed-parameter machinery
+// (ParamValue, ParamSpec, spec-string grammar, default merging).
 //
 // All failure modes are Result<>/Status-based: unknown policy names,
 // duplicate registration, unknown parameters, ill-typed parameters and
@@ -27,11 +27,8 @@
 #ifndef SPES_CORE_POLICY_REGISTRY_H_
 #define SPES_CORE_POLICY_REGISTRY_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "core/param_spec.h"
@@ -51,65 +48,24 @@ using PolicyParams = ParamMap;
 /// int, double, or — failing those — a bare string.
 Result<PolicySpec> ParsePolicySpec(const std::string& text);
 
-/// \brief Inverse of ParsePolicySpec: canonical `name{k=v,...}` form with
-/// keys in lexicographic order; just `name` when no overrides.
-std::string FormatPolicySpec(const PolicySpec& spec);
-
-/// \brief Builds a policy instance from validated parameters. May reject
-/// out-of-domain values (e.g. a non-positive capacity) with a Status.
-using RegistryFactory =
-    std::function<Result<std::unique_ptr<Policy>>(const PolicyParams&)>;
-
 /// \brief Name -> (schema, factory) table for provisioning policies.
-///
-/// Global() holds every built-in policy (each src/policies/ and
-/// src/core/spes_policy.cc file registers its own entry); additional
-/// registries can be constructed freely, e.g. by tests.
-class PolicyRegistry {
- public:
-  /// \brief One registered policy.
-  struct Entry {
-    /// Canonical lowercase identifier, e.g. "fixed_keepalive".
-    std::string canonical_name;
-    /// One-line human description for catalogs.
-    std::string summary;
-    /// Accepted parameters with defaults; order is the display order.
-    std::vector<ParamSpec> params;
-    RegistryFactory factory;
-  };
+using PolicyRegistry = Registry<std::unique_ptr<Policy>>;
 
-  /// \brief Adds an entry. Fails with AlreadyExists when the name is taken
-  /// and InvalidArgument on an empty name, a missing factory, or a
-  /// duplicated parameter declaration.
-  Status Register(Entry entry);
+/// \brief Every built-in policy, each registered by its own file through
+/// the Register*Policy function below.
+template <>
+PolicyRegistry& PolicyRegistry::Global();
 
-  /// \brief Builds a policy from `spec`: unknown names yield NotFound;
-  /// unknown parameters, type mismatches (ints coerce to doubles, nothing
-  /// else converts) and rejected values yield InvalidArgument naming the
-  /// offending field.
-  [[nodiscard]] Result<std::unique_ptr<Policy>> Create(const PolicySpec& spec) const;
-
-  /// \brief Convenience: Create(ParsePolicySpec(text)).
-  [[nodiscard]] Result<std::unique_ptr<Policy>> CreateFromString(
-      const std::string& text) const;
-
-  /// \brief True when `name` is registered.
-  [[nodiscard]] bool Contains(const std::string& name) const;
-
-  /// \brief Registered canonical names in lexicographic order.
-  [[nodiscard]] std::vector<std::string> Names() const;
-
-  /// \brief Introspection: the entry for `name`, or nullptr when unknown.
-  [[nodiscard]] const Entry* Find(const std::string& name) const;
-
-  /// \brief The process-wide registry, with all built-in policies
-  /// registered on first use. Registration of additional entries is not
-  /// synchronized; do it before fanning out worker threads.
-  static PolicyRegistry& Global();
-
- private:
-  std::map<std::string, Entry> entries_;
-};
+/// \name Built-in registrations (called by Global()), each defined in its
+/// policy's own .cc next to the schema it registers.
+/// @{
+void RegisterSpesPolicy(PolicyRegistry& registry);
+void RegisterDefusePolicy(PolicyRegistry& registry);
+void RegisterFaasCachePolicy(PolicyRegistry& registry);
+void RegisterFixedKeepAlivePolicy(PolicyRegistry& registry);
+void RegisterHybridHistogramPolicy(PolicyRegistry& registry);
+void RegisterOraclePolicy(PolicyRegistry& registry);
+/// @}
 
 }  // namespace spes
 

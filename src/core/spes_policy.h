@@ -30,11 +30,6 @@
 
 namespace spes {
 
-class PolicyRegistry;
-
-/// \brief Registers "spes{theta_prewarm=2,...}" (see policy_registry.h).
-void RegisterSpesPolicy(PolicyRegistry& registry);
-
 /// \brief The SPES provisioning policy.
 class SpesPolicy : public Policy {
  public:

@@ -94,7 +94,7 @@ Result<LatencySpec> ParseLatencySpec(const std::string& text) {
 }
 
 std::string FormatLatencySpec(const LatencySpec& spec) {
-  std::string out = FormatLatencyModelSpec(spec.model);
+  std::string out = FormatNamedSpec(spec.model);
   NamedSpec queue{"queue", {}};
   if (spec.concurrency != 0) {
     queue.params["concurrency"] = ParamValue(int64_t{spec.concurrency});

@@ -9,20 +9,18 @@
 // checkpoint-safe for free — a restored run replays exactly the draws the
 // original would have made.
 //
-// Models self-register in a LatencyModelRegistry mirroring
-// Policy/Router/Transform registries: canonical lowercase names, typed
-// ParamSpec schemas with defaults, Result<> errors naming the offending
-// field, so a latency block names its model as data — `constant`,
-// `lognormal{cold_median_ms=800,warm_median_ms=8}`.
+// Models self-register in the LatencyModelRegistry, an alias of the
+// shared Registry<Product> template (core/param_spec.h): canonical
+// lowercase names, typed ParamSpec schemas with defaults, Result<> errors
+// naming the offending field, so a latency block names its model as data
+// — `constant`, `lognormal{cold_median_ms=800,warm_median_ms=8}`.
 
 #ifndef SPES_LATENCY_LATENCY_MODEL_H_
 #define SPES_LATENCY_LATENCY_MODEL_H_
 
-#include <functional>
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "core/param_spec.h"
@@ -39,10 +37,6 @@ using LatencyModelParams = ParamMap;
 /// \brief Parses `name{param=value,...}` into a LatencyModelSpec (same
 /// grammar as policy specs; errors say "latency model ...").
 Result<LatencyModelSpec> ParseLatencyModelSpec(const std::string& text);
-
-/// \brief Inverse of ParseLatencyModelSpec: canonical `name{k=v,...}`
-/// form with keys in lexicographic order; just `name` when no overrides.
-std::string FormatLatencyModelSpec(const LatencyModelSpec& spec);
 
 /// \brief Interface implemented by every service-time distribution.
 /// SampleMs() must be a pure function of its arguments (no internal
@@ -61,65 +55,13 @@ class LatencyModel {
   [[nodiscard]] virtual double SampleMs(bool cold, uint64_t key) const = 0;
 };
 
-/// \brief Builds a model instance from validated parameters. May reject
-/// out-of-domain values (e.g. a negative median) with a Status.
-using LatencyModelFactory =
-    std::function<Result<std::unique_ptr<LatencyModel>>(
-        const LatencyModelParams&)>;
-
 /// \brief Name -> (schema, factory) table for latency models.
-///
-/// Global() holds every built-in model (`constant`, `lognormal`);
-/// additional registries can be constructed freely, e.g. by tests.
-class LatencyModelRegistry {
- public:
-  /// \brief One registered model.
-  struct Entry {
-    /// Canonical lowercase identifier, e.g. "lognormal".
-    std::string canonical_name;
-    /// One-line human description for catalogs.
-    std::string summary;
-    /// Accepted parameters with defaults; order is the display order.
-    std::vector<ParamSpec> params;
-    LatencyModelFactory factory;
-  };
+using LatencyModelRegistry = Registry<std::unique_ptr<LatencyModel>>;
 
-  /// \brief Adds an entry. Fails with AlreadyExists when the name is
-  /// taken and InvalidArgument on an empty name, a missing factory, or a
-  /// duplicated parameter declaration.
-  Status Register(Entry entry);
-
-  /// \brief Builds a model from `spec`: unknown names yield NotFound
-  /// (listing the registered alternatives); unknown parameters, type
-  /// mismatches (ints coerce to doubles, nothing else converts) and
-  /// rejected values yield InvalidArgument naming the offending field.
-  [[nodiscard]] Result<std::unique_ptr<LatencyModel>> Create(
-      const LatencyModelSpec& spec) const;
-
-  /// \brief Convenience: Create(ParseLatencyModelSpec(text)).
-  [[nodiscard]] Result<std::unique_ptr<LatencyModel>> CreateFromString(
-      const std::string& text) const;
-
-  /// \brief True when `name` is registered.
-  [[nodiscard]] bool Contains(const std::string& name) const;
-
-  /// \brief Registered canonical names in lexicographic order.
-  [[nodiscard]] std::vector<std::string> Names() const;
-
-  /// \brief Introspection: the entry for `name`, or nullptr when unknown.
-  [[nodiscard]] const Entry* Find(const std::string& name) const;
-
-  /// \brief The process-wide registry, with all built-in models
-  /// registered on first use. Registration of additional entries is not
-  /// synchronized; do it before fanning out worker threads.
-  static LatencyModelRegistry& Global();
-
- private:
-  std::map<std::string, Entry> entries_;
-};
-
-/// \brief Registers the built-in models (called by Global()).
-void RegisterBuiltinLatencyModels(LatencyModelRegistry& registry);
+/// \brief Every built-in model: `constant`, `lognormal` (registered in
+/// latency/models.cc).
+template <>
+LatencyModelRegistry& LatencyModelRegistry::Global();
 
 }  // namespace spes
 

@@ -1,4 +1,5 @@
-// The built-in service-time models: constant, lognormal.
+// The built-in service-time models (constant, lognormal) and the
+// LatencyModelRegistry::Global() that registers them.
 //
 // Both are pure functions of (cold?, key). `lognormal` seeds a throwaway
 // Rng from the request key for its single Gaussian draw, so the sample
@@ -18,6 +19,8 @@
 namespace spes {
 
 namespace {
+
+constexpr char kKind[] = "latency model";
 
 /// Salt folded into the key for cold draws so a model's cold and warm
 /// distributions are independent streams even at the same key.
@@ -72,8 +75,6 @@ class LognormalModel : public LatencyModel {
 };
 
 constexpr double kMaxServiceMs = 1e9;  // ~11.6 days; caps pathological specs
-
-}  // namespace
 
 void RegisterBuiltinLatencyModels(LatencyModelRegistry& registry) {
   registry
@@ -134,6 +135,22 @@ void RegisterBuiltinLatencyModels(LatencyModelRegistry& registry) {
                  cold_median_ms, cold_sigma, warm_median_ms, warm_sigma));
            }})
       .CheckOK();
+}
+
+}  // namespace
+
+Result<LatencyModelSpec> ParseLatencyModelSpec(const std::string& text) {
+  return ParseNamedSpec(text, kKind);
+}
+
+template <>
+LatencyModelRegistry& LatencyModelRegistry::Global() {
+  static LatencyModelRegistry* registry = [] {
+    auto* r = new LatencyModelRegistry(kKind);
+    RegisterBuiltinLatencyModels(*r);
+    return r;
+  }();
+  return *registry;
 }
 
 }  // namespace spes

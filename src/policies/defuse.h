@@ -24,12 +24,6 @@
 
 namespace spes {
 
-class PolicyRegistry;
-
-/// \brief Registers "defuse{dependency_window=10,...}" (see
-/// policy_registry.h).
-void RegisterDefusePolicy(PolicyRegistry& registry);
-
 /// \brief Tuning knobs for Defuse.
 struct DefuseOptions {
   /// Max minutes between a predecessor firing and the dependent firing.

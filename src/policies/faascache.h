@@ -24,11 +24,6 @@
 
 namespace spes {
 
-class PolicyRegistry;
-
-/// \brief Registers "faascache{capacity=N}" (see policy_registry.h).
-void RegisterFaasCachePolicy(PolicyRegistry& registry);
-
 /// \brief GDSF keep-alive cache with a fixed capacity (instances).
 class FaasCachePolicy : public Policy {
  public:

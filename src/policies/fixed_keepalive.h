@@ -12,11 +12,6 @@
 
 namespace spes {
 
-class PolicyRegistry;
-
-/// \brief Registers "fixed_keepalive{minutes=10}" (see policy_registry.h).
-void RegisterFixedKeepAlivePolicy(PolicyRegistry& registry);
-
 /// \brief Keeps each instance loaded for a fixed window after its last
 /// arrival, then evicts it.
 class FixedKeepAlivePolicy : public Policy {

@@ -25,12 +25,6 @@
 
 namespace spes {
 
-class PolicyRegistry;
-
-/// \brief Registers "hybrid_histogram{granularity=function|application,...}"
-/// (see policy_registry.h).
-void RegisterHybridHistogramPolicy(PolicyRegistry& registry);
-
 /// \brief Scheduling granularity for the hybrid policy.
 enum class HybridGranularity { kApplication, kFunction };
 

@@ -15,11 +15,6 @@
 
 namespace spes {
 
-class PolicyRegistry;
-
-/// \brief Registers "oracle" (see policy_registry.h).
-void RegisterOraclePolicy(PolicyRegistry& registry);
-
 /// \brief Perfect-future scheduler (lower-bounds both CSR and WMT).
 class OraclePolicy : public Policy {
  public:

@@ -14,11 +14,15 @@
 //
 // The lane also owns its checkpoint fields (Save/Load), its outcome and
 // the helpers that encode the per-lane fields both checkpoint wire
-// formats (SPESCKPT and SPESCLCK) carry.
+// formats (SPESCKPT and SPESCLCK) carry. SessionCore is the session
+// lifecycle around the lanes — cursor, stop/consumed flags, Step(),
+// RunUntil(), OnStreamStart and the Finish() preamble — that both
+// sessions inherit.
 
 #ifndef SPES_SIM_ENGINE_LANE_H_
 #define SPES_SIM_ENGINE_LANE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -27,6 +31,7 @@
 #include "common/binary_io.h"
 #include "common/status.h"
 #include "latency/latency.h"
+#include "obs/recorder.h"
 #include "sim/accounting.h"
 #include "sim/columnar.h"
 #include "sim/engine.h"
@@ -145,6 +150,132 @@ class EngineLane {
   std::vector<uint8_t> cold_flags_;
   /// Classic account view, materialized for observers only.
   std::vector<FunctionAccount> scratch_accounts_;
+};
+
+/// \brief The session lifecycle SimStream and ClusterSession share: the
+/// cursor over [start, end), the early-stop and consumed flags, the
+/// shared arrival decoder, and the Step()/RunUntil()/Finish() plumbing
+/// around them. `Session` inherits it privately (CRTP), befriends it, and
+/// supplies StepLocked() (one minute), LaneCount() and SimulateLabel()
+/// (StreamInfo::num_lanes and the "simulate" span detail). `kind` names
+/// the session class in every status message.
+template <class Session>
+class SessionCore {
+ protected:
+  SessionCore(const char* kind, TraceSource* source, const SimOptions& options,
+              int end)
+      : kind_(kind),
+        source_(source),
+        options_(options),
+        start_(options.train_minutes),
+        end_(end),
+        cursor_(options.train_minutes),
+        decoder_(source) {}
+
+  /// Step(): refuses a consumed, stopped or exhausted session, then
+  /// simulates one minute.
+  Status StepOnce() {
+    if (finished_) {
+      return Status::OutOfRange(std::string(kind_) +
+                                " was consumed by Finish()");
+    }
+    if (stopped_) {
+      return Status::Cancelled(std::string(kind_) +
+                               " was stopped early at minute (=" +
+                               std::to_string(cursor_) + ")");
+    }
+    if (cursor_ >= end_) {
+      return Status::OutOfRange(
+          std::string(kind_) + " is exhausted: cursor (=" +
+          std::to_string(cursor_) + ") reached end_minute (=" +
+          std::to_string(end_) + ")");
+    }
+    EnsureStarted();
+    return static_cast<Session&>(*this).StepLocked();
+  }
+
+  /// RunUntil(): steps until the cursor reaches min(minute, end_).
+  Status RunUntilMinute(int minute) {
+    if (finished_) {
+      return Status::OutOfRange(std::string(kind_) +
+                                " was consumed by Finish()");
+    }
+    const int target = std::min(minute, end_);
+    while (cursor_ < target && !stopped_) {
+      SPES_RETURN_NOT_OK(StepOnce());
+    }
+    if (stopped_ && cursor_ < target) {
+      // Same signal Step() gives: an early stop left the target unreached.
+      return Status::Cancelled(
+          std::string(kind_) + " was stopped early at minute (=" +
+          std::to_string(cursor_) + ") before reaching minute (=" +
+          std::to_string(target) + ")");
+    }
+    return Status::OK();
+  }
+
+  /// Delivers OnStreamStart exactly once, before any other callback, and
+  /// opens the "simulate" span.
+  void EnsureStarted() {
+    if (started_) return;
+    started_ = true;
+    const Session& session = static_cast<const Session&>(*this);
+    if (options_.recorder != nullptr) {
+      simulate_span_ = options_.recorder->BeginSpan(
+          "simulate", options_.recorder_slot, 0, session.SimulateLabel());
+    }
+    StreamInfo info;
+    info.train_minutes = options_.train_minutes;
+    info.start_minute = start_;
+    info.end_minute = end_;
+    info.num_lanes = session.LaneCount();
+    info.num_functions = source_->num_functions();
+    for (SimObserver* observer : observers_) observer->OnStreamStart(info);
+  }
+
+  /// The Finish() preamble: runs to the end of the window, marks the
+  /// session consumed, closes the "simulate" span, emits the decoder
+  /// event, and returns the open "finish" span for the caller's scope.
+  Result<ScopedSpan> BeginFinish() {
+    if (finished_) {
+      return Status::OutOfRange(std::string(kind_) +
+                                " was already consumed by Finish()");
+    }
+    // Even a zero-step window (train == horizon, or a session restored at
+    // its end) pairs OnStreamStart with OnStreamEnd, so observers always
+    // get their sizing hook before any other callback.
+    EnsureStarted();
+    // An early stop is a documented way to end a session: Finish() still
+    // delivers the partial-window outcome, so Cancelled is success here.
+    const Status run = RunUntilMinute(end_);
+    if (!run.ok() && run.code() != StatusCode::kCancelled) return run;
+    finished_ = true;
+    if (options_.recorder != nullptr) {
+      options_.recorder->EndSpan(simulate_span_);
+      simulate_span_ = 0;
+      options_.recorder->DecoderEvent(options_.recorder_slot,
+                                      decoder_.blocks_decoded(),
+                                      decoder_.invocations_decoded());
+    }
+    return ScopedSpan(options_.recorder, "finish", options_.recorder_slot, 0);
+  }
+
+  const char* kind_;
+  TraceSource* source_;
+  SimOptions options_;
+  int start_;
+  int end_;
+  int cursor_;
+  bool started_ = false;   ///< OnStreamStart delivered
+  bool stopped_ = false;   ///< early stop requested
+  bool finished_ = false;  ///< outcomes moved out
+  int64_t minutes_decoded_ = 0;
+  std::vector<SimObserver*> observers_;
+  /// Block-transposed minute-major decode shared by every lane.
+  ArrivalDecoder decoder_;
+  /// Open "simulate" span token when SimOptions.recorder is set; closed
+  /// by BeginFinish(). Observability only — never feeds sim state.
+  uint64_t simulate_span_ = 0;
 };
 
 /// \name Checkpoint codec helpers shared by SPESCKPT and SPESCLCK

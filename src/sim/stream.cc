@@ -46,13 +46,8 @@ Status ValidateStreamPolicies(const std::vector<Policy*>& policies) {
 
 SimStream::SimStream(TraceSource* source, std::unique_ptr<TraceSource> owned,
                      const SimOptions& options, int end)
-    : owned_source_(std::move(owned)),
-      source_(source),
-      options_(options),
-      start_(options.train_minutes),
-      end_(end),
-      cursor_(options.train_minutes),
-      decoder_(source) {}
+    : SessionCore("SimStream", source, options, end),
+      owned_source_(std::move(owned)) {}
 
 Result<SimStream> SimStream::Create(const Trace& trace, Policy* policy,
                                     const SimOptions& options) {
@@ -155,58 +150,10 @@ Status SimStream::StepLocked() {
   return Status::OK();
 }
 
-Status SimStream::Step() {
-  if (finished_) {
-    return Status::OutOfRange("SimStream was consumed by Finish()");
-  }
-  if (stopped_) {
-    return Status::Cancelled(
-        "SimStream was stopped early at minute (=" + std::to_string(cursor_) +
-        ")");
-  }
-  if (cursor_ >= end_) {
-    return Status::OutOfRange(
-        "SimStream is exhausted: cursor (=" + std::to_string(cursor_) +
-        ") reached end_minute (=" + std::to_string(end_) + ")");
-  }
-  EnsureStarted();
-  return StepLocked();
-}
-
-void SimStream::EnsureStarted() {
-  if (started_) return;
-  started_ = true;
-  if (options_.recorder != nullptr) {
-    simulate_span_ = options_.recorder->BeginSpan(
-        "simulate", options_.recorder_slot, 0,
-        lanes_.size() == 1
-            ? lanes_[0].policy()->name()
-            : std::to_string(lanes_.size()) + " lockstep lanes");
-  }
-  StreamInfo info;
-  info.train_minutes = options_.train_minutes;
-  info.start_minute = start_;
-  info.end_minute = end_;
-  info.num_lanes = lanes_.size();
-  info.num_functions = source_->num_functions();
-  for (SimObserver* observer : observers_) observer->OnStreamStart(info);
-}
-
-Status SimStream::RunUntil(int minute) {
-  if (finished_) {
-    return Status::OutOfRange("SimStream was consumed by Finish()");
-  }
-  const int target = std::min(minute, end_);
-  while (cursor_ < target && !stopped_) {
-    SPES_RETURN_NOT_OK(Step());
-  }
-  if (stopped_ && cursor_ < target) {
-    // Same signal Step() gives: an early stop left the target unreached.
-    return Status::Cancelled(
-        "SimStream was stopped early at minute (=" + std::to_string(cursor_) +
-        ") before reaching minute (=" + std::to_string(target) + ")");
-  }
-  return Status::OK();
+std::string SimStream::SimulateLabel() const {
+  return lanes_.size() == 1
+             ? lanes_[0].policy()->name()
+             : std::to_string(lanes_.size()) + " lockstep lanes";
 }
 
 FleetMetrics SimStream::SnapshotMetrics(size_t lane) const {
@@ -214,27 +161,7 @@ FleetMetrics SimStream::SnapshotMetrics(size_t lane) const {
 }
 
 Result<std::vector<SimulationOutcome>> SimStream::FinishAll() {
-  if (finished_) {
-    return Status::OutOfRange("SimStream was already consumed by Finish()");
-  }
-  // Even a zero-step window (train == horizon, or a stream restored at
-  // its end) pairs OnStreamStart with OnStreamEnd, so observers always
-  // get their sizing hook before any other callback.
-  EnsureStarted();
-  // An early stop is a documented way to end a stream: Finish()/FinishAll()
-  // still deliver the partial-window outcome, so Cancelled is success here.
-  const Status run = RunToEnd();
-  if (!run.ok() && run.code() != StatusCode::kCancelled) return run;
-  finished_ = true;
-  if (options_.recorder != nullptr) {
-    options_.recorder->EndSpan(simulate_span_);
-    simulate_span_ = 0;
-    options_.recorder->DecoderEvent(options_.recorder_slot,
-                                    decoder_.blocks_decoded(),
-                                    decoder_.invocations_decoded());
-  }
-  const ScopedSpan finish_span(options_.recorder, "finish",
-                               options_.recorder_slot, 0);
+  SPES_ASSIGN_OR_RETURN(const ScopedSpan finish_span, BeginFinish());
   std::vector<SimulationOutcome> outcomes;
   outcomes.reserve(lanes_.size());
   for (EngineLane& lane : lanes_) {

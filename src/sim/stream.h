@@ -86,7 +86,7 @@ Result<SimCheckpoint> ParseCheckpoint(const std::string& bytes);
 /// policy/policies and positions the cursor at the first simulated minute.
 /// The trace, policies and observers are borrowed and must outlive the
 /// stream. Not thread-safe; drive each stream from one thread.
-class SimStream {
+class SimStream : private SessionCore<SimStream> {
  public:
   /// \brief Single-policy stream. Fails like Simulate() on a null policy,
   /// an invalid window, or a train window past the trace horizon.
@@ -138,13 +138,13 @@ class SimStream {
   /// \brief Simulates one minute across all lanes. Cancelled once the
   /// stream was stopped early (observer or RequestStop), OutOfRange once
   /// it is exhausted or consumed by Finish().
-  Status Step();
+  Status Step() { return StepOnce(); }
 
   /// \brief Steps until the cursor reaches min(minute, end_minute()). A
   /// minute at or before the cursor is a no-op. Cancelled when an early
   /// stop (observer or RequestStop) halts the stream short of the target;
   /// OutOfRange if the stream was already consumed by Finish().
-  Status RunUntil(int minute);
+  Status RunUntil(int minute) { return RunUntilMinute(minute); }
 
   /// \brief Convenience: RunUntil(end_minute()).
   Status RunToEnd() { return RunUntil(end_); }
@@ -183,6 +183,8 @@ class SimStream {
   Status Restore(const SimCheckpoint& checkpoint);
 
  private:
+  friend class SessionCore<SimStream>;
+
   SimStream(TraceSource* source, std::unique_ptr<TraceSource> owned,
             const SimOptions& options, int end);
 
@@ -196,8 +198,10 @@ class SimStream {
                                       const std::vector<Policy*>& policies,
                                       const SimOptions& options);
 
-  /// Delivers OnStreamStart exactly once, before any other callback.
-  void EnsureStarted();
+  /// SessionCore hooks: StreamInfo::num_lanes and the "simulate" span
+  /// detail (the policy name, or the lockstep lane count).
+  [[nodiscard]] size_t LaneCount() const { return lanes_.size(); }
+  [[nodiscard]] std::string SimulateLabel() const;
 
   /// One simulated minute for every lane over a single arrival decode.
   /// Fails (without advancing the cursor) when the source fails mid-run —
@@ -207,26 +211,10 @@ class SimStream {
   /// The in-memory adapter when created from a Trace; null for borrowed
   /// sources. Heap-allocated so source_ stays stable across moves.
   std::unique_ptr<TraceSource> owned_source_;
-  TraceSource* source_;
-  SimOptions options_;
-  int start_;
-  int end_;
-  int cursor_;
-  bool started_ = false;   ///< OnStreamStart delivered
-  bool stopped_ = false;   ///< early stop requested
-  bool finished_ = false;  ///< outcomes moved out
-  int64_t minutes_decoded_ = 0;
   std::vector<EngineLane> lanes_;
-  std::vector<SimObserver*> observers_;
-
-  /// Block-transposed minute-major decode shared by every lane.
-  ArrivalDecoder decoder_;
   /// This minute's arrivals, copied from the decoder block (the Policy
   /// API takes a vector); reused across steps.
   std::vector<Invocation> arrivals_;
-  /// Open "simulate" span token when SimOptions.recorder is set; closed
-  /// by FinishAll(). Observability only — never feeds sim state.
-  uint64_t simulate_span_ = 0;
 };
 
 }  // namespace spes

@@ -12,6 +12,8 @@ namespace spes {
 
 namespace {
 
+constexpr char kKind[] = "transform";
+
 constexpr uint32_t kMaxCount = std::numeric_limits<uint32_t>::max();
 
 uint32_t SaturatingCount(int64_t value) {
@@ -427,11 +429,7 @@ Status RegisterBuiltins(TransformRegistry& registry) {
 }  // namespace
 
 Result<TransformSpec> ParseTransformSpec(const std::string& text) {
-  return ParseNamedSpec(text, "transform");
-}
-
-std::string FormatTransformSpec(const TransformSpec& spec) {
-  return FormatNamedSpec(spec);
+  return ParseNamedSpec(text, kKind);
 }
 
 Result<std::vector<TransformSpec>> ParseTransformChain(
@@ -461,73 +459,15 @@ std::string FormatTransformChain(const std::vector<TransformSpec>& chain) {
   std::string text;
   for (const TransformSpec& spec : chain) {
     if (!text.empty()) text += " | ";
-    text += FormatTransformSpec(spec);
+    text += FormatNamedSpec(spec);
   }
   return text;
 }
 
-Status TransformRegistry::Register(Entry entry) {
-  if (!IsSpecIdentifier(entry.canonical_name)) {
-    return Status::InvalidArgument("transform canonical name '" +
-                                   entry.canonical_name +
-                                   "' is not an identifier");
-  }
-  if (!entry.factory) {
-    return Status::InvalidArgument("transform '" + entry.canonical_name +
-                                   "' registered without a factory");
-  }
-  SPES_RETURN_NOT_OK(
-      ValidateParamSchema("transform", entry.canonical_name, entry.params));
-  const std::string name = entry.canonical_name;
-  if (!entries_.emplace(name, std::move(entry)).second) {
-    return Status::AlreadyExists("transform '" + name +
-                                 "' is already registered");
-  }
-  return Status::OK();
-}
-
-Result<TransformFn> TransformRegistry::Create(
-    const TransformSpec& spec) const {
-  if (spec.name.empty()) {
-    return Status::InvalidArgument("TransformSpec.name must not be empty");
-  }
-  const Entry* entry = Find(spec.name);
-  if (entry == nullptr) {
-    return Status::NotFound("unknown transform '" + spec.name +
-                            "'; registered transforms: " +
-                            JoinNames(Names()));
-  }
-  SPES_ASSIGN_OR_RETURN(TransformParams params,
-                        MergeSpecParams("transform", spec, entry->params));
-  return entry->factory(params);
-}
-
-Result<TransformFn> TransformRegistry::CreateFromString(
-    const std::string& text) const {
-  SPES_ASSIGN_OR_RETURN(const TransformSpec spec, ParseTransformSpec(text));
-  return Create(spec);
-}
-
-bool TransformRegistry::Contains(const std::string& name) const {
-  return entries_.count(name) > 0;
-}
-
-std::vector<std::string> TransformRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) names.push_back(name);
-  return names;
-}
-
-const TransformRegistry::Entry* TransformRegistry::Find(
-    const std::string& name) const {
-  auto it = entries_.find(name);
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
+template <>
 TransformRegistry& TransformRegistry::Global() {
   static TransformRegistry* registry = [] {
-    auto* r = new TransformRegistry();
+    auto* r = new TransformRegistry(kKind);
     RegisterBuiltins(*r).CheckOK();
     return r;
   }();

@@ -3,10 +3,10 @@
 // A TransformSpec describes one operator over a realized Trace — scale the
 // load, compress time, slice a window, filter by trigger, clone the fleet,
 // inject a burst or a concept drift, thin invocations, keep only the top-k
-// functions. Operators are registered in a TransformRegistry mirroring the
-// policy registry (core/policy_registry.h): canonical lowercase names,
-// typed ParamSpec schemas with defaults, and Result<> errors naming the
-// offending field. An ordered chain of TransformSpecs turns one workload
+// functions. Operators are registered in the TransformRegistry, an alias
+// of the shared Registry<Product> template (core/param_spec.h): canonical
+// lowercase names, typed ParamSpec schemas with defaults, and Result<>
+// errors naming the offending field. An ordered chain of TransformSpecs turns one workload
 // into a family of stressed variants as pure data, e.g.
 //
 //   load_scale{factor=2.0} | inject_burst{at=720,width=15,amplitude=40}
@@ -21,7 +21,6 @@
 #define SPES_TRACE_TRANSFORM_H_
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -42,10 +41,6 @@ using TransformParams = ParamMap;
 /// grammar as policy specs; errors say "transform spec ...").
 Result<TransformSpec> ParseTransformSpec(const std::string& text);
 
-/// \brief Inverse of ParseTransformSpec: canonical `name{k=v,...}` form
-/// with keys in lexicographic order; just `name` when no overrides.
-std::string FormatTransformSpec(const TransformSpec& spec);
-
 /// \brief Parses a '|'-separated chain of transform specs, e.g.
 /// `load_scale{factor=2.0}|slice{end_minute=1440}`. Whitespace around '|'
 /// is ignored; an empty string yields an empty chain.
@@ -62,59 +57,13 @@ std::string FormatTransformChain(const std::vector<TransformSpec>& chain);
 /// field and the actual horizon.
 using TransformFn = std::function<Result<Trace>(const Trace&)>;
 
-/// \brief Builds a TransformFn from validated parameters. May reject
-/// out-of-domain values (e.g. a non-positive factor) with a Status.
-using TransformFactory =
-    std::function<Result<TransformFn>(const TransformParams&)>;
+/// \brief Name -> (schema, factory) table for trace transforms; Create()
+/// compiles a spec into a TransformFn.
+using TransformRegistry = Registry<TransformFn>;
 
-/// \brief Name -> (schema, factory) table for trace transforms.
-///
-/// Global() holds every built-in transform; additional registries can be
-/// constructed freely, e.g. by tests.
-class TransformRegistry {
- public:
-  /// \brief One registered transform.
-  struct Entry {
-    /// Canonical lowercase identifier, e.g. "load_scale".
-    std::string canonical_name;
-    /// One-line human description for catalogs.
-    std::string summary;
-    /// Accepted parameters with defaults; order is the display order.
-    std::vector<ParamSpec> params;
-    TransformFactory factory;
-  };
-
-  /// \brief Adds an entry. Fails with AlreadyExists when the name is taken
-  /// and InvalidArgument on an empty name, a missing factory, or a
-  /// duplicated parameter declaration.
-  Status Register(Entry entry);
-
-  /// \brief Compiles `spec` into a TransformFn: unknown names yield
-  /// NotFound (listing the registered alternatives); unknown parameters,
-  /// type mismatches (ints coerce to doubles, nothing else converts) and
-  /// rejected values yield InvalidArgument naming the offending field.
-  [[nodiscard]] Result<TransformFn> Create(const TransformSpec& spec) const;
-
-  /// \brief Convenience: Create(ParseTransformSpec(text)).
-  [[nodiscard]] Result<TransformFn> CreateFromString(const std::string& text) const;
-
-  /// \brief True when `name` is registered.
-  [[nodiscard]] bool Contains(const std::string& name) const;
-
-  /// \brief Registered canonical names in lexicographic order.
-  [[nodiscard]] std::vector<std::string> Names() const;
-
-  /// \brief Introspection: the entry for `name`, or nullptr when unknown.
-  [[nodiscard]] const Entry* Find(const std::string& name) const;
-
-  /// \brief The process-wide registry, with all built-in transforms
-  /// registered on first use. Registration of additional entries is not
-  /// synchronized; do it before fanning out worker threads.
-  static TransformRegistry& Global();
-
- private:
-  std::map<std::string, Entry> entries_;
-};
+/// \brief Every built-in transform.
+template <>
+TransformRegistry& TransformRegistry::Global();
 
 /// \brief Applies `chain` to `trace` in order through the global registry.
 /// Takes the trace by value — pass an lvalue to keep the original, move an

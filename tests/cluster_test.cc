@@ -71,7 +71,7 @@ TEST(RouterRegistryTest, SpecStringRoundTrips) {
   const RouterSpec spec =
       ParseRouterSpec("locality{pressure=0.9,seed=7}").ValueOrDie();
   EXPECT_EQ(spec.name, "locality");
-  EXPECT_EQ(FormatRouterSpec(spec), "locality{pressure=0.9,seed=7}");
+  EXPECT_EQ(FormatNamedSpec(spec), "locality{pressure=0.9,seed=7}");
   const std::unique_ptr<Router> router =
       RouterRegistry::Global().CreateFromString("least_loaded").ValueOrDie();
   EXPECT_EQ(router->name(), "least_loaded");

@@ -1,16 +1,15 @@
-// Registry error paths (unknown policy, duplicate registration, unknown /
-// ill-typed / out-of-domain parameters), spec-string parsing, and the
-// canonical-name round trip: every registered spec builds a policy whose
-// name() matches the expected display name.
+// Policy registry error paths (unknown policy, unknown / ill-typed /
+// out-of-domain parameters), spec-string parsing, and the canonical-name
+// round trip: every registered spec builds a policy whose name() matches
+// the expected display name. Registration errors and the checks every
+// registry shares live in registry_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "core/policy_registry.h"
-#include "policies/fixed_keepalive.h"
 
 namespace spes {
 namespace {
@@ -63,13 +62,13 @@ TEST(ParsePolicySpecTest, MalformedSpecsAreInvalidArgument) {
   }
 }
 
-TEST(FormatPolicySpecTest, RoundTripsThroughParse) {
+TEST(FormatNamedSpecTest, RoundTripsThroughParse) {
   PolicySpec spec;
   spec.name = "spes";
   spec.params["theta_prewarm"] = ParamValue(3);
   spec.params["alpha"] = ParamValue(0.1);
   spec.params["enable_correlated"] = ParamValue(false);
-  const std::string text = FormatPolicySpec(spec);
+  const std::string text = FormatNamedSpec(spec);
   const PolicySpec reparsed = ParsePolicySpec(text).ValueOrDie();
   EXPECT_EQ(reparsed.name, spec.name);
   EXPECT_EQ(reparsed.params, spec.params);
@@ -203,52 +202,6 @@ TEST(PolicyRegistryTest, OutOfDomainValuesAreInvalidArgument) {
               std::string::npos)
         << test_case.spec;
   }
-}
-
-PolicyRegistry::Entry DummyEntry(const std::string& name) {
-  PolicyRegistry::Entry entry;
-  entry.canonical_name = name;
-  entry.factory =
-      [](const PolicyParams&) -> Result<std::unique_ptr<Policy>> {
-    return std::unique_ptr<Policy>(std::make_unique<FixedKeepAlivePolicy>(5));
-  };
-  return entry;
-}
-
-TEST(PolicyRegistryTest, DuplicateRegistrationIsAlreadyExists) {
-  PolicyRegistry registry;
-  EXPECT_TRUE(registry.Register(DummyEntry("custom")).ok());
-  const Status dup = registry.Register(DummyEntry("custom"));
-  EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
-  EXPECT_NE(dup.message().find("custom"), std::string::npos);
-  // The original entry survives the rejected re-registration.
-  EXPECT_TRUE(registry.Create({"custom", {}}).ok());
-}
-
-TEST(PolicyRegistryTest, BadRegistrationsAreRejected) {
-  PolicyRegistry registry;
-  EXPECT_EQ(registry.Register(DummyEntry("")).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Register(DummyEntry("bad name")).code(),
-            StatusCode::kInvalidArgument);
-
-  PolicyRegistry::Entry no_factory;
-  no_factory.canonical_name = "no_factory";
-  EXPECT_EQ(registry.Register(std::move(no_factory)).code(),
-            StatusCode::kInvalidArgument);
-
-  PolicyRegistry::Entry dup_param = DummyEntry("dup_param");
-  dup_param.params = {
-      {"x", ParamType::kInt, ParamValue(1), ""},
-      {"x", ParamType::kInt, ParamValue(2), ""},
-  };
-  EXPECT_EQ(registry.Register(std::move(dup_param)).code(),
-            StatusCode::kInvalidArgument);
-
-  PolicyRegistry::Entry mistyped_default = DummyEntry("mistyped_default");
-  mistyped_default.params = {{"x", ParamType::kInt, ParamValue(0.5), ""}};
-  EXPECT_EQ(registry.Register(std::move(mistyped_default)).code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(PolicyRegistryTest, DefaultsMergeUnderOverrides) {

@@ -79,7 +79,7 @@ TEST(TransformSpecTest, ParseFormatRoundTrip) {
   EXPECT_EQ(spec.params.at("keep_prob"), ParamValue(0.25));
   EXPECT_EQ(spec.params.at("seed"), ParamValue(7));
 
-  const std::string text = FormatTransformSpec(spec);
+  const std::string text = FormatNamedSpec(spec);
   const TransformSpec reparsed = ParseTransformSpec(text).ValueOrDie();
   EXPECT_EQ(reparsed.name, spec.name);
   EXPECT_EQ(reparsed.params, spec.params);

@@ -37,6 +37,12 @@ docs/correctness.md):
                        is how endianness and alignment bugs sneak into the
                        deterministic file formats, so all of it is confined
                        to the one hardened serialization module.
+  R6 one-registry      No name -> entry table outside the Registry<Product>
+                       template in src/core/param_spec.h: a
+                       std::map<std::string, Entry> member or a
+                       Register(Entry ...) declaration anywhere else under
+                       src/ is a hand-copied registry. New registry-built
+                       components alias the template instead.
 
 Allowlist: a line that would fire R1, R2 or R5 is suppressed when it (or
 the line directly above it) carries a justification comment of the form
@@ -330,10 +336,46 @@ def lint_r5(relpath, lines):
 
 
 # --------------------------------------------------------------------------
+# R6: one registry template
+# --------------------------------------------------------------------------
+
+R6_ALLOWED = "src/core/param_spec.h"
+R6_PATTERNS = [
+    (
+        re.compile(r"std::map<\s*std::string\s*,\s*Entry\s*>"),
+        "std::map<std::string, Entry> member",
+    ),
+    (re.compile(r"\bRegister\s*\(\s*Entry\b"), "Register(Entry ...) declaration"),
+]
+
+
+def lint_r6(relpath, lines):
+    if not relpath.startswith("src/") or relpath == R6_ALLOWED:
+        return []
+    findings = []
+    for i, line in enumerate(lines):
+        code = line.split("//", 1)[0]
+        for pattern, label in R6_PATTERNS:
+            if pattern.search(code):
+                findings.append(
+                    Finding(
+                        relpath,
+                        i + 1,
+                        "R6",
+                        f"{label} outside {R6_ALLOWED}; registries are "
+                        "aliases of the one Registry<Product> template, not "
+                        "hand-copied name -> entry tables",
+                    )
+                )
+                break
+    return findings
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
-RULES = (lint_r1, lint_r2, lint_r3, lint_r4, lint_r5)
+RULES = (lint_r1, lint_r2, lint_r3, lint_r4, lint_r5, lint_r6)
 SCAN_DIRS = ("src", "tests", "examples", "fuzz", "bench")
 SOURCE_EXT = (".h", ".cc", ".cpp")
 
@@ -479,6 +521,35 @@ SELF_TEST_TREE = {
         "const char* D(const unsigned char* p) "
         "{ return reinterpret_cast<const char*>(p); }\n"
     ),
+    # R6: a hand-copied registry — its entry table and its Register().
+    "src/cluster/bad_registry.cc": (
+        "class WidgetRegistry {\n"
+        " public:\n"
+        "  Status Register(Entry entry);\n"
+        " private:\n"
+        "  std::map<std::string, Entry> entries_;\n"
+        "};\n"
+    ),
+    # R6 (negative): the template itself, plus a mention in a comment and
+    # tests that register entries through the template.
+    "src/core/param_spec.h": (
+        "#ifndef SPES_CORE_PARAM_SPEC_H_\n"
+        "#define SPES_CORE_PARAM_SPEC_H_\n"
+        "/// \\brief The one registry template.\n"
+        "template <class Product>\n"
+        "class Registry {\n"
+        "  Status Register(Entry entry);\n"
+        "  std::map<std::string, Entry> entries_;\n"
+        "};\n"
+        "#endif  // SPES_CORE_PARAM_SPEC_H_\n"
+    ),
+    "src/sim/ok_registry_comment.cc": (
+        "// no std::map<std::string, Entry> here, only Register(Entry) prose\n"
+        "int H() { return 0; }\n"
+    ),
+    "tests/ok_registry_test.cc": (
+        "Status s = registry.Register(Entry{});\n"
+    ),
 }
 
 # (rule, path) pairs that MUST be flagged...
@@ -495,6 +566,7 @@ SELF_TEST_EXPECTED = [
     ("R3", "src/policies/bad_silent.cc"),
     ("R4", "src/core/bad_header.h"),
     ("R5", "src/trace/bad_cast.cc"),
+    ("R6", "src/cluster/bad_registry.cc"),
 ]
 # ...and paths that must stay clean.
 SELF_TEST_CLEAN = [
@@ -507,6 +579,9 @@ SELF_TEST_CLEAN = [
     "src/core/ok_header.h",
     "src/sim/ok_cast.cc",
     "fuzz/ok_driver_cast.cc",
+    "src/core/param_spec.h",
+    "src/sim/ok_registry_comment.cc",
+    "tests/ok_registry_test.cc",
 ]
 
 
