@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for SPES's hot paths: WT extraction,
 // deterministic categorization, arrival decode, the per-minute provision
 // step and the IAT histogram update, plus the end-to-end simulation kernel
-// (columnar SimStream vs the kept naive reference loop). These back the
-// RQ2 overhead discussion — every per-invocation operation must be
-// O(1)-ish for the unbillable scheduling window — and pin the simulator's
-// own throughput trajectory (BENCH_micro_hotpaths.json).
+// (columnar SimStream vs the kept naive reference loop), and the two
+// cluster hot paths: one latency-lane minute and capped-cluster capacity
+// eviction. These back the RQ2 overhead discussion — every per-invocation
+// operation must be O(1)-ish for the unbillable scheduling window — and
+// pin the simulator's own throughput trajectory
+// (BENCH_micro_hotpaths.json).
 //
 // Scale knobs: SPES_BENCH_FUNCTIONS overrides the fleet sizes of the
 // decode/provision/kernel benches (e.g. SPES_BENCH_FUNCTIONS=1000000 for
@@ -24,10 +26,13 @@
 #include <memory>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "common/env.h"
+#include "common/rng.h"
 #include "core/categorizer.h"
 #include "core/policy_registry.h"
 #include "core/series_features.h"
+#include "latency/latency.h"
 #include "policies/fixed_keepalive.h"
 #include "policies/iat_histogram.h"
 #include "sim/columnar.h"
@@ -334,6 +339,80 @@ void BM_SimKernelReference(benchmark::State& state) {
 }
 BENCHMARK(BM_SimKernelReference)
     ->Apply(FleetArgs)
+    ->Unit(benchmark::kMillisecond);
+
+// --------------------------------------------------------------------------
+// Cluster hot paths. BM_LatencyLaneMinute feeds one LatencyLane a steady
+// minute of ~3k requests (items/sec counts requests): key derivation,
+// lognormal sampling, queue admission and histogram recording.
+// BM_ClusterEnforceCapacity runs a 4-node capped cluster (no latency
+// block) whose long keep-alive leaves capacity eviction as the dominant
+// per-minute cost; items/sec counts node-minutes.
+// --------------------------------------------------------------------------
+
+void BM_LatencyLaneMinute(benchmark::State& state) {
+  constexpr size_t kFunctions = 600;
+  std::vector<uint64_t> hashes(kFunctions);
+  for (size_t f = 0; f < kFunctions; ++f) {
+    hashes[f] = MixNameSeed("fn" + std::to_string(f), 42);
+  }
+  // 600 arrivals of 1-9 requests (~3k requests), every 16th one cold.
+  std::vector<Invocation> arrivals;
+  std::vector<uint8_t> cold_flags;
+  uint64_t requests = 0;
+  for (uint32_t f = 0; f < kFunctions; ++f) {
+    const uint32_t count = 1 + (f * 7) % 9;
+    arrivals.push_back({f, count});
+    cold_flags.push_back(f % 16 == 0 ? 1 : 0);
+    requests += count;
+  }
+  const LatencySpec spec =
+      ParseLatencySpec(
+          "lognormal @ queue{concurrency=8,capacity=256,timeout_ms=2000}")
+          .ValueOrDie();
+  std::unique_ptr<LatencyLane> lane =
+      CreateLatencyLane(
+          spec, std::make_shared<const std::vector<uint64_t>>(hashes))
+          .ValueOrDie();
+  int minute = 0;
+  for (auto _ : state) {
+    lane->OnMinute(minute++, arrivals, cold_flags);
+  }
+  benchmark::DoNotOptimize(lane->live().served);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(requests));
+}
+BENCHMARK(BM_LatencyLaneMinute);
+
+void BM_ClusterEnforceCapacity(benchmark::State& state) {
+  const GeneratedTrace& fleet = SharedFleet(4000);
+  ClusterSpec cluster;
+  cluster.nodes = 4;
+  cluster.node_capacity = static_cast<int>(state.range(0));
+  cluster.router = ParseRouterSpec("locality").ValueOrDie();
+  SimOptions options;
+  options.train_minutes = TrainMinutes(fleet.trace);
+  const PolicySpec policy =
+      ParsePolicySpec("fixed_keepalive{minutes=120}").ValueOrDie();
+  uint64_t evictions = 0;
+  for (auto _ : state) {
+    ClusterSession session =
+        ClusterSession::Create(fleet.trace, cluster, policy, options)
+            .ValueOrDie();
+    const ClusterOutcome outcome = session.Finish().ValueOrDie();
+    evictions = 0;
+    for (const NodeOutcome& node : outcome.nodes) {
+      evictions += node.pressure_evictions;
+    }
+    benchmark::DoNotOptimize(evictions);
+  }
+  const int sim_minutes = fleet.trace.num_minutes() - options.train_minutes;
+  state.counters["evictions"] = static_cast<double>(evictions);
+  state.SetItemsProcessed(state.iterations() * cluster.nodes * sim_minutes);
+}
+BENCHMARK(BM_ClusterEnforceCapacity)
+    ->Arg(150)
+    ->Arg(600)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

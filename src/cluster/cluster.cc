@@ -1,6 +1,8 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <string>
 #include <utility>
 
@@ -307,6 +309,7 @@ Result<ClusterSession> ClusterSession::CreateImpl(
                                   .state = state,
                                   .capacity = capacity,
                                   .last_used = std::vector<int32_t>(n, -1),
+                                  .lru = LruIndex(n),
                                   .arrivals = {}});
   }
   return session;
@@ -363,34 +366,109 @@ void ClusterSession::ApplyEvents(int t) {
   }
 }
 
+void ClusterSession::LruIndex::Touch(int32_t t, uint32_t f) {
+  const Entry e{t, f};
+  if (fifo_.size() == head_ || !Before(e, fifo_.back())) {
+    fifo_.push_back(e);
+  } else {
+    PushLate(e);
+  }
+}
+
+void ClusterSession::LruIndex::PushLate(Entry e) {
+  late_.push_back(e);
+  std::push_heap(late_.begin(), late_.end(), After);
+}
+
+void ClusterSession::LruIndex::PopLate() {
+  std::pop_heap(late_.begin(), late_.end(), After);
+  late_.pop_back();
+}
+
+size_t ClusterSession::LruIndex::Evict(MemSet* mem,
+                                       const std::vector<int32_t>& last_used,
+                                       int t, bool pin, size_t excess) {
+  // Instances loaded since the last sync without an arrival stamped after
+  // it (policy prewarms, reloads of evicted instances) have no entry with
+  // their current key yet. Stamps after the sync were touched already.
+  const std::vector<uint64_t>& words = mem->words();
+  for (size_t w = 0; w < words.size(); ++w) {
+    uint64_t gained = words[w] & ~synced_words_[w];
+    while (gained != 0) {
+      const uint32_t f =
+          static_cast<uint32_t>((w << 6) + std::countr_zero(gained));
+      if (last_used[f] <= synced_at_) PushLate({last_used[f], f});
+      gained &= gained - 1;
+    }
+  }
+
+  size_t evicted = 0;
+  while (evicted < excess) {
+    while (head_ < fifo_.size() && !Live(fifo_[head_], *mem, last_used)) {
+      ++head_;
+    }
+    while (!late_.empty() && !Live(late_.front(), *mem, last_used)) {
+      PopLate();
+    }
+    const bool have_fifo = head_ < fifo_.size();
+    if (!have_fifo && late_.empty()) break;
+    const bool from_fifo =
+        have_fifo && (late_.empty() || Before(fifo_[head_], late_.front()));
+    const Entry victim = from_fifo ? fifo_[head_] : late_.front();
+    // Every remaining live key is at least this one, so with pinning on
+    // everything left arrived this minute and is executing.
+    if (pin && victim.used == t) break;
+    mem->Remove(victim.f);
+    ++evicted;
+    if (from_fifo) {
+      ++head_;
+    } else {
+      PopLate();
+    }
+  }
+
+  // Drop the consumed prefix once it dominates the buffer.
+  if (head_ > 1024 && 2 * head_ > fifo_.size()) {
+    fifo_.erase(fifo_.begin(), fifo_.begin() + static_cast<ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  std::copy(words.begin(), words.end(), synced_words_.begin());
+  synced_at_ = t;
+  return evicted;
+}
+
+void ClusterSession::LruIndex::Rebuild(const MemSet& mem,
+                                       const std::vector<int32_t>& last_used,
+                                       int t) {
+  fifo_.clear();
+  head_ = 0;
+  late_.clear();
+  mem.ForEachLoaded([&](size_t f) {
+    fifo_.push_back({last_used[f], static_cast<uint32_t>(f)});
+  });
+  std::sort(fifo_.begin(), fifo_.end(), Before);
+  std::copy(mem.words().begin(), mem.words().end(), synced_words_.begin());
+  synced_at_ = t;
+}
+
 void ClusterSession::EnforceCapacity(Node* node, int t) {
   if (node->capacity <= 0) return;
   MemSet& mem = node->lane.mem();
+  // Stale entries pile up while the node stays under capacity (nothing
+  // pops them); a rebuild bounds the index at O(functions).
+  if (node->lru.size() > 2 * mem.Capacity() + 64) {
+    node->lru.Rebuild(mem, node->last_used, t);
+  }
   const size_t capacity = static_cast<size_t>(node->capacity);
   if (mem.Count() <= capacity) return;
-
-  // Idle instances (not executing this minute, unless pinning is off) in
-  // LRU order by last arrival on this node; ties evict the lowest id.
-  std::vector<std::pair<int32_t, uint32_t>> candidates;
-  mem.ForEachLoaded([this, node, t, &candidates](size_t f) {
-    if (options_.pin_executing_functions && node->last_used[f] == t) return;
-    candidates.emplace_back(node->last_used[f], static_cast<uint32_t>(f));
-  });
-  size_t excess = mem.Count() - capacity;
-  if (candidates.size() > excess) {
-    std::partial_sort(candidates.begin(), candidates.begin() + excess,
-                      candidates.end());
-    candidates.resize(excess);
-  } else {
-    // Everything evictable goes; executing instances may keep the node
-    // above capacity for this minute (executions occupy memory).
-    std::sort(candidates.begin(), candidates.end());
-  }
-  for (const auto& [used, f] : candidates) {
-    (void)used;
-    mem.Remove(f);
-    ++node->pressure_evictions;
-  }
+  // Idle instances (not executing this minute, unless pinning is off) go
+  // in LRU order by last arrival on this node; ties evict the lowest id.
+  // Executing instances may keep the node above capacity for this minute
+  // (executions occupy memory).
+  node->pressure_evictions +=
+      node->lru.Evict(&mem, node->last_used, t,
+                      options_.pin_executing_functions,
+                      mem.Count() - capacity);
 }
 
 Status ClusterSession::StepLocked() {
@@ -463,6 +541,7 @@ Status ClusterSession::StepLocked() {
     }
     serving.arrivals.push_back(inv);
     serving.last_used[f] = t;
+    if (serving.capacity > 0) serving.lru.Touch(t, f);
   }
 
   bool stop_requested = false;
@@ -689,6 +768,9 @@ Status ClusterSession::Restore(const ClusterCheckpoint& checkpoint) {
     SPES_RETURN_NOT_OK(node.lane.Load(in, checkpoint.cursor));
     node.state = static_cast<NodeState>(in.state);
     node.last_used = in.last_used;
+    if (node.capacity > 0) {
+      node.lru.Rebuild(node.lane.mem(), node.last_used, checkpoint.cursor - 1);
+    }
     node.pressure_evictions = in.pressure_evictions;
     node.reroutes_in = in.reroutes_in;
   }

@@ -272,6 +272,70 @@ class ClusterSession : private SessionCore<ClusterSession> {
     kFailed,    ///< gone; memory lost
   };
 
+  /// Incremental LRU order over one capped node's loaded instances,
+  /// keyed on (last_used, id): capacity eviction pops the lowest keys
+  /// in O(evictions + changes) per node-minute instead of sorting the
+  /// loaded set. Invalidation is lazy — an entry is live only while its
+  /// function is loaded and its key still equals (last_used[f], f) — and
+  /// the index is derived state: checkpoints never carry it, Rebuild()
+  /// recreates it from the MemSet and the LRU clock.
+  class LruIndex {
+   public:
+    /// An empty index over `num_functions` functions.
+    explicit LruIndex(size_t num_functions)
+        : synced_words_((num_functions + 63) / 64, 0) {}
+
+    /// Routing feed: `f` arrived on the node at minute `t`. Routing
+    /// order is ascending (minute, id), so stamps append to the FIFO;
+    /// one that would break its order goes to the heap instead.
+    void Touch(int32_t t, uint32_t f);
+
+    /// Evicts up to `excess` instances of `mem` at minute `t`, lowest
+    /// (last_used, id) first; with `pin`, instances that arrived at `t`
+    /// are skipped. First picks up instances loaded since the last call
+    /// without a routed arrival (policy prewarms, reloads) by diffing
+    /// the membership words. Returns the number evicted.
+    size_t Evict(MemSet* mem, const std::vector<int32_t>& last_used, int t,
+                 bool pin, size_t excess);
+
+    /// Recreates the index from the loaded set, as of minute `t` (every
+    /// last_used stamp is <= t).
+    void Rebuild(const MemSet& mem, const std::vector<int32_t>& last_used,
+                 int t);
+
+    /// Entries held, live or stale.
+    [[nodiscard]] size_t size() const {
+      return fifo_.size() - head_ + late_.size();
+    }
+
+   private:
+    struct Entry {
+      int32_t used;
+      uint32_t f;
+    };
+    static bool Before(Entry a, Entry b) {
+      return a.used != b.used ? a.used < b.used : a.f < b.f;
+    }
+    /// Heap order of late_: the lowest key on top.
+    static bool After(Entry a, Entry b) { return Before(b, a); }
+    static bool Live(Entry e, const MemSet& mem,
+                     const std::vector<int32_t>& last_used) {
+      return mem.Contains(e.f) && last_used[e.f] == e.used;
+    }
+    void PushLate(Entry e);
+    void PopLate();
+
+    /// Routing stamps in ascending key order, consumed from head_.
+    std::vector<Entry> fifo_;
+    size_t head_ = 0;
+    /// Min-heap of keys that arrived out of order: diff finds and
+    /// out-of-order touches.
+    std::vector<Entry> late_;
+    /// Membership words at the last Evict()/Rebuild(), and its minute.
+    std::vector<uint64_t> synced_words_;
+    int synced_at_ = -1;
+  };
+
   /// A node is an engine lane plus a capacity and a lifecycle state.
   struct Node {
     /// The node's trained policy; `lane` borrows it.
@@ -282,6 +346,8 @@ class ClusterSession : private SessionCore<ClusterSession> {
     /// LRU clock: the minute f last arrived here; -1 = never. Stamped
     /// when an arrival is routed to this node.
     std::vector<int32_t> last_used;
+    /// Eviction order over the loaded set; fed only on capped nodes.
+    LruIndex lru;
     uint64_t pressure_evictions = 0;
     uint64_t reroutes_in = 0;
     /// This minute's arrivals routed here (scratch, rebuilt per minute).
@@ -325,6 +391,7 @@ class ClusterSession : private SessionCore<ClusterSession> {
   Status StepLocked();
 
   /// Evicts idle instances in LRU order until `node` fits its capacity.
+  /// O(evictions + changes) through the node's LruIndex.
   void EnforceCapacity(Node* node, int t);
 
   /// The in-memory adapter when created from a Trace; null for borrowed

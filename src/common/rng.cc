@@ -5,13 +5,6 @@
 
 namespace spes {
 
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 uint64_t MixNameSeed(const std::string& name, uint64_t seed) {
   uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis / prime
   for (unsigned char c : name) h = (h ^ c) * 1099511628211ULL;

@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <map>
 
@@ -89,18 +88,6 @@ constexpr size_t kNumBuckets =
 
 FixedBucketHistogram::FixedBucketHistogram() : counts_(kNumBuckets, 0) {}
 
-size_t FixedBucketHistogram::BucketIndex(uint64_t value) {
-  if (value < kSubBuckets) return static_cast<size_t>(value);
-  // Octave of the sample's top bit, split into kSubBuckets linear
-  // sub-buckets by the bits just below it. Contiguous with the exact
-  // range: the first octave block maps [32, 63] to indexes [32, 63].
-  const uint64_t top = static_cast<uint64_t>(std::bit_width(value)) - 1;
-  const uint64_t shift = top - kSubBits;
-  const uint64_t sub = (value >> shift) & (kSubBuckets - 1);
-  const uint64_t block = top - kSubBits + 1;
-  return static_cast<size_t>(block * kSubBuckets + sub);
-}
-
 uint64_t FixedBucketHistogram::BucketMidpoint(size_t index) {
   if (index < kSubBuckets) return static_cast<uint64_t>(index);  // exact
   const uint64_t block = static_cast<uint64_t>(index) >> kSubBits;
@@ -110,8 +97,6 @@ uint64_t FixedBucketHistogram::BucketMidpoint(size_t index) {
   const uint64_t width = uint64_t{1} << shift;
   return lo + (width >> 1);
 }
-
-void FixedBucketHistogram::Record(uint64_t value) { RecordMany(value, 1); }
 
 void FixedBucketHistogram::RecordMany(uint64_t value, uint64_t count) {
   if (count == 0) return;

@@ -6,6 +6,7 @@
 #ifndef SPES_COMMON_STATS_H_
 #define SPES_COMMON_STATS_H_
 
+#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -69,8 +70,16 @@ class FixedBucketHistogram {
 
   FixedBucketHistogram();
 
-  /// \brief Records one sample.
-  void Record(uint64_t value);
+  /// \brief Records one sample. Inline and branch-light: the latency
+  /// lane records every served request.
+  void Record(uint64_t value) {
+    ++counts_[BucketIndex(value)];
+    const uint64_t floor = total_count_ == 0 ? value : min_;
+    min_ = value < floor ? value : floor;
+    max_ = value > max_ ? value : max_;
+    ++total_count_;
+    sum_ += value;
+  }
   /// \brief Records `count` identical samples.
   void RecordMany(uint64_t value, uint64_t count);
 
@@ -106,8 +115,20 @@ class FixedBucketHistogram {
   bool operator==(const FixedBucketHistogram&) const = default;
 
  private:
-  /// Bucket index of a sample (total order, contiguous from 0).
-  [[nodiscard]] static size_t BucketIndex(uint64_t value);
+  /// Bucket index of a sample (total order, contiguous from 0). Values
+  /// below kSubBuckets are their own index; above that, the octave of
+  /// the top bit is split into kSubBuckets linear sub-buckets by the bits
+  /// just below it, contiguous with the exact range (the first octave
+  /// block maps [32, 63] to indexes [32, 63]).
+  [[nodiscard]] static size_t BucketIndex(uint64_t value) {
+    // Computed for every value (`| kSubBuckets` keeps top >= kSubBits),
+    // then selected, so the small-value case costs no branch.
+    const uint64_t top =
+        static_cast<uint64_t>(std::bit_width(value | kSubBuckets)) - 1;
+    const uint64_t sub = (value >> (top - kSubBits)) & (kSubBuckets - 1);
+    const uint64_t octave = (top - kSubBits + 1) * kSubBuckets + sub;
+    return static_cast<size_t>(value < kSubBuckets ? value : octave);
+  }
   /// Midpoint representative of bucket `index`.
   [[nodiscard]] static uint64_t BucketMidpoint(size_t index);
 

@@ -191,7 +191,10 @@ LatencyLane::LatencyLane(
       spec_(spec),
       function_hashes_(std::move(function_hashes)),
       queue_(QueueConfig{spec.concurrency, spec.queue_capacity,
-                         spec.timeout_ms}) {}
+                         spec.timeout_ms}),
+      keys_(kChunk),
+      cold_(kChunk),
+      service_ms_(kChunk) {}
 
 void LatencyLane::OnMinute(int minute,
                            const std::vector<Invocation>& arrivals,
@@ -206,21 +209,40 @@ void LatencyLane::OnMinute(int minute,
       total > 0 ? 60000.0 / static_cast<double>(total) : 0.0;
   const uint64_t minute_salt =
       kMinuteSalt * (static_cast<uint64_t>(minute) + 1);
-  uint64_t j = 0;
-  for (size_t i = 0; i < arrivals.size(); ++i) {
-    const Invocation& inv = arrivals[i];
-    const uint64_t base = (*function_hashes_)[inv.function] ^ minute_salt;
-    const bool cold_arrival = cold_flags[i] != 0;
-    for (uint32_t k = 0; k < inv.count; ++k, ++j) {
-      uint64_t state = base + k;
-      const uint64_t key = SplitMix64(&state);
+  const std::vector<uint64_t>& hashes = *function_hashes_;
+  // The minute runs in chunks of at most kChunk requests, in two passes
+  // per chunk. Every sample is a pure function of its key, so sampling a
+  // whole chunk before offering any of it changes no outcome.
+  uint64_t j = 0;  // request index within the minute
+  size_t i = 0;    // cursor: arrival i, its request k
+  uint32_t k = 0;
+  while (i < arrivals.size()) {
+    // Pass 1: keys and cold flags, then one batched model call.
+    size_t n = 0;
+    while (n < kChunk && i < arrivals.size()) {
+      const Invocation& inv = arrivals[i];
+      const uint64_t base = hashes[inv.function] ^ minute_salt;
       // Concurrent arrivals share the freshly started instance (§V-A):
       // only the arrival's first request pays the cold distribution.
-      const bool cold = cold_arrival && k == 0;
-      const double service_ms = model_->SampleMs(cold, key);
+      const uint8_t cold_arrival = cold_flags[i] != 0 ? 1 : 0;
+      const uint32_t take = static_cast<uint32_t>(
+          std::min<uint64_t>(inv.count - k, kChunk - n));
+      for (uint32_t m = 0; m < take; ++m, ++k, ++n) {
+        uint64_t state = base + k;
+        keys_[n] = SplitMix64(&state);
+        cold_[n] = k == 0 ? cold_arrival : 0;
+      }
+      if (k == inv.count) {
+        ++i;
+        k = 0;
+      }
+    }
+    model_->SampleMinute(keys_.data(), cold_.data(), n, service_ms_.data());
+    // Pass 2: offer the chunk to the queue in order and record it.
+    for (size_t m = 0; m < n; ++m, ++j) {
       const double arrival_ms =
           minute_start + static_cast<double>(j) * spacing;
-      const QueueOutcome result = queue_.Offer(arrival_ms, service_ms);
+      const QueueOutcome result = queue_.Offer(arrival_ms, service_ms_[m]);
       switch (result.admission) {
         case Admission::kServed: {
           const double us = result.end_to_end_ms * 1000.0 + 0.5;
@@ -228,7 +250,7 @@ void LatencyLane::OnMinute(int minute,
               us >= kMaxSampleUs ? static_cast<uint64_t>(kMaxSampleUs)
                                  : static_cast<uint64_t>(us));
           ++outcome_.served;
-          if (cold) ++outcome_.cold_served;
+          outcome_.cold_served += cold_[m];
           break;
         }
         case Admission::kTimedOut:

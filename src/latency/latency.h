@@ -177,12 +177,22 @@ class LatencyLane {
   Status RestoreState(const std::string& bytes, size_t expected_minutes);
 
  private:
+  /// Requests per OnMinute() chunk: large enough that the model call and
+  /// the loop setup are amortized, small enough that a burst minute's
+  /// scratch stays in cache.
+  static constexpr size_t kChunk = 2048;
+
   std::unique_ptr<const LatencyModel> model_;
   LatencySpec spec_;
   std::shared_ptr<const std::vector<uint64_t>> function_hashes_;
   ConcurrencyQueue queue_;
   LatencyOutcome outcome_;  ///< derived fields stay 0 until TakeOutcome()
   LatencyLiveTotals live_;
+  /// Per-chunk scratch (kChunk entries each): request keys, cold flags
+  /// and the sampled service times.
+  std::vector<uint64_t> keys_;
+  std::vector<uint8_t> cold_;
+  std::vector<double> service_ms_;
 };
 
 /// \brief Builds a LatencyLane from a validated spec: creates the model

@@ -18,6 +18,7 @@
 #ifndef SPES_LATENCY_LATENCY_MODEL_H_
 #define SPES_LATENCY_LATENCY_MODEL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -50,9 +51,25 @@ class LatencyModel {
 
   /// \brief Service time in milliseconds (>= 0, finite) for one request.
   /// `cold` selects the cold-start distribution; `key` is the request's
-  /// deterministic hash (models that need randomness seed an Rng with it,
-  /// models that do not simply ignore it).
+  /// deterministic hash, the only source of randomness a model may use
+  /// (`lognormal` derives its Gaussian draw from it, `constant` ignores
+  /// it).
   [[nodiscard]] virtual double SampleMs(bool cold, uint64_t key) const = 0;
+
+  /// \brief Batched SampleMs(): out[i] = SampleMs(cold[i] != 0, keys[i])
+  /// for i in [0, n), bit for bit. The latency lane calls it once per
+  /// chunk of a minute's requests, so the model is dispatched once per
+  /// chunk instead of once per request.
+  void SampleMinute(const uint64_t* keys, const uint8_t* cold, size_t n,
+                    double* out) const {
+    SampleBatch(keys, cold, n, out);
+  }
+
+ private:
+  /// The body of SampleMinute(): a loop over the chunk with no virtual
+  /// call per request.
+  virtual void SampleBatch(const uint64_t* keys, const uint8_t* cold,
+                           size_t n, double* out) const = 0;
 };
 
 /// \brief Name -> (schema, factory) table for latency models.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <string>
 
 #include "common/binary_io.h"
 
@@ -51,7 +52,8 @@ Result<std::vector<double>> ReadHeap(BinaryReader* reader,
 
 }  // namespace
 
-QueueOutcome ConcurrencyQueue::Offer(double arrival_ms, double service_ms) {
+QueueOutcome ConcurrencyQueue::OfferQueued(double arrival_ms,
+                                          double service_ms) {
   DrainUntil(arrival_ms);
   if (config_.concurrency <= 0) {
     // Unlimited slots: every request starts on arrival, nothing queues.
@@ -78,16 +80,36 @@ QueueOutcome ConcurrencyQueue::Offer(double arrival_ms, double service_ms) {
     return {Admission::kTimedOut, 0.0};
   }
   if (all_busy) {
-    std::pop_heap(finish_times_.begin(), finish_times_.end(), kMinHeap);
-    finish_times_.pop_back();
+    // start >= front(): the server that frees first takes the request.
+    ReplaceEarliestFinish(start + service_ms);
+  } else {
+    PushFinish(start + service_ms);
   }
-  finish_times_.push_back(start + service_ms);
-  std::push_heap(finish_times_.begin(), finish_times_.end(), kMinHeap);
   if (wait > 0.0) {
     leave_times_.push_back(start);
     std::push_heap(leave_times_.begin(), leave_times_.end(), kMinHeap);
   }
   return {Admission::kServed, wait + service_ms};
+}
+
+void ConcurrencyQueue::PushFinish(double finish_ms) {
+  finish_times_.push_back(finish_ms);
+  std::push_heap(finish_times_.begin(), finish_times_.end(), kMinHeap);
+}
+
+void ConcurrencyQueue::ReplaceEarliestFinish(double finish_ms) {
+  double* heap = finish_times_.data();
+  const size_t size = finish_times_.size();
+  size_t hole = 0;
+  for (;;) {
+    size_t child = 2 * hole + 1;
+    if (child >= size) break;
+    if (child + 1 < size && heap[child + 1] < heap[child]) ++child;
+    if (!(heap[child] < finish_ms)) break;
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  heap[hole] = finish_ms;
 }
 
 size_t ConcurrencyQueue::DrainUntil(double now_ms) {
@@ -136,6 +158,31 @@ Result<ConcurrencyQueue> ConcurrencyQueue::ParseFrom(BinaryReader* reader) {
           static_cast<size_t>(queue.config_.concurrency)) {
     return Status::InvalidArgument(
         "corrupt queue state: more busy servers than concurrency slots");
+  }
+  // Offer() queues a request only when every server is busy, never with
+  // unlimited concurrency, and never past capacity; and a server time is
+  // only ever replaced, never dropped. States outside that are corrupt.
+  const size_t waiters = queue.leave_times_.size();
+  if (waiters > 0 && queue.config_.concurrency == 0) {
+    return Status::InvalidArgument(
+        "corrupt queue state: wait queue holds (=" + std::to_string(waiters) +
+        ") waiters but concurrency is unlimited");
+  }
+  if (queue.config_.queue_capacity > 0 &&
+      waiters > static_cast<size_t>(queue.config_.queue_capacity)) {
+    return Status::InvalidArgument(
+        "corrupt queue state: wait queue holds (=" + std::to_string(waiters) +
+        ") waiters, more than capacity (=" +
+        std::to_string(queue.config_.queue_capacity) + ")");
+  }
+  if (waiters > 0 && queue.finish_times_.size() <
+                         static_cast<size_t>(queue.config_.concurrency)) {
+    return Status::InvalidArgument(
+        "corrupt queue state: wait queue holds (=" + std::to_string(waiters) +
+        ") waiters while the server pool has an idle slot: (=" +
+        std::to_string(queue.finish_times_.size()) +
+        ") busy servers of concurrency (=" +
+        std::to_string(queue.config_.concurrency) + ")");
   }
   return queue;
 }

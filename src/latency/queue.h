@@ -69,7 +69,29 @@ class ConcurrencyQueue {
   /// \brief Decides the fate of a request arriving at `arrival_ms` that
   /// needs `service_ms` of execution time. Arrival times must not
   /// decrease across calls (the minute-major loop guarantees this).
-  QueueOutcome Offer(double arrival_ms, double service_ms);
+  ///
+  /// Inline fast path for the common case — no waiter queued and a
+  /// server free at the arrival instant: the request starts on arrival,
+  /// and a finished server's time is replaced in place with one sift-down.
+  /// Only front() and the multiset of finish times are observable
+  /// (SerializeTo() sorts, operator== compares multisets), so the heap
+  /// layout may differ from a pop + push without changing any outcome.
+  QueueOutcome Offer(double arrival_ms, double service_ms) {
+    if (leave_times_.empty()) {
+      if (config_.concurrency <= 0) return {Admission::kServed, service_ms};
+      // `0.0 +` is the zero wait of the queued path: it turns a -0.0
+      // service time into +0.0 exactly as that path does.
+      if (finish_times_.size() < static_cast<size_t>(config_.concurrency)) {
+        PushFinish(arrival_ms + service_ms);
+        return {Admission::kServed, 0.0 + service_ms};
+      }
+      if (finish_times_.front() <= arrival_ms) {
+        ReplaceEarliestFinish(arrival_ms + service_ms);
+        return {Admission::kServed, 0.0 + service_ms};
+      }
+    }
+    return OfferQueued(arrival_ms, service_ms);
+  }
 
   /// \brief Drains waiters who left the queue by `now_ms` (started
   /// service or timed out) and returns the remaining queue depth.
@@ -92,6 +114,20 @@ class ConcurrencyQueue {
   bool operator==(const ConcurrencyQueue& other) const;
 
  private:
+  /// The pre-fast-path Offer(), kept for differential tests
+  /// (latency/reference_queue.h).
+  friend QueueOutcome ReferenceOffer(ConcurrencyQueue* queue,
+                                     double arrival_ms, double service_ms);
+
+  /// Offer() when a waiter is queued or every server is busy past
+  /// `arrival_ms`: drains, then sheds, times out or queues the request.
+  QueueOutcome OfferQueued(double arrival_ms, double service_ms);
+  /// Adds a busy server finishing at `finish_ms` to the pool.
+  void PushFinish(double finish_ms);
+  /// Replaces the earliest finish time with `finish_ms` (>= it): one
+  /// sift-down instead of pop_heap + push_heap.
+  void ReplaceEarliestFinish(double finish_ms);
+
   QueueConfig config_;
   /// Min-heap (std::greater) of busy servers' finish times. Size is
   /// capped at config_.concurrency; empty when concurrency is unlimited.

@@ -9,15 +9,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/binary_io.h"
+#include "common/rng.h"
 #include "core/policy_registry.h"
 #include "latency/latency_model.h"
 #include "latency/queue.h"
+#include "latency/reference_queue.h"
 #include "policies/fixed_keepalive.h"
 #include "sim/engine.h"
 #include "sim/stream.h"
@@ -87,6 +92,54 @@ TEST(LatencyModelRegistryTest, LognormalSigmaZeroDegeneratesToMedians) {
                          .ValueOrDie();
   EXPECT_EQ(model->SampleMs(true, 1), 900.0);
   EXPECT_EQ(model->SampleMs(false, 2), 9.0);
+}
+
+TEST(LatencyModelRegistryTest, LognormalDrawsTheFirstVariateOfASeededRng) {
+  // The definition the sampler must keep: median * exp(sigma * Z), with Z
+  // the first Rng(key).Normal(0, 1) draw and cold keys salted.
+  constexpr uint64_t kColdSalt = 0xc01d5742a5a1f00dULL;
+  const auto model =
+      LatencyModelRegistry::Global().CreateFromString("lognormal")
+          .ValueOrDie();
+  uint64_t state = 11;
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t key = SplitMix64(&state);
+    Rng warm_rng(key);
+    const double warm = 8.0 * std::exp(0.3 * warm_rng.Normal(0.0, 1.0));
+    Rng cold_rng(key ^ kColdSalt);
+    const double cold = 800.0 * std::exp(0.5 * cold_rng.Normal(0.0, 1.0));
+    ASSERT_EQ(std::bit_cast<uint64_t>(model->SampleMs(false, key)),
+              std::bit_cast<uint64_t>(warm));
+    ASSERT_EQ(std::bit_cast<uint64_t>(model->SampleMs(true, key)),
+              std::bit_cast<uint64_t>(cold));
+  }
+}
+
+TEST(LatencyModelRegistryTest, SampleMinuteMatchesPerRequestSampling) {
+  // 5000 requests span several of lognormal's internal blocks plus a
+  // remainder; cold and warm requests are interleaved at random.
+  constexpr size_t kRequests = 5000;
+  std::vector<uint64_t> keys(kRequests);
+  std::vector<uint8_t> cold(kRequests);
+  uint64_t state = 3;
+  for (size_t i = 0; i < kRequests; ++i) {
+    keys[i] = SplitMix64(&state);
+    cold[i] = SplitMix64(&state) % 5 == 0 ? 1 : 0;
+  }
+  for (const char* text :
+       {"constant", "constant{cold_ms=900,warm_ms=12}", "lognormal",
+        "lognormal{cold_median_ms=1200,cold_sigma=1.5,warm_sigma=0}"}) {
+    const auto model =
+        LatencyModelRegistry::Global().CreateFromString(text).ValueOrDie();
+    std::vector<double> batch(kRequests, -1.0);
+    model->SampleMinute(keys.data(), cold.data(), kRequests, batch.data());
+    for (size_t i = 0; i < kRequests; ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(batch[i]),
+                std::bit_cast<uint64_t>(model->SampleMs(cold[i] != 0,
+                                                        keys[i])))
+          << text << " request " << i;
+    }
+  }
 }
 
 TEST(LatencyModelRegistryTest, UnknownModelListsAlternatives) {
@@ -296,6 +349,124 @@ TEST(ConcurrencyQueueTest, ParseRejectsTruncatedAndCorruptBytes) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("busy servers"),
             std::string::npos);
+}
+
+/// Queue-state bytes in the SerializeTo() layout, for hand-built states.
+std::string QueueBytes(uint64_t concurrency, uint64_t capacity,
+                       const std::vector<double>& finish_times,
+                       const std::vector<double>& leave_times) {
+  BinaryWriter writer;
+  writer.PutVarU64(concurrency);
+  writer.PutVarU64(capacity);
+  writer.PutDouble(0.0);  // timeout_ms
+  writer.PutVarU64(finish_times.size());
+  for (double t : finish_times) writer.PutDouble(t);
+  writer.PutVarU64(leave_times.size());
+  for (double t : leave_times) writer.PutDouble(t);
+  return writer.Take();
+}
+
+Status ParseQueueStatus(const std::string& bytes) {
+  BinaryReader reader(bytes);
+  return ConcurrencyQueue::ParseFrom(&reader).status();
+}
+
+void ExpectCorruptQueue(const std::string& bytes, const std::string& needle) {
+  const Status status = ParseQueueStatus(bytes);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("wait queue"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find(needle), std::string::npos)
+      << status.message();
+}
+
+TEST(ConcurrencyQueueTest, ParseRejectsWaitersWithUnlimitedConcurrency) {
+  ExpectCorruptQueue(QueueBytes(0, 0, {}, {5.0}),
+                     "concurrency is unlimited");
+}
+
+TEST(ConcurrencyQueueTest, ParseRejectsMoreWaitersThanCapacity) {
+  ExpectCorruptQueue(QueueBytes(1, 2, {10.0}, {1.0, 2.0, 3.0}),
+                     "more than capacity (=2)");
+  // At capacity is a state Offer() reaches.
+  EXPECT_TRUE(ParseQueueStatus(QueueBytes(1, 2, {10.0}, {1.0, 2.0})).ok());
+}
+
+TEST(ConcurrencyQueueTest, ParseRejectsWaitersBesideAnIdleServer) {
+  ExpectCorruptQueue(QueueBytes(2, 0, {10.0}, {5.0}),
+                     "(=1) busy servers of concurrency (=2)");
+  // With every server busy, waiters are a state Offer() reaches.
+  EXPECT_TRUE(ParseQueueStatus(QueueBytes(2, 0, {10.0, 12.0}, {5.0})).ok());
+}
+
+std::string SerializedQueue(const ConcurrencyQueue& queue) {
+  BinaryWriter writer;
+  queue.SerializeTo(&writer);
+  return writer.Take();
+}
+
+// Offer()'s inline fast path and replace-top sift-down must be invisible:
+// the same verdicts, bit for bit, and the same canonical state as the
+// pop/push reference, on streams that idle, saturate, queue, shed and
+// time out — including bursts that share one arrival instant.
+TEST(ConcurrencyQueueTest, FastPathMatchesTheReferenceOnRandomStreams) {
+  const int kConcurrency[] = {1, 8, 64, 0};
+  const int kCapacity[] = {0, 4, 256};
+  const double kTimeoutMs[] = {0.0, 250.0, 2000.0};
+  const double kMeanServiceMs[] = {2.0, 40.0, 900.0};
+  constexpr int kStreamsPerConfig = 300;  // 36 configs: 10,800 streams
+  Rng rng(20241017);
+  uint64_t counts[3] = {0, 0, 0};
+  uint64_t waited = 0;
+  uint64_t compared_states = 0;
+  for (const int concurrency : kConcurrency) {
+    for (const int capacity : kCapacity) {
+      for (const double timeout_ms : kTimeoutMs) {
+        const QueueConfig config{concurrency, capacity, timeout_ms};
+        for (int stream = 0; stream < kStreamsPerConfig; ++stream) {
+          ConcurrencyQueue fast(config);
+          ConcurrencyQueue reference(config);
+          const double mean_service =
+              kMeanServiceMs[rng.UniformInt(0, 2)];
+          const double mean_gap = rng.UniformDouble(0.5, 60.0);
+          const int offers = static_cast<int>(rng.UniformInt(1, 300));
+          double now = rng.UniformDouble(0.0, 5000.0);
+          for (int i = 0; i < offers; ++i) {
+            // Half the arrivals share the previous instant (bursts).
+            if (rng.Bernoulli(0.5)) now += rng.Exponential(1.0 / mean_gap);
+            double service = rng.Exponential(1.0 / mean_service);
+            if (rng.Bernoulli(0.01)) service = rng.Bernoulli(0.5) ? 0.0 : -0.0;
+            const QueueOutcome a = fast.Offer(now, service);
+            const QueueOutcome b = ReferenceOffer(&reference, now, service);
+            ASSERT_EQ(a.admission, b.admission)
+                << "stream " << stream << " offer " << i;
+            ASSERT_EQ(std::bit_cast<uint64_t>(a.end_to_end_ms),
+                      std::bit_cast<uint64_t>(b.end_to_end_ms))
+                << "stream " << stream << " offer " << i;
+            ++counts[static_cast<int>(a.admission)];
+            if (a.admission == Admission::kServed &&
+                a.end_to_end_ms > service) {
+              ++waited;
+            }
+            if (rng.Bernoulli(0.05)) {  // a random cut point
+              ASSERT_EQ(SerializedQueue(fast), SerializedQueue(reference));
+              ++compared_states;
+            }
+          }
+          ASSERT_EQ(SerializedQueue(fast), SerializedQueue(reference));
+          ASSERT_TRUE(fast == reference);
+          const double later = now + rng.UniformDouble(0.0, 3000.0);
+          ASSERT_EQ(fast.DrainUntil(later), reference.DrainUntil(later));
+        }
+      }
+    }
+  }
+  // Every verdict and real queueing occurred, so both paths were driven.
+  EXPECT_GT(counts[static_cast<int>(Admission::kServed)], 0u);
+  EXPECT_GT(counts[static_cast<int>(Admission::kTimedOut)], 0u);
+  EXPECT_GT(counts[static_cast<int>(Admission::kShed)], 0u);
+  EXPECT_GT(waited, 0u);
+  EXPECT_GT(compared_states, 10000u);
 }
 
 // ---------------------------------------------------------------------

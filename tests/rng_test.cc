@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -170,6 +172,36 @@ TEST(RngTest, ForkProducesIndependentStream) {
 TEST(SplitMix64Test, KnownSequenceIsDeterministic) {
   uint64_t s1 = 42, s2 = 42;
   for (int i = 0; i < 10; ++i) EXPECT_EQ(SplitMix64(&s1), SplitMix64(&s2));
+}
+
+// StandardNormalOnce() replaces a throwaway Rng in the latency models'
+// per-request draw, so it must agree with one on every seed, to the bit.
+TEST(StandardNormalOnceTest, MatchesAFreshRngBitForBitOverAMillionSeeds) {
+  uint64_t scrambler = 7;
+  for (uint64_t i = 0; i < (uint64_t{1} << 20); ++i) {
+    // Half consecutive seeds, half scrambled ones across the 64-bit range.
+    const uint64_t seed = (i & 1) != 0 ? SplitMix64(&scrambler) : i;
+    Rng rng(seed);
+    const double reference = rng.Normal(0.0, 1.0);
+    const double once = StandardNormalOnce(seed);
+    ASSERT_EQ(std::bit_cast<uint64_t>(once),
+              std::bit_cast<uint64_t>(reference))
+        << "seed " << seed;
+  }
+}
+
+TEST(StandardNormalOnceTest, ZeroFirstUniformTakesTheRngPath) {
+  // splitmix64's finalizer maps 0 to 0, so this seed makes the second
+  // seeding step — xoshiro word 1, the only word the first draw reads —
+  // zero: the first uniform is exactly 0 and Normal() draws again.
+  const uint64_t seed = uint64_t{0} - 2 * 0x9e3779b97f4a7c15ULL;
+  Rng probe(seed);
+  ASSERT_EQ(probe.NextU64(), 0u);
+  const NormalPolar polar = FirstNormalPolar(seed);
+  EXPECT_EQ(polar.theta, 0.0);
+  Rng rng(seed);
+  EXPECT_EQ(std::bit_cast<uint64_t>(StandardNormalOnce(seed)),
+            std::bit_cast<uint64_t>(rng.Normal(0.0, 1.0)));
 }
 
 }  // namespace
