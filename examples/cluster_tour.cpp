@@ -31,8 +31,8 @@ int main() {
   options.train_minutes = 2 * kMinutesPerDay;
 
   // One realized workload, three topologies.
-  const ScenarioSession session =
-      ScenarioSession::Open(TraceSpec::FromGenerator(generator)).ValueOrDie();
+  const Trace trace =
+      RealizeTrace(TraceSpec::FromGenerator(generator)).ValueOrDie();
 
   ScenarioSpec plain;
   plain.label = "single fleet (no cluster)";
@@ -60,13 +60,13 @@ int main() {
           .ValueOrDie();
 
   std::printf("workload: %zu functions, %d minutes (train %d)\n\n",
-              session.trace().num_functions(), session.trace().num_minutes(),
+              trace.num_functions(), trace.num_minutes(),
               options.train_minutes);
 
   Table fleet_table({"scenario", "cold starts", "Q3-CSR", "avg mem",
                      "peak mem", "WMT", "reroutes"});
   for (const ScenarioSpec* spec : {&plain, &one_node, &four_node}) {
-    const ScenarioOutcome run = session.Run(*spec).ValueOrDie();
+    const ScenarioOutcome run = RunScenario(trace, *spec).ValueOrDie();
     const FleetMetrics& m = run.outcome.metrics;
     fleet_table.AddRow(
         {spec->label, std::to_string(m.total_cold_starts),

@@ -20,16 +20,16 @@ int main() {
   // 1. A fleet of 800 serverless functions over 6 days, calibrated to the
   //    Azure Functions population statistics (trigger mix, heavy-tailed
   //    invocation totals, bursts, workflow chains, concept shifts). The
-  //    session realizes the trace once; every scenario below reuses it.
+  //    trace is realized once; every scenario below runs against it.
   GeneratorConfig generator;
   generator.num_functions = 800;
   generator.days = 6;
   generator.seed = 42;
-  const ScenarioSession session =
-      ScenarioSession::Open(TraceSpec::FromGenerator(generator)).ValueOrDie();
+  const Trace trace =
+      RealizeTrace(TraceSpec::FromGenerator(generator)).ValueOrDie();
   std::printf("fleet: %zu functions, %zu apps, %zu owners, %d minutes\n\n",
-              session.trace().num_functions(), session.trace().CountApps(),
-              session.trace().CountOwners(), session.trace().num_minutes());
+              trace.num_functions(), trace.CountApps(),
+              trace.CountOwners(), trace.num_minutes());
 
   // 2. Train on the first 4 days, simulate the last 2.
   ScenarioSpec scenario;
@@ -37,7 +37,7 @@ int main() {
 
   // 3. SPES: categorize every function and provision by prediction.
   scenario.policy = {"spes", {}};
-  const ScenarioOutcome spes_run = session.Run(scenario).ValueOrDie();
+  const ScenarioOutcome spes_run = RunScenario(trace, scenario).ValueOrDie();
 
   std::printf("SPES function categorization:\n");
   const auto& spes = dynamic_cast<const SpesPolicy&>(*spes_run.policy);
@@ -53,7 +53,7 @@ int main() {
   // 4. Baseline for contrast, by spec string: keep instances alive 10
   //    minutes after use.
   scenario.policy = ParsePolicySpec("fixed_keepalive{minutes=10}").ValueOrDie();
-  const ScenarioOutcome fixed_run = session.Run(scenario).ValueOrDie();
+  const ScenarioOutcome fixed_run = RunScenario(trace, scenario).ValueOrDie();
 
   const FleetMetrics& spes_metrics = spes_run.outcome.metrics;
   const FleetMetrics& fixed_metrics = fixed_run.outcome.metrics;

@@ -76,8 +76,8 @@ int main() {
   generator.num_functions = 300;
   generator.days = 4;
   generator.seed = 7;
-  const ScenarioSession session =
-      ScenarioSession::Open(TraceSpec::FromGenerator(generator)).ValueOrDie();
+  const Trace trace =
+      RealizeTrace(TraceSpec::FromGenerator(generator)).ValueOrDie();
 
   SimOptions options;
   options.train_minutes = 2 * kMinutesPerDay;
@@ -91,16 +91,16 @@ int main() {
 
   std::printf("running every policy with default parameters on %zu "
               "functions, %d minutes\n\n",
-              session.trace().num_functions(),
-              session.trace().num_minutes());
+              trace.num_functions(),
+              trace.num_minutes());
   const std::vector<JobResult> results =
-      SuiteRunner().Run(session.trace(), specs);
+      SuiteRunner().Run(trace, specs);
   for (const JobResult& result : results) result.status.CheckOK();
   BuildComparisonTable(CollectMetrics(results), "SPES").Print();
 
   // 3. The same fleet through a transform chain — a stressed scenario as
-  //    pure data. The session caches the transformed variant, so running
-  //    it again would cost only the simulation.
+  //    pure data: RunScenario applies the spec's chain on top of the
+  //    supplied trace.
   const char* kChain =
       "load_scale{factor=2.0} | "
       "inject_burst{at=3000,width=20,amplitude=40,fraction=0.25,seed=5}";
@@ -114,8 +114,8 @@ int main() {
   baseline.label = "spes / base";
   baseline.policy.name = "spes";
   baseline.options = options;
-  const ScenarioOutcome base = session.Run(baseline).ValueOrDie();
-  const ScenarioOutcome burst = session.Run(stressed).ValueOrDie();
+  const ScenarioOutcome base = RunScenario(trace, baseline).ValueOrDie();
+  const ScenarioOutcome burst = RunScenario(trace, stressed).ValueOrDie();
   Table stress({"scenario", "invocations", "cold starts", "Q3-CSR",
                 "avg memory"});
   for (const auto* run : {&base, &burst}) {

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "metrics/report.h"
+#include "runner/suite_runner.h"
 #include "sim/observers.h"
 #include "sim/scenario.h"
 #include "sim/stream.h"
@@ -24,9 +25,8 @@ int main() {
   generator.num_functions = 400;
   generator.days = 3;
   generator.seed = 7;
-  const ScenarioSession session =
-      ScenarioSession::Open(TraceSpec::FromGenerator(generator)).ValueOrDie();
-  const Trace& trace = session.trace();
+  const Trace trace =
+      RealizeTrace(TraceSpec::FromGenerator(generator)).ValueOrDie();
 
   ScenarioSpec scenario;
   scenario.options.train_minutes = 2 * kMinutesPerDay;
@@ -40,7 +40,7 @@ int main() {
   ProgressObserver progress(6 * 60);
   TimeSeriesObserver hourly(60);
   scenario.observers = {&progress, &hourly};
-  const ScenarioOutcome watched = session.Run(scenario).ValueOrDie();
+  const ScenarioOutcome watched = RunScenario(trace, scenario).ValueOrDie();
   std::printf("\nhourly timeline (first 6 samples):\n");
   Table timeline = BuildTimelineTable(
       {"SPES"}, {{hourly.series()[0].begin(), hourly.series()[0].begin() + 6}});
@@ -58,43 +58,53 @@ int main() {
   CallbackObserver stop_at_300_cold([](const MinuteView& view) {
     return view.totals.cold_starts < 300;  // false => halt the stream
   });
-  scenario.observers = {&stop_at_300_cold};
-  ScenarioStream open = OpenScenario(trace, scenario).ValueOrDie();
+  // Driving a run by hand means opening its SimStream directly over a
+  // registry-built policy.
+  const std::unique_ptr<Policy> stopped_policy =
+      PolicyRegistry::Global().Create(scenario.policy).ValueOrDie();
+  SimStream open =
+      SimStream::Create(trace, stopped_policy.get(), scenario.options)
+          .ValueOrDie();
+  open.AddObserver(&stop_at_300_cold);
   // An observer stop surfaces as Cancelled — the partial outcome is
   // still available through Finish().
-  const Status run = open.stream.RunToEnd();
+  const Status run = open.RunToEnd();
   if (!run.ok() && run.code() != StatusCode::kCancelled) run.CheckOK();
   std::printf("stopped early: %s, cursor at minute %d of [%d, %d)\n",
-              open.stream.stopped_early() ? "yes" : "no",
-              open.stream.cursor(), open.stream.start_minute(),
-              open.stream.end_minute());
-  const SimulationOutcome partial = open.stream.Finish().ValueOrDie();
+              open.stopped_early() ? "yes" : "no", open.cursor(),
+              open.start_minute(), open.end_minute());
+  const SimulationOutcome partial = open.Finish().ValueOrDie();
   std::printf("partial window: %llu cold starts over %zu minutes\n\n",
               static_cast<unsigned long long>(
                   partial.metrics.total_cold_starts),
               partial.memory_series.size());
-  scenario.observers.clear();
 
   // ---------------------------------------------------------------------
   // 3. Checkpoint mid-window, serialize to bytes, resume in a new stream.
   // ---------------------------------------------------------------------
   std::printf("== 3. checkpoint / resume ==\n");
-  ScenarioStream first = OpenScenario(trace, scenario).ValueOrDie();
-  const int midpoint = first.stream.start_minute() +
-                       (first.stream.end_minute() -
-                        first.stream.start_minute()) / 2;
-  first.stream.RunUntil(midpoint).CheckOK();
+  const std::unique_ptr<Policy> first_policy =
+      PolicyRegistry::Global().Create(scenario.policy).ValueOrDie();
+  SimStream first =
+      SimStream::Create(trace, first_policy.get(), scenario.options)
+          .ValueOrDie();
+  const int midpoint =
+      first.start_minute() + (first.end_minute() - first.start_minute()) / 2;
+  first.RunUntil(midpoint).CheckOK();
   const std::string bytes =
-      SerializeCheckpoint(first.stream.Checkpoint().ValueOrDie());
-  std::printf("checkpointed at minute %d (%zu bytes)\n",
-              first.stream.cursor(), bytes.size());
+      SerializeCheckpoint(first.Checkpoint().ValueOrDie());
+  std::printf("checkpointed at minute %d (%zu bytes)\n", first.cursor(),
+              bytes.size());
 
-  ScenarioStream resumed = OpenScenario(trace, scenario).ValueOrDie();
-  resumed.stream.Restore(ParseCheckpoint(bytes).ValueOrDie()).CheckOK();
-  const SimulationOutcome resumed_outcome =
-      resumed.stream.Finish().ValueOrDie();
+  const std::unique_ptr<Policy> resumed_policy =
+      PolicyRegistry::Global().Create(scenario.policy).ValueOrDie();
+  SimStream resumed =
+      SimStream::Create(trace, resumed_policy.get(), scenario.options)
+          .ValueOrDie();
+  resumed.Restore(ParseCheckpoint(bytes).ValueOrDie()).CheckOK();
+  const SimulationOutcome resumed_outcome = resumed.Finish().ValueOrDie();
   const SimulationOutcome full_outcome =
-      first.stream.Finish().ValueOrDie();  // the original, run to the end
+      first.Finish().ValueOrDie();  // the original, run to the end
   const bool resume_matches =
       resumed_outcome.metrics.total_cold_starts ==
           full_outcome.metrics.total_cold_starts &&
@@ -114,10 +124,10 @@ int main() {
   std::vector<ScenarioSpec> lanes(3, scenario);
   lanes[1].policy = ParsePolicySpec("fixed_keepalive{minutes=10}").ValueOrDie();
   lanes[2].policy = {"oracle", {}};
-  const std::vector<ScenarioOutcome> raced =
-      session.RunLockstep(lanes).ValueOrDie();
+  const std::vector<JobResult> raced = SuiteRunner().RunLockstep(trace, lanes);
   Table race({"policy", "Q3-CSR", "avg memory", "cold starts"});
-  for (const ScenarioOutcome& lane : raced) {
+  for (const JobResult& lane : raced) {
+    lane.status.CheckOK();
     const FleetMetrics& m = lane.outcome.metrics;
     race.AddRow({m.policy_name, FormatDouble(m.q3_csr, 4),
                  FormatDouble(m.average_memory, 1),

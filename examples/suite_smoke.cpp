@@ -21,10 +21,10 @@ int main() {
   generator.num_functions = 600;
   generator.days = 5;
   generator.seed = 7;
-  const ScenarioSession session =
-      ScenarioSession::Open(TraceSpec::FromGenerator(generator)).ValueOrDie();
+  const Trace trace =
+      RealizeTrace(TraceSpec::FromGenerator(generator)).ValueOrDie();
   std::printf("fleet: %zu functions, %d minutes\n\n",
-              session.trace().num_functions(), session.trace().num_minutes());
+              trace.num_functions(), trace.num_minutes());
 
   // 2. Train on the first 3 days, simulate the last 2; one spec per
   //    policy — the whole suite is data.
@@ -50,7 +50,7 @@ int main() {
   SuiteRunner runner(runner_options);
   std::printf("running %zu policies on %d threads\n", specs.size(),
               runner.EffectiveThreads(specs.size()));
-  const std::vector<JobResult> results = runner.Run(session.trace(), specs);
+  const std::vector<JobResult> results = runner.Run(trace, specs);
 
   // 4. Comparison table, normalized against SPES.
   std::printf("\n");

@@ -40,13 +40,11 @@ int main() {
   scenario.policy = {"spes", {}};
   scenario.options.train_minutes = (config.days - 1) * kMinutesPerDay;
 
-  const ScenarioSession session =
-      ScenarioSession::Open(scenario.trace).ValueOrDie();
+  const Trace trace = RealizeTrace(scenario.trace).ValueOrDie();
   std::printf("\nreloaded: %zu functions, %d minutes, %zu apps\n",
-              session.trace().num_functions(), session.trace().num_minutes(),
-              session.trace().CountApps());
+              trace.num_functions(), trace.num_minutes(), trace.CountApps());
 
-  const ScenarioOutcome run = session.Run(scenario).ValueOrDie();
+  const ScenarioOutcome run = RunScenario(trace, scenario).ValueOrDie();
   const FleetMetrics& metrics = run.outcome.metrics;
   std::printf(
       "\nSPES on the reloaded trace: Q3-CSR %.4f, always-cold %.2f%%, "

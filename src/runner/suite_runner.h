@@ -1,9 +1,10 @@
-// SuiteRunner: fans a list of independent policy simulations out across a
-// thread pool.
+// SuiteRunner: runs a whole batch of ScenarioSpecs — a figure sweep as
+// data — either fanned out across a thread pool or as lockstep lanes over
+// one trace walk.
 //
-// Policies are stateful (Train() fills per-function models), so each job
-// owns a fresh policy instance produced by its factory; nothing is shared
-// between jobs except the read-only trace. Results are collected by slot
+// Policies are stateful (Train() fills per-function models), so each slot
+// builds a fresh policy instance through the registry; nothing is shared
+// between slots except read-only traces. Results are collected by slot
 // index, so the output order — and therefore every report table built from
 // it — is bitwise identical at any thread count.
 
@@ -18,7 +19,6 @@
 #include "cluster/cluster.h"
 #include "common/status.h"
 #include "sim/engine.h"
-#include "sim/observer.h"
 #include "sim/policy.h"
 #include "trace/trace.h"
 
@@ -26,39 +26,9 @@ namespace spes {
 
 struct ScenarioSpec;  // sim/scenario.h; spec-batch callers include it.
 
-/// \brief Produces a fresh policy instance for one job. Called exactly once
-/// per job, from the worker thread that runs it.
-using PolicyFactory = std::function<std::unique_ptr<Policy>()>;
-
-/// \brief One unit of work: a policy (by factory) plus its engine options.
-struct SuiteJob {
-  /// Display label; when empty the policy's name() is used.
-  std::string label;
-  PolicyFactory factory;
-  SimOptions options;
-  /// When non-OK the job is not run and its JobResult carries this status
-  /// verbatim (used by the spec-batch overload to report precise
-  /// validation/registry errors through the normal result path).
-  Status precondition;
-  /// Workload override: when set, this job simulates against *this* trace
-  /// instead of the one passed to Run(). Set by the trace-less spec-batch
-  /// overload so one batch can span several (transformed) workloads.
-  std::shared_ptr<const Trace> trace;
-  /// Per-minute observers attached to the job's stream (borrowed; null
-  /// entries ignored). Populated from ScenarioSpec::observers by the
-  /// spec-batch overloads. Jobs run concurrently, so an observer shared
-  /// by several jobs must be thread-safe — or give each spec its own.
-  std::vector<SimObserver*> observers;
-  /// Cluster mode: when set, the job ignores `factory` and simulates the
-  /// spec's cluster through a ClusterSession (per-node policies are built
-  /// from spec.policy on the worker thread). Populated from ScenarioSpec
-  /// by the spec-batch overloads whenever spec.cluster is set.
-  std::shared_ptr<const ScenarioSpec> cluster_scenario;
-};
-
-/// \brief Outcome of one job. `outcome` is meaningful only when
+/// \brief Outcome of one slot. `outcome` is meaningful only when
 /// `status.ok()`; `policy` is the trained instance (kept alive for
-/// per-type breakdowns such as BreakdownByType). For cluster jobs,
+/// per-type breakdowns such as BreakdownByType). For cluster slots,
 /// `outcome` is the fleet-wide aggregate, `policy` is null, and `cluster`
 /// carries the per-node breakdown.
 struct JobResult {
@@ -69,8 +39,8 @@ struct JobResult {
   std::shared_ptr<const ClusterOutcome> cluster;
 };
 
-/// \brief Progress callback: invoked after each job finishes with the
-/// number of completed jobs, the total, and the finished job's result.
+/// \brief Progress callback: invoked after each slot finishes with the
+/// number of completed slots, the total, and the finished slot's result.
 /// Serialized by the runner (never called concurrently).
 using ProgressCallback =
     std::function<void(size_t finished, size_t total, const JobResult&)>;
@@ -82,66 +52,61 @@ struct SuiteRunnerOptions {
   ProgressCallback progress;
 };
 
-/// \brief Fans independent Simulate() calls out across a thread pool.
+/// \brief Runs spec batches through the scenario core (sim/scenario.h).
+///
+/// Every form validates each spec and builds its policy (or cluster)
+/// through the registries; an invalid spec yields a JobResult carrying the
+/// precise validation/registry error in its slot while sibling specs still
+/// run. Each slot's label is the spec's label, or the policy's name()
+/// when empty. Workloads resolve through one TraceCache per batch: specs
+/// sharing a (source, chain) share one realized trace, and a chain is
+/// applied to the cached base of its source, once per distinct chain.
 class SuiteRunner {
  public:
   explicit SuiteRunner(SuiteRunnerOptions options = {});
 
-  /// \brief Runs every job against `trace` and returns results in job
-  /// order. A job whose factory returns null or whose Simulate() errors
-  /// yields a JobResult with a non-OK status; sibling jobs are unaffected.
-  [[nodiscard]] std::vector<JobResult> Run(const Trace& trace,
-                             std::vector<SuiteJob> jobs) const;
+  /// \brief Thread-pool batch with `trace` standing in for every spec's
+  /// trace source; each spec's transform chain is applied on top of it.
+  [[nodiscard]] std::vector<JobResult> Run(
+      const Trace& trace, const std::vector<ScenarioSpec>& specs) const;
 
-  /// \brief Spec-batch overload: a whole figure sweep as data. Each spec's
-  /// policy is built through PolicyRegistry::Global() and validated up
-  /// front on the calling thread; an invalid spec yields a JobResult
-  /// carrying the precise registry/validation error in its slot while
-  /// sibling specs still run. The specs' trace sources are ignored — the
-  /// supplied trace is the workload for every slot.
-  [[nodiscard]] std::vector<JobResult> Run(const Trace& trace,
-                             const std::vector<ScenarioSpec>& specs) const;
+  /// \brief Trace-less thread-pool batch: every spec realizes its *own*
+  /// trace source with its transform chain applied, so one batch can sweep
+  /// policies across stressed workload variants as pure data. Realization
+  /// runs on the calling thread; a spec whose source or chain fails yields
+  /// a JobResult carrying the precise error in its slot.
+  [[nodiscard]] std::vector<JobResult> Run(
+      const std::vector<ScenarioSpec>& specs) const;
 
-  /// \brief Lockstep spec batch: instead of fanning one Simulate() per
-  /// spec across threads, specs sharing identical SimOptions become lanes
-  /// of ONE multi-policy SimStream, so each distinct window walks the
-  /// trace once — one arrival decode per minute serves every policy in
-  /// the group. Runs on the calling thread (the parallelism is across
-  /// lanes within the walk, not across jobs). Results are slot-indexed
-  /// and bitwise identical to Run(trace, specs); an invalid spec fails
-  /// only its slot. Each spec's observers see only their own spec's run,
-  /// presented as a single-lane stream (MinuteView::lane == 0, exactly
-  /// as in the pooled Run) — but note that lanes in a window group share
-  /// one cursor, so an early stop requested by ANY spec's observer halts
-  /// that whole group and its sibling slots return partial-window
-  /// outcomes (with OK status). The
-  /// progress callback fires per slot, in slot order, as each group
-  /// completes. Spec trace sources are ignored — `trace` is the workload
-  /// for every slot. Cluster specs do not join a lane group (a cluster is
-  /// already its own multi-lane session); they run standalone, before the
-  /// groups, with results bitwise identical to Run(trace, specs).
+  /// \brief Lockstep batch over `trace` (standing in for every spec's
+  /// source, as in Run(trace, specs)): instead of one run per spec, specs
+  /// sharing a workload (the same transform chain) and every SimOptions
+  /// field but recorder_slot become lanes of ONE multi-policy SimStream,
+  /// so each group walks its workload once — one arrival decode per minute
+  /// serves every policy in the group. Runs on the calling thread.
+  /// Results are slot-indexed and bitwise identical to Run(trace, specs).
+  /// Each spec's observers see only their own spec's run, presented as a
+  /// single-lane stream (MinuteView::lane == 0, exactly as in the pooled
+  /// Run) — but lanes in a group share one cursor, so an early stop
+  /// requested by ANY spec's observer halts that whole group and its
+  /// sibling slots return partial-window outcomes (with OK status).
+  /// Recorded events of a group carry its first slot. Cluster specs do
+  /// not join a lane group (a cluster is already its own multi-lane
+  /// session); each runs as a group of one. The progress callback fires
+  /// per slot: failed slots first, then each group as it completes, in
+  /// order of the groups' first slots.
   [[nodiscard]] std::vector<JobResult> RunLockstep(
       const Trace& trace, const std::vector<ScenarioSpec>& specs) const;
 
-  /// \brief Trace-less spec batch: every spec realizes its *own* trace
-  /// source with its transform chain applied, so one batch can sweep
-  /// policies across stressed workload variants as pure data. Specs
-  /// sharing a source + chain (see TraceSpecKey) share one realized
-  /// trace, materialized once on the calling thread; a spec whose source
-  /// or chain fails yields a JobResult carrying the precise error in its
-  /// slot while sibling specs still run. Results stay slot-indexed and
-  /// thread-count independent.
-  [[nodiscard]] std::vector<JobResult> Run(const std::vector<ScenarioSpec>& specs) const;
-
-  /// \brief Effective worker count for `num_jobs` jobs (>= 1).
+  /// \brief Effective worker count for `num_jobs` slots (>= 1).
   [[nodiscard]] int EffectiveThreads(size_t num_jobs) const;
 
  private:
   SuiteRunnerOptions options_;
 };
 
-/// \brief Convenience: metrics of every successful job, in job order
-/// (failed jobs are skipped).
+/// \brief Convenience: metrics of every successful slot, in slot order
+/// (failed slots are skipped).
 std::vector<FleetMetrics> CollectMetrics(const std::vector<JobResult>& results);
 
 }  // namespace spes

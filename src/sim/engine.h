@@ -76,11 +76,13 @@ Status ValidateSimOptions(const SimOptions& options);
 /// or lockstep multi-policy runs.
 ///
 /// This is the low-level entry point, kept as a compatibility shim for
-/// callers that construct Policy instances by hand. New code should
-/// describe the run as a ScenarioSpec and use RunScenario() from
-/// sim/scenario.h — or SuiteRunner::Run(trace, specs) from
-/// runner/suite_runner.h for batches — which build policies through the
-/// registry and validate the spec up front.
+/// callers that construct Policy instances by hand; besides the scenario
+/// run core it is the only library code that opens a SimStream. New code
+/// should describe the run as a ScenarioSpec and use one of the six
+/// scenario entry points — RunScenario() from sim/scenario.h, or
+/// SuiteRunner::Run / RunLockstep from runner/suite_runner.h for batches
+/// — which build policies through the registry and validate the spec up
+/// front.
 Result<SimulationOutcome> Simulate(const Trace& trace, Policy* policy,
                                    const SimOptions& options);
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/recorder.h"
+#include "sim/stream.h"
 #include "trace/azure_csv.h"
 #include "trace/trace_file.h"
 
@@ -89,7 +90,8 @@ Result<Trace> RealizeTrace(const TraceSpec& spec) {
       case TraceSpec::Source::kProvided:
         return Status::InvalidArgument(
             "TraceSpec.source is kProvided (no materializable source); pass "
-            "the trace via RunScenario(trace, spec) or ScenarioSession");
+            "the trace via RunScenario(trace, spec) or a trace-taking "
+            "SuiteRunner batch");
       case TraceSpec::Source::kGenerator: {
         SPES_ASSIGN_OR_RETURN(GeneratedTrace generated,
                               GenerateTrace(spec.generator));
@@ -117,145 +119,140 @@ Result<Trace> RealizeTrace(const TraceSpec& spec) {
 
 namespace {
 
-/// Shared core: build the policy, open the stream with the spec's
-/// observers attached. Public entry points validate exactly once before
-/// calling this.
-Result<ScenarioStream> OpenValidated(const Trace& trace,
-                                     const ScenarioSpec& spec) {
-  if (spec.cluster.has_value()) {
-    return Status::InvalidArgument(
-        "cluster scenarios cannot be opened as a single SimStream; drive a "
-        "ClusterSession (cluster/cluster.h) instead");
-  }
-  SPES_ASSIGN_OR_RETURN(std::unique_ptr<Policy> policy,
-                        PolicyRegistry::Global().Create(spec.policy));
-  SPES_ASSIGN_OR_RETURN(SimStream stream,
-                        SimStream::Create(trace, policy.get(), spec.options));
-  for (SimObserver* observer : spec.observers) stream.AddObserver(observer);
-  return ScenarioStream{std::move(policy), std::move(stream)};
-}
+/// Scopes an observer to one lane of a stream: views from other lanes
+/// are filtered out and the surviving views are presented as a
+/// single-lane stream (lane 0, num_lanes 1). A spec's observers thus
+/// behave identically whether the spec ran alone or as one lane of a
+/// lockstep group, and the stock observers (TimeSeriesObserver,
+/// ProgressObserver) work unchanged for any lane.
+class LaneScopedObserver : public SimObserver {
+ public:
+  LaneScopedObserver(SimObserver* inner, size_t stream_lane)
+      : inner_(inner), stream_lane_(stream_lane) {}
 
-/// Shared core: open and drain the stream — or, for a cluster spec, drive
-/// a ClusterSession over the same workload and surface the fleet-wide
-/// aggregate plus the per-node breakdown.
-Result<ScenarioOutcome> RunValidated(const Trace& trace,
-                                     const ScenarioSpec& spec) {
-  if (spec.cluster.has_value()) {
-    SPES_ASSIGN_OR_RETURN(
-        ClusterSession session,
-        ClusterSession::Create(trace, *spec.cluster, spec.policy,
-                               spec.options));
-    for (SimObserver* observer : spec.observers) {
-      session.AddObserver(observer);
-    }
-    SPES_ASSIGN_OR_RETURN(ClusterOutcome cluster, session.Finish());
-    ScenarioOutcome result;
-    result.outcome = cluster.fleet;  // per-node detail keeps its own copy
-    result.cluster =
-        std::make_shared<const ClusterOutcome>(std::move(cluster));
-    return result;
+  void OnStreamStart(const StreamInfo& info) override {
+    StreamInfo scoped = info;
+    scoped.num_lanes = 1;
+    inner_->OnStreamStart(scoped);
   }
-  SPES_ASSIGN_OR_RETURN(ScenarioStream open, OpenValidated(trace, spec));
-  SPES_ASSIGN_OR_RETURN(SimulationOutcome outcome, open.stream.Finish());
-  ScenarioOutcome result;
-  result.outcome = std::move(outcome);
-  result.policy = std::move(open.policy);
-  return result;
-}
+  bool OnMinute(const MinuteView& view) override {
+    if (view.lane != stream_lane_) return true;
+    MinuteView scoped = view;
+    scoped.lane = 0;
+    return inner_->OnMinute(scoped);
+  }
+  void OnStreamEnd(size_t lane, const SimulationOutcome& outcome) override {
+    if (lane == stream_lane_) inner_->OnStreamEnd(0, outcome);
+  }
 
-/// Lockstep core over a realized workload: validates the spec line-up,
-/// builds every policy, runs one multi-lane stream.
-Result<std::vector<ScenarioOutcome>> RunLockstepValidatedTrace(
-    const Trace& trace, const std::vector<ScenarioSpec>& specs) {
-  std::vector<ScenarioOutcome> results;
-  if (specs.empty()) return results;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    if (specs[i].cluster.has_value()) {
-      return Status::InvalidArgument(
-          "lockstep spec " + std::to_string(i) +
-          ": cluster scenarios cannot share a lockstep stream (each cluster "
-          "is its own multi-lane session); run them through "
-          "SuiteRunner::Run or RunScenario");
-    }
-    Status status = ValidateScenarioSpec(specs[i]);
-    if (!status.ok()) {
-      return Status(status.code(), "lockstep spec " + std::to_string(i) +
-                                       (specs[i].label.empty()
-                                            ? ""
-                                            : " ('" + specs[i].label + "')") +
-                                       ": " + status.message());
-    }
-    const SimOptions& a = specs[i].options;
-    const SimOptions& b = specs[0].options;
-    if (a.train_minutes != b.train_minutes) {
-      return Status::InvalidArgument(
-          "lockstep lanes share one cursor: spec " + std::to_string(i) +
-          " train_minutes (=" + std::to_string(a.train_minutes) +
-          ") differs from spec 0 (=" + std::to_string(b.train_minutes) + ")");
-    }
-    if (a.end_minute != b.end_minute) {
-      return Status::InvalidArgument(
-          "lockstep lanes share one cursor: spec " + std::to_string(i) +
-          " end_minute (=" + std::to_string(a.end_minute) +
-          ") differs from spec 0 (=" + std::to_string(b.end_minute) + ")");
-    }
-    if (a.pin_executing_functions != b.pin_executing_functions) {
-      return Status::InvalidArgument(
-          "lockstep lanes share one engine: spec " + std::to_string(i) +
-          " pin_executing_functions differs from spec 0");
-    }
-    if (a.latency != b.latency) {
-      return Status::InvalidArgument(
-          "lockstep lanes share one engine: spec " + std::to_string(i) +
-          " latency block (=\"" +
-          (a.latency.has_value() ? FormatLatencySpec(*a.latency) : "") +
-          "\") differs from spec 0 (=\"" +
-          (b.latency.has_value() ? FormatLatencySpec(*b.latency) : "") +
-          "\")");
-    }
-  }
-  std::vector<std::unique_ptr<Policy>> policies;
-  std::vector<Policy*> lanes;
-  policies.reserve(specs.size());
-  lanes.reserve(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    Result<std::unique_ptr<Policy>> built =
-        PolicyRegistry::Global().Create(specs[i].policy);
-    if (!built.ok()) {
-      Status status = built.status();
-      return Status(status.code(), "lockstep spec " + std::to_string(i) +
-                                       ": " + status.message());
-    }
-    policies.push_back(std::move(built).ValueOrDie());
-    lanes.push_back(policies.back().get());
-  }
+ private:
+  SimObserver* inner_;
+  size_t stream_lane_;
+};
+
+/// A single spec through the core: validated by the caller.
+template <class Workload>
+Result<ScenarioOutcome> RunOne(Workload& workload, const ScenarioSpec& spec) {
   SPES_ASSIGN_OR_RETURN(
-      SimStream stream,
-      SimStream::Create(trace, std::move(lanes), specs[0].options));
-  for (const ScenarioSpec& spec : specs) {
-    for (SimObserver* observer : spec.observers) {
-      stream.AddObserver(observer);
-    }
-  }
-  SPES_ASSIGN_OR_RETURN(std::vector<SimulationOutcome> outcomes,
-                        stream.FinishAll());
-  results.reserve(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    ScenarioOutcome result;
-    result.outcome = std::move(outcomes[i]);
-    result.policy = std::move(policies[i]);
-    results.push_back(std::move(result));
-  }
-  return results;
+      std::vector<ScenarioOutcome> outcomes,
+      scenario_internal::RunValidated(workload, {&spec},
+                                      spec.options.recorder_slot));
+  return std::move(outcomes[0]);
 }
 
 }  // namespace
 
-Result<ScenarioOutcome> RunScenario(const Trace& trace,
-                                    const ScenarioSpec& spec) {
-  SPES_RETURN_NOT_OK(ValidateScenarioSpec(spec));
-  return RunValidated(trace, spec);
+namespace scenario_internal {
+
+template <class Workload>
+Result<std::vector<ScenarioOutcome>> RunValidated(
+    Workload& workload, const std::vector<const ScenarioSpec*>& specs,
+    int recorder_slot) {
+  SimOptions options = specs[0]->options;
+  options.recorder_slot = recorder_slot;
+  std::vector<ScenarioOutcome> outcomes(specs.size());
+  if (specs[0]->cluster.has_value()) {
+    // A cluster is its own multi-lane session: observers see every node.
+    const ScenarioSpec& spec = *specs[0];
+    SPES_ASSIGN_OR_RETURN(ClusterSession session,
+                          ClusterSession::Create(workload, *spec.cluster,
+                                                 spec.policy, options));
+    for (SimObserver* observer : spec.observers) {
+      session.AddObserver(observer);
+    }
+    SPES_ASSIGN_OR_RETURN(ClusterOutcome cluster, session.Finish());
+    outcomes[0].outcome = cluster.fleet;  // per-node detail keeps its own copy
+    outcomes[0].cluster =
+        std::make_shared<const ClusterOutcome>(std::move(cluster));
+    return outcomes;
+  }
+  std::vector<Policy*> lanes;
+  for (size_t k = 0; k < specs.size(); ++k) {
+    SPES_ASSIGN_OR_RETURN(outcomes[k].policy,
+                          PolicyRegistry::Global().Create(specs[k]->policy));
+    lanes.push_back(outcomes[k].policy.get());
+  }
+  SPES_ASSIGN_OR_RETURN(SimStream stream,
+                        SimStream::Create(workload, std::move(lanes), options));
+  std::vector<std::unique_ptr<LaneScopedObserver>> scoped;
+  for (size_t k = 0; k < specs.size(); ++k) {
+    for (SimObserver* observer : specs[k]->observers) {
+      if (observer == nullptr) continue;
+      scoped.push_back(std::make_unique<LaneScopedObserver>(observer, k));
+      stream.AddObserver(scoped.back().get());
+    }
+  }
+  SPES_ASSIGN_OR_RETURN(std::vector<SimulationOutcome> finished,
+                        stream.FinishAll());
+  for (size_t k = 0; k < specs.size(); ++k) {
+    outcomes[k].outcome = std::move(finished[k]);
+  }
+  return outcomes;
 }
+
+template Result<std::vector<ScenarioOutcome>> RunValidated<const Trace>(
+    const Trace&, const std::vector<const ScenarioSpec*>&, int);
+template Result<std::vector<ScenarioOutcome>> RunValidated<TraceSource>(
+    TraceSource&, const std::vector<const ScenarioSpec*>&, int);
+
+std::vector<Result<std::shared_ptr<const Trace>>> ResolveWorkloads(
+    const Trace* provided, const std::vector<ScenarioSpec>& specs) {
+  TraceCache cache;
+  // The batch cache reports its activity to the first recorder any
+  // spec carries (a batch shares at most one run log in practice).
+  for (const ScenarioSpec& spec : specs) {
+    if (spec.options.recorder != nullptr) {
+      cache.set_recorder(spec.options.recorder);
+      break;
+    }
+  }
+  if (provided != nullptr) {
+    // Seed the supplied trace as the (borrowed) base of the kProvided
+    // source, so chained specs derive their variants from it.
+    cache.by_key_.emplace(TraceSpecKey(TraceSpec{}),
+                          std::shared_ptr<const Trace>(
+                              std::shared_ptr<const Trace>(), provided));
+  }
+  std::vector<Result<std::shared_ptr<const Trace>>> workloads;
+  workloads.reserve(specs.size());
+  for (const ScenarioSpec& spec : specs) {
+    // Validate before realizing: a bad spec must not cost a trace build.
+    const Status valid = ValidateScenarioSpec(spec);
+    if (!valid.ok()) {
+      workloads.emplace_back(valid);
+      continue;
+    }
+    TraceSpec source = spec.trace;
+    if (provided != nullptr) {
+      source = TraceSpec{};
+      source.transforms = spec.trace.transforms;
+    }
+    workloads.push_back(cache.Get(source));
+  }
+  return workloads;
+}
+
+}  // namespace scenario_internal
 
 Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec) {
   // Validate before realizing: a bad spec must not cost a trace build.
@@ -265,11 +262,20 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec) {
                           TraceSpecKey(spec.trace));
   SPES_ASSIGN_OR_RETURN(const Trace trace, RealizeTrace(spec.trace));
   realize_span.End();
-  return RunValidated(trace, spec);
+  return RunOne(trace, spec);
 }
 
-Result<ScenarioOutcome> RunScenarioStreamed(TraceSource& source,
-                                            const ScenarioSpec& spec) {
+Result<ScenarioOutcome> RunScenario(const Trace& trace,
+                                    const ScenarioSpec& spec) {
+  SPES_RETURN_NOT_OK(ValidateScenarioSpec(spec));
+  if (spec.trace.transforms.empty()) return RunOne(trace, spec);
+  SPES_ASSIGN_OR_RETURN(const Trace stressed,
+                        ApplyTransforms(trace, spec.trace.transforms));
+  return RunOne(stressed, spec);
+}
+
+Result<ScenarioOutcome> RunScenario(TraceSource& source,
+                                    const ScenarioSpec& spec) {
   SPES_RETURN_NOT_OK(ValidateScenarioSpec(spec));
   if (!spec.trace.transforms.empty()) {
     return Status::InvalidArgument(
@@ -278,41 +284,7 @@ Result<ScenarioOutcome> RunScenarioStreamed(TraceSource& source,
         "TraceCache with a pack directory applies transforms before "
         "packing");
   }
-  if (spec.cluster.has_value()) {
-    SPES_ASSIGN_OR_RETURN(ClusterSession session,
-                          ClusterSession::Create(source, *spec.cluster,
-                                                 spec.policy, spec.options));
-    for (SimObserver* observer : spec.observers) {
-      session.AddObserver(observer);
-    }
-    SPES_ASSIGN_OR_RETURN(ClusterOutcome cluster, session.Finish());
-    ScenarioOutcome result;
-    result.outcome = cluster.fleet;  // per-node detail keeps its own copy
-    result.cluster =
-        std::make_shared<const ClusterOutcome>(std::move(cluster));
-    return result;
-  }
-  SPES_ASSIGN_OR_RETURN(std::unique_ptr<Policy> policy,
-                        PolicyRegistry::Global().Create(spec.policy));
-  SPES_ASSIGN_OR_RETURN(SimStream stream,
-                        SimStream::Create(source, policy.get(), spec.options));
-  for (SimObserver* observer : spec.observers) stream.AddObserver(observer);
-  SPES_ASSIGN_OR_RETURN(SimulationOutcome outcome, stream.Finish());
-  ScenarioOutcome result;
-  result.outcome = std::move(outcome);
-  result.policy = std::move(policy);
-  return result;
-}
-
-Result<ScenarioStream> OpenScenario(const Trace& trace,
-                                    const ScenarioSpec& spec) {
-  SPES_RETURN_NOT_OK(ValidateScenarioSpec(spec));
-  return OpenValidated(trace, spec);
-}
-
-Result<std::vector<ScenarioOutcome>> RunLockstep(
-    const Trace& trace, const std::vector<ScenarioSpec>& specs) {
-  return RunLockstepValidatedTrace(trace, specs);
+  return RunOne(source, spec);
 }
 
 Result<std::shared_ptr<const Trace>> TraceCache::Get(const TraceSpec& spec) {
@@ -330,15 +302,25 @@ Result<std::shared_ptr<const Trace>> TraceCache::Get(const TraceSpec& spec) {
   // distinct keys should not serialize on each other. A racing double
   // realization of the same key is benign (both are bitwise identical;
   // the first insert wins).
-  const ScopedSpan realize_span(recorder_, "realize", 0, 0, key);
   Trace trace;
   if (!pack_dir_.empty() && spec.source != TraceSpec::Source::kProvided) {
     // Disk tier: realize + pack once (or reuse a pack an earlier run left
     // behind), then load the packed bytes. The pack round-trips the trace
     // bit for bit, so callers cannot tell the tiers apart.
+    const ScopedSpan realize_span(recorder_, "realize", 0, 0, key);
     SPES_ASSIGN_OR_RETURN(const std::string path, EnsurePacked(spec));
     SPES_ASSIGN_OR_RETURN(trace, ReadTraceFile(path));
+  } else if (!spec.transforms.empty()) {
+    // A variant is its source's cached base with the chain applied, so N
+    // chains over one source realize the source once.
+    TraceSpec base_spec = spec;
+    base_spec.transforms.clear();
+    SPES_ASSIGN_OR_RETURN(const std::shared_ptr<const Trace> base,
+                          Get(base_spec));
+    const ScopedSpan transform_span(recorder_, "transform", 0, 0, key);
+    SPES_ASSIGN_OR_RETURN(trace, ApplyTransforms(*base, spec.transforms));
   } else {
+    const ScopedSpan realize_span(recorder_, "realize", 0, 0, key);
     SPES_ASSIGN_OR_RETURN(trace, RealizeTrace(spec));
   }
   auto shared = std::make_shared<const Trace>(std::move(trace));
@@ -405,53 +387,6 @@ Result<std::unique_ptr<TraceSource>> TraceCache::OpenStream(
 size_t TraceCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return by_key_.size();
-}
-
-Result<ScenarioSession> ScenarioSession::Open(const TraceSpec& source) {
-  SPES_ASSIGN_OR_RETURN(Trace trace, RealizeTrace(source));
-  return ScenarioSession(std::move(trace));
-}
-
-Result<std::shared_ptr<const Trace>> ScenarioSession::TransformedTrace(
-    const std::vector<TransformSpec>& chain) const {
-  if (chain.empty()) return trace_;
-  const std::string key = FormatTransformChain(chain);
-  {
-    std::lock_guard<std::mutex> lock(variants_->mu);
-    auto it = variants_->by_chain.find(key);
-    if (it != variants_->by_chain.end()) return it->second;
-  }
-  SPES_ASSIGN_OR_RETURN(Trace transformed, ApplyTransforms(*trace_, chain));
-  auto shared = std::make_shared<const Trace>(std::move(transformed));
-  std::lock_guard<std::mutex> lock(variants_->mu);
-  return variants_->by_chain.emplace(key, std::move(shared)).first->second;
-}
-
-Result<ScenarioOutcome> ScenarioSession::Run(const ScenarioSpec& spec) const {
-  SPES_RETURN_NOT_OK(ValidateScenarioSpec(spec));
-  SPES_ASSIGN_OR_RETURN(std::shared_ptr<const Trace> trace,
-                        TransformedTrace(spec.trace.transforms));
-  return RunValidated(*trace, spec);
-}
-
-Result<std::vector<ScenarioOutcome>> ScenarioSession::RunLockstep(
-    const std::vector<ScenarioSpec>& specs) const {
-  if (specs.empty()) return std::vector<ScenarioOutcome>{};
-  // Lockstep lanes share one workload, so every spec must request the
-  // same stressed variant of the session's base trace.
-  const std::string chain = FormatTransformChain(specs[0].trace.transforms);
-  for (size_t i = 1; i < specs.size(); ++i) {
-    const std::string other = FormatTransformChain(specs[i].trace.transforms);
-    if (other != chain) {
-      return Status::InvalidArgument(
-          "lockstep lanes share one workload: spec " + std::to_string(i) +
-          " transform chain (=\"" + other + "\") differs from spec 0 (=\"" +
-          chain + "\")");
-    }
-  }
-  SPES_ASSIGN_OR_RETURN(std::shared_ptr<const Trace> trace,
-                        TransformedTrace(specs[0].trace.transforms));
-  return RunLockstepValidatedTrace(*trace, specs);
 }
 
 }  // namespace spes

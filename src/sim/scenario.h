@@ -1,17 +1,19 @@
 // The declarative Scenario API: a simulation scenario as data.
 //
 // A ScenarioSpec captures everything one figure point needs — where the
-// trace comes from (generator config or an Azure-format CSV directory),
-// an ordered chain of trace transforms (trace/transform.h) applied after
-// realization, the train/simulate window, the engine knobs, and the policy
-// as a registry spec (core/policy_registry.h). RunScenario() realizes the
-// trace, builds the policy and replays it; a ScenarioSession caches one
-// realized trace — plus every transformed variant it is asked for — so
-// many specs can run against it; a TraceCache shares realized traces
-// across specs keyed on source + transform chain; and SuiteRunner
-// (runner/suite_runner.h) accepts a whole vector<ScenarioSpec> so a figure
-// sweep — including a sweep over stressed workload variants — is a batch
-// of data, not hand-wired Simulate() calls.
+// trace comes from (generator config, Azure-format CSV directory or packed
+// trace file), an ordered chain of trace transforms (trace/transform.h)
+// applied after realization, the train/simulate window, the engine knobs,
+// and the policy as a registry spec (core/policy_registry.h).
+//
+// Every run goes through one core, reached by six entry points:
+//   RunScenario(spec)          realizes the spec's source + chain;
+//   RunScenario(trace, spec)   `trace` stands in for the source;
+//   RunScenario(source, spec)  a chunk-streamed TraceSource, no chain;
+//   SuiteRunner::Run(trace, specs), SuiteRunner::Run(specs) and
+//   SuiteRunner::RunLockstep(trace, specs) (runner/suite_runner.h) — a
+//   whole figure sweep, including one over stressed workload variants, as
+//   a batch of data whose workloads a TraceCache realizes once each.
 
 #ifndef SPES_SIM_SCENARIO_H_
 #define SPES_SIM_SCENARIO_H_
@@ -29,9 +31,9 @@
 #include "core/policy_registry.h"
 #include "sim/engine.h"
 #include "sim/observer.h"
-#include "sim/stream.h"
 #include "trace/generator.h"
 #include "trace/trace.h"
+#include "trace/trace_source.h"
 #include "trace/transform.h"
 
 namespace spes {
@@ -40,7 +42,8 @@ namespace spes {
 struct TraceSpec {
   enum class Source {
     /// No materializable source: the trace is supplied at run time via
-    /// RunScenario(trace, spec) or a ScenarioSession (hand-built fleets).
+    /// RunScenario(trace, spec) or a trace-taking SuiteRunner batch
+    /// (hand-built fleets).
     kProvided,
     /// Synthesized by trace/generator with `generator`.
     kGenerator,
@@ -98,7 +101,7 @@ struct TraceSpec {
 /// \brief Canonical cache key of a trace spec: the source fingerprint
 /// (every generator field, or the CSV directory) plus the formatted
 /// transform chain. Equal keys realize bitwise-identical traces, so the
-/// key is what TraceCache and ScenarioSession deduplicate on.
+/// key is what TraceCache deduplicates on.
 std::string TraceSpecKey(const TraceSpec& spec);
 
 /// \brief One simulation scenario, fully described as data.
@@ -109,16 +112,15 @@ struct ScenarioSpec {
   PolicySpec policy;
   SimOptions options;
   /// Observers attached to the run's SimStream (borrowed; must outlive
-  /// the run). Every entry point — RunScenario, ScenarioSession::Run,
-  /// OpenScenario, the lockstep batch forms and the SuiteRunner spec
-  /// batches — honours them; null entries are ignored.
+  /// the run). Every entry point honours them, and in a lockstep batch
+  /// they still see only this spec's lane; null entries are ignored.
   std::vector<SimObserver*> observers;
   /// When set, the scenario simulates a multi-node cluster
   /// (cluster/cluster.h): the run goes through a ClusterSession instead
   /// of a single SimStream, `policy` is instantiated once per node, and
   /// the outcome carries the per-node breakdown in
-  /// ScenarioOutcome::cluster. Cluster specs cannot be opened as a raw
-  /// SimStream (OpenScenario) or share a lockstep stream (RunLockstep).
+  /// ScenarioOutcome::cluster. A cluster spec never shares a lockstep
+  /// stream; SuiteRunner::RunLockstep runs it standalone.
   std::optional<ClusterSpec> cluster;
 };
 
@@ -143,59 +145,63 @@ struct ScenarioOutcome {
   std::shared_ptr<const ClusterOutcome> cluster;
 };
 
-/// \brief Runs `spec` against an externally supplied trace (the spec's
-/// trace source and transforms are ignored): validates, builds the policy
-/// through PolicyRegistry::Global(), and simulates.
+/// \brief One-shot entry point: validates, realizes the spec's trace
+/// source with its transform chain applied, builds the policy through
+/// PolicyRegistry::Global() — or a ClusterSession for a cluster spec —
+/// and simulates.
+Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec);
+
+/// \brief Runs `spec` with `trace` standing in for its trace source: the
+/// spec's transform chain (if any) is applied on top of `trace`, then the
+/// run proceeds as above.
 Result<ScenarioOutcome> RunScenario(const Trace& trace,
                                     const ScenarioSpec& spec);
 
-/// \brief One-shot entry point: realizes the spec's trace source, applies
-/// its transform chain, then runs as above.
-Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec);
-
-/// \brief Runs `spec` against a chunk-streamed source (the spec's trace
-/// source is ignored; e.g. a TraceFileSource over a packed trace that
-/// would not fit in memory). The spec must not carry transforms —
-/// transforms need a realized trace; pack the transformed workload
-/// instead (a TraceCache with a pack directory does exactly that).
-/// Cluster specs drive a ClusterSession over the source. Outcomes are
-/// bitwise-identical to running the realized trace in memory.
-Result<ScenarioOutcome> RunScenarioStreamed(TraceSource& source,
-                                            const ScenarioSpec& spec);
-
-/// \brief An open, incrementally drivable scenario: the registry-built
-/// policy plus the SimStream over it, with the spec's observers already
-/// attached. Move-only; the trace must outlive it.
-struct ScenarioStream {
-  std::unique_ptr<Policy> policy;
-  SimStream stream;
-};
-
-/// \brief Opens `spec` as a stream over an externally supplied trace (the
-/// spec's trace source and transforms are ignored, like RunScenario):
-/// validate, build the policy, train it, position the cursor — but leave
-/// the driving (Step/RunUntil/Checkpoint/Finish) to the caller.
-Result<ScenarioStream> OpenScenario(const Trace& trace,
+/// \brief Runs `spec` over a chunk-streamed source standing in for its
+/// trace source (e.g. a TraceFileSource over a packed trace that would not
+/// fit in memory). The spec must not carry transforms — transforms need a
+/// realized trace; pack the transformed workload instead (a TraceCache
+/// with a pack directory does exactly that). Policies whose
+/// RequiresFullTrace() is true are rejected with InvalidArgument.
+/// Outcomes are bitwise-identical to running the realized trace in memory.
+Result<ScenarioOutcome> RunScenario(TraceSource& source,
                                     const ScenarioSpec& spec);
 
-/// \brief Lockstep batch form: every spec becomes one lane of a single
-/// SimStream, so the whole sweep walks `trace` ONCE — one shared arrival
-/// decode per minute — instead of once per policy. Requirements, each
-/// yielding InvalidArgument naming the offending spec and values:
-/// every spec must validate, and every spec must carry the same
-/// SimOptions as specs[0] (lockstep lanes share one cursor). The specs'
-/// trace sources/transforms are ignored; the union of all specs'
-/// observers is attached (MinuteView::lane tells runs apart). Outcomes
-/// are returned in spec order.
-Result<std::vector<ScenarioOutcome>> RunLockstep(
-    const Trace& trace, const std::vector<ScenarioSpec>& specs);
+namespace scenario_internal {
+
+/// \brief The one run core behind every entry point (the three
+/// RunScenario overloads and runner/suite_runner.h). Runs `specs` as ONE
+/// session over `workload`: a ClusterSession for a single cluster spec,
+/// otherwise a SimStream with one lane per spec, so a lockstep group walks
+/// the workload once. Lanes share one cursor, so every spec must carry the
+/// same SimOptions (recorder_slot aside); `recorder_slot` stamps recorded
+/// events. Each spec's observers see only their own lane, presented as a
+/// single-lane stream. Specs must already be validated. Instantiated for
+/// `const Trace` (policies train on the full trace, as `oracle` needs)
+/// and TraceSource.
+template <class Workload>
+Result<std::vector<ScenarioOutcome>> RunValidated(
+    Workload& workload, const std::vector<const ScenarioSpec*>& specs,
+    int recorder_slot);
+
+/// \brief Validates every spec of a batch and resolves its workload
+/// through one TraceCache: each distinct (source, chain) is realized once
+/// and a chain is applied to the cached base of its source. With
+/// `provided`, that trace stands in for every spec's source (the
+/// trace-taking batch forms). A slot that fails validation or realization
+/// carries its precise error instead of a trace.
+std::vector<Result<std::shared_ptr<const Trace>>> ResolveWorkloads(
+    const Trace* provided, const std::vector<ScenarioSpec>& specs);
+
+}  // namespace scenario_internal
 
 /// \brief Realized-trace cache shared across specs: Get() materializes
 /// each distinct (source, transform chain) — see TraceSpecKey() — exactly
-/// once and hands out shared, immutable traces. Thread-safe; the
-/// trace-less SuiteRunner::Run(specs) overload uses one per batch so a
-/// sweep over N stressed variants of one source realizes the source once
-/// per variant, not once per spec.
+/// once and hands out shared, immutable traces. Without a disk tier, a
+/// transformed spec is derived from the cached untransformed trace of its
+/// source, so a sweep over N stressed variants of one source realizes the
+/// source once. Thread-safe; every SuiteRunner batch resolves its
+/// workloads through one.
 class TraceCache {
  public:
   /// \brief Purely in-memory cache (the original behaviour).
@@ -233,13 +239,18 @@ class TraceCache {
   [[nodiscard]] size_t size() const;
 
   /// \brief Attaches an optional observability recorder: Get() emits
-  /// cache hit/miss events and realize spans, EnsurePacked() emits pack
+  /// cache hit/miss events, realize spans for source realizations and
+  /// transform spans for derived variants; EnsurePacked() emits pack
   /// events and pack spans. Pass nullptr to detach. The recorder must
   /// outlive the cache's use; set it before sharing the cache across
   /// threads (the pointer itself is unsynchronized).
   void set_recorder(RunRecorder* recorder) { recorder_ = recorder; }
 
  private:
+  friend std::vector<Result<std::shared_ptr<const Trace>>>
+  scenario_internal::ResolveWorkloads(const Trace* provided,
+                                      const std::vector<ScenarioSpec>& specs);
+
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<const Trace>> by_key_;
   /// Disk tier root; empty = memory only. pack_mu_ serializes packing so
@@ -248,53 +259,6 @@ class TraceCache {
   std::mutex pack_mu_;
   /// Optional observability hook (obs/recorder.h); never feeds results.
   RunRecorder* recorder_ = nullptr;
-};
-
-/// \brief A realized workload that many scenarios run against. Opening a
-/// session materializes the trace once (including the opening spec's own
-/// transform chain); Run() then costs only the simulation — except that a
-/// spec whose TraceSpec carries transforms runs against the session's
-/// base trace with that chain applied, cached per distinct chain. The
-/// base trace is read-only and the variant cache is internally locked, so
-/// concurrent Run() calls (e.g. through SuiteRunner) are safe.
-class ScenarioSession {
- public:
-  /// \brief Wraps an already-built trace (hand-crafted fleets).
-  explicit ScenarioSession(Trace trace)
-      : trace_(std::make_shared<const Trace>(std::move(trace))),
-        variants_(std::make_shared<VariantCache>()) {}
-
-  /// \brief Materializes `source` (with its transforms) into a session.
-  static Result<ScenarioSession> Open(const TraceSpec& source);
-
-  /// \brief The session's base (untransformed) trace.
-  [[nodiscard]] const Trace& trace() const { return *trace_; }
-
-  /// \brief Runs `spec` against the base trace, with spec.trace.transforms
-  /// (if any) applied on top — the spec's trace *source* is ignored.
-  [[nodiscard]] Result<ScenarioOutcome> Run(const ScenarioSpec& spec) const;
-
-  /// \brief Lockstep batch over the session's workload: one SimStream,
-  /// one trace walk, N policy lanes (see the free RunLockstep above). On
-  /// top of its requirements, every spec must carry the same transform
-  /// chain (the lanes share one realized workload); the shared chain is
-  /// applied through the session's variant cache.
-  [[nodiscard]] Result<std::vector<ScenarioOutcome>> RunLockstep(
-      const std::vector<ScenarioSpec>& specs) const;
-
-  /// \brief The base trace with `chain` applied, realized at most once
-  /// per distinct chain (keyed by FormatTransformChain).
-  [[nodiscard]] Result<std::shared_ptr<const Trace>> TransformedTrace(
-      const std::vector<TransformSpec>& chain) const;
-
- private:
-  struct VariantCache {
-    std::mutex mu;
-    std::map<std::string, std::shared_ptr<const Trace>> by_chain;
-  };
-
-  std::shared_ptr<const Trace> trace_;
-  std::shared_ptr<VariantCache> variants_;
 };
 
 }  // namespace spes

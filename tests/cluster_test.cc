@@ -509,24 +509,6 @@ TEST(ClusterScenarioTest, ValidateScenarioSpecChecksTheClusterBlock) {
   EXPECT_NE(status.message().find("ClusterSpec.nodes"), std::string::npos);
 }
 
-TEST(ClusterScenarioTest, OpenScenarioAndLockstepRejectClusterSpecs) {
-  const Trace trace = MakeFleet({1}, 30);
-  ScenarioSpec spec;
-  spec.policy = {"spes", {}};
-  spec.options.train_minutes = 0;
-  spec.cluster = ClusterSpec{};
-
-  const Result<ScenarioStream> open = OpenScenario(trace, spec);
-  ASSERT_FALSE(open.ok());
-  EXPECT_NE(open.status().message().find("ClusterSession"),
-            std::string::npos);
-
-  const Result<std::vector<ScenarioOutcome>> lockstep =
-      RunLockstep(trace, {spec});
-  ASSERT_FALSE(lockstep.ok());
-  EXPECT_NE(lockstep.status().message().find("lockstep"), std::string::npos);
-}
-
 TEST(ClusterScenarioTest, SuiteRunnerIsolatesBadClusterSpecs) {
   const Trace trace = MakeFleet({1, 1}, 30);
   std::vector<ScenarioSpec> specs;
@@ -579,18 +561,6 @@ TEST(ClusterScenarioTest, RunLockstepBatchMatchesPooledForMixedSpecs) {
   }
   ASSERT_NE(lockstep[1].cluster, nullptr);
   EXPECT_EQ(lockstep[1].cluster->nodes.size(), 2u);
-}
-
-TEST(ClusterScenarioTest, SessionRunAppliesTransformsBeforeTheCluster) {
-  // ScenarioSession::Run with a cluster spec composes with the transform
-  // pipeline: the chain reshapes the workload, then the cluster shards it.
-  const ScenarioSession session(MakeFleet({1, 1}, 60));
-  ScenarioSpec spec = KeepAliveClusterSpec(2, "least_loaded");
-  spec.trace.transforms =
-      ParseTransformChain("load_scale{factor=3.0}").ValueOrDie();
-  const ScenarioOutcome run = session.Run(spec).ValueOrDie();
-  ASSERT_NE(run.cluster, nullptr);
-  EXPECT_EQ(run.outcome.metrics.total_invocations, 2u * 60u * 3u);
 }
 
 TEST(ClusterReportTest, NodeTableAndImbalanceStats) {

@@ -6,11 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/spes_policy.h"
-#include "policies/defuse.h"
-#include "policies/fixed_keepalive.h"
-#include "policies/hybrid_histogram.h"
-#include "policies/oracle.h"
+#include "latency/latency.h"
 #include "sim/observers.h"
 #include "sim/scenario.h"
 #include "trace/generator.h"
@@ -32,30 +28,15 @@ SimOptions Options() {
   return options;
 }
 
-SuiteJob MakeJob(PolicyFactory factory, const SimOptions& options) {
-  SuiteJob job;
-  job.factory = std::move(factory);
-  job.options = options;
-  return job;
-}
-
-std::vector<SuiteJob> PolicyJobs(const SimOptions& options) {
-  std::vector<SuiteJob> jobs;
-  jobs.push_back(
-      MakeJob([] { return std::make_unique<SpesPolicy>(); }, options));
-  jobs.push_back(
-      MakeJob([] { return std::make_unique<DefusePolicy>(); }, options));
-  jobs.push_back(MakeJob(
-      [] {
-        return std::make_unique<HybridHistogramPolicy>(
-            HybridGranularity::kFunction);
-      },
-      options));
-  jobs.push_back(MakeJob(
-      [] { return std::make_unique<FixedKeepAlivePolicy>(10); }, options));
-  jobs.push_back(
-      MakeJob([] { return std::make_unique<OraclePolicy>(); }, options));
-  return jobs;
+std::vector<ScenarioSpec> PolicySpecs(const SimOptions& options) {
+  std::vector<ScenarioSpec> specs(5);
+  specs[0].policy = {"spes", {}};
+  specs[1].policy = {"defuse", {}};
+  specs[2].policy = {"hybrid_histogram", {{"granularity", "function"}}};
+  specs[3].policy = {"fixed_keepalive", {{"minutes", 10}}};
+  specs[4].policy = {"oracle", {}};
+  for (ScenarioSpec& spec : specs) spec.options = options;
+  return specs;
 }
 
 /// Everything in FleetMetrics except the wall-clock overhead fields, which
@@ -87,7 +68,7 @@ TEST(SuiteRunnerTest, ThreadCountDoesNotChangeResults) {
     SuiteRunnerOptions runner_options;
     runner_options.num_threads = threads;
     SuiteRunner runner(runner_options);
-    runs.push_back(runner.Run(fleet.trace, PolicyJobs(options)));
+    runs.push_back(runner.Run(fleet.trace, PolicySpecs(options)));
   }
 
   const std::vector<JobResult>& reference = runs[0];
@@ -112,7 +93,7 @@ TEST(SuiteRunnerTest, ResultsArriveInJobOrder) {
   runner_options.num_threads = 4;
   SuiteRunner runner(runner_options);
   const std::vector<JobResult> results =
-      runner.Run(fleet.trace, PolicyJobs(Options()));
+      runner.Run(fleet.trace, PolicySpecs(Options()));
   ASSERT_EQ(results.size(), 5u);
   EXPECT_EQ(results[0].label, "SPES");
   EXPECT_EQ(results[3].label, "Fixed-10min");
@@ -125,21 +106,22 @@ TEST(SuiteRunnerTest, FailingJobDoesNotPoisonSiblings) {
   SimOptions bad = good;
   bad.train_minutes = fleet.trace.num_minutes() + 1;  // rejected by engine
 
-  std::vector<SuiteJob> jobs;
-  jobs.push_back(MakeJob(
-      [] { return std::make_unique<FixedKeepAlivePolicy>(10); }, good));
-  jobs.push_back(MakeJob(
-      [] { return std::make_unique<FixedKeepAlivePolicy>(10); }, bad));
-  jobs.back().label = "bad-window";
-  jobs.push_back(
-      MakeJob([]() -> std::unique_ptr<Policy> { return nullptr; }, good));
-  jobs.back().label = "null-factory";
-  jobs.push_back(MakeJob([] { return std::make_unique<OraclePolicy>(); }, good));
+  std::vector<ScenarioSpec> specs(4);
+  specs[0].policy = {"fixed_keepalive", {{"minutes", 10}}};
+  specs[0].options = good;
+  specs[1].policy = {"fixed_keepalive", {{"minutes", 10}}};
+  specs[1].options = bad;
+  specs[1].label = "bad-window";
+  specs[2].policy = {"", {}};
+  specs[2].options = good;
+  specs[2].label = "no-policy";
+  specs[3].policy = {"oracle", {}};
+  specs[3].options = good;
 
   SuiteRunnerOptions runner_options;
   runner_options.num_threads = 4;
   SuiteRunner runner(runner_options);
-  const std::vector<JobResult> results = runner.Run(fleet.trace, std::move(jobs));
+  const std::vector<JobResult> results = runner.Run(fleet.trace, specs);
 
   ASSERT_EQ(results.size(), 4u);
   EXPECT_TRUE(results[0].status.ok());
@@ -178,7 +160,7 @@ TEST(SuiteRunnerTest, ProgressReportsEveryJobExactlyOnce) {
   };
   SuiteRunner runner(runner_options);
   const std::vector<JobResult> results =
-      runner.Run(fleet.trace, PolicyJobs(Options()));
+      runner.Run(fleet.trace, PolicySpecs(Options()));
   EXPECT_EQ(results.size(), 5u);
   EXPECT_EQ(calls.load(), 5u);
   EXPECT_EQ(last_total, 5u);
@@ -286,10 +268,52 @@ TEST(SuiteRunnerLockstepTest, SpecObserversAreSlotScoped) {
   EXPECT_EQ(minutes_seen, window);
 }
 
+TEST(SuiteRunnerLockstepTest, SpecsWithDifferentLatencyBlocksDoNotShareAGroup) {
+  const GeneratedTrace fleet = MakeFleet();
+  ScenarioSpec plain;
+  plain.policy = {"fixed_keepalive", {{"minutes", 10}}};
+  plain.options = Options();
+  ScenarioSpec latency = plain;
+  latency.options.latency =
+      ParseLatencySpec(
+          "lognormal{warm_median_ms=40,warm_sigma=0.4} @ "
+          "queue{capacity=4,concurrency=1,seed=42,timeout_ms=250}")
+          .ValueOrDie();
+
+  // Lanes of one stream share its engine, so a latency block must split
+  // the group: in either order, each slot matches its pooled run.
+  const SuiteRunner runner({1, nullptr});
+  for (const std::vector<ScenarioSpec>& specs :
+       {std::vector<ScenarioSpec>{plain, latency},
+        std::vector<ScenarioSpec>{latency, plain}}) {
+    const std::vector<JobResult> pooled = runner.Run(fleet.trace, specs);
+    const std::vector<JobResult> lockstep =
+        runner.RunLockstep(fleet.trace, specs);
+    ASSERT_EQ(lockstep.size(), 2u);
+    for (size_t i = 0; i < specs.size(); ++i) {
+      ASSERT_TRUE(pooled[i].status.ok()) << pooled[i].status.ToString();
+      ASSERT_TRUE(lockstep[i].status.ok()) << lockstep[i].status.ToString();
+      const bool wants_latency = specs[i].options.latency.has_value();
+      ASSERT_EQ(pooled[i].outcome.latency != nullptr, wants_latency) << i;
+      ASSERT_EQ(lockstep[i].outcome.latency != nullptr, wants_latency) << i;
+      EXPECT_EQ(lockstep[i].outcome.memory_series,
+                pooled[i].outcome.memory_series);
+      if (!wants_latency) continue;
+      const LatencyOutcome& a = *pooled[i].outcome.latency;
+      const LatencyOutcome& b = *lockstep[i].outcome.latency;
+      EXPECT_EQ(a.served, b.served);
+      EXPECT_EQ(a.cold_served, b.cold_served);
+      EXPECT_EQ(a.timeouts, b.timeouts);
+      EXPECT_EQ(a.shed, b.shed);
+      EXPECT_EQ(a.queue_depth_series, b.queue_depth_series);
+      EXPECT_GT(a.served, 0u);
+    }
+  }
+}
+
 TEST(SuiteRunnerTest, EmptyJobListReturnsEmpty) {
   const GeneratedTrace fleet = MakeFleet();
   SuiteRunner runner;
-  EXPECT_TRUE(runner.Run(fleet.trace, std::vector<SuiteJob>{}).empty());
   EXPECT_TRUE(runner.Run(fleet.trace, std::vector<ScenarioSpec>{}).empty());
 }
 

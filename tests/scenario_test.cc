@@ -1,12 +1,14 @@
 // Scenario API: up-front spec validation (field-naming errors), trace
 // realization from generator/CSV sources, RunScenario equivalence with the
-// low-level Simulate() shim, ScenarioSession reuse, and the SuiteRunner
-// spec-batch overload (error isolation + thread-count determinism).
+// low-level Simulate() shim, one realized trace serving many runs, the
+// SuiteRunner spec-batch overloads (error isolation + thread-count
+// determinism), and every entry point agreeing with every other.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "policies/fixed_keepalive.h"
@@ -15,6 +17,8 @@
 #include "sim/scenario.h"
 #include "trace/azure_csv.h"
 #include "trace/generator.h"
+#include "trace/trace_source.h"
+#include "trace/transform.h"
 
 namespace spes {
 namespace {
@@ -126,14 +130,13 @@ TEST(RunScenarioTest, RegistryErrorsPropagate) {
 }
 
 TEST(ScenarioSessionTest, ReusesOneRealizedTrace) {
-  const ScenarioSession session =
-      ScenarioSession::Open(TraceSpec::FromGenerator(SmallFleetConfig()))
-          .ValueOrDie();
-  EXPECT_EQ(session.trace().num_functions(), 120u);
+  const Trace trace =
+      RealizeTrace(TraceSpec::FromGenerator(SmallFleetConfig())).ValueOrDie();
+  EXPECT_EQ(trace.num_functions(), 120u);
 
   ScenarioSpec spec = SmallScenario({"fixed_keepalive", {}});
-  const ScenarioOutcome a = session.Run(spec).ValueOrDie();
-  const ScenarioOutcome b = session.Run(spec).ValueOrDie();
+  const ScenarioOutcome a = RunScenario(trace, spec).ValueOrDie();
+  const ScenarioOutcome b = RunScenario(trace, spec).ValueOrDie();
   EXPECT_EQ(a.outcome.memory_series, b.outcome.memory_series);
 }
 
@@ -145,10 +148,10 @@ TEST(ScenarioSessionTest, RoundTripsThroughAzureCsvSource) {
           .string();
   WriteAzureTraceDir(fleet.trace, dir).CheckOK();
 
-  const ScenarioSession session =
-      ScenarioSession::Open(TraceSpec::FromAzureCsvDir(dir)).ValueOrDie();
-  EXPECT_EQ(session.trace().num_functions(), fleet.trace.num_functions());
-  EXPECT_EQ(session.trace().num_minutes(), fleet.trace.num_minutes());
+  const Trace trace =
+      RealizeTrace(TraceSpec::FromAzureCsvDir(dir)).ValueOrDie();
+  EXPECT_EQ(trace.num_functions(), fleet.trace.num_functions());
+  EXPECT_EQ(trace.num_minutes(), fleet.trace.num_minutes());
   std::filesystem::remove_all(dir);
 }
 
@@ -210,16 +213,22 @@ TEST(ScenarioObserverTest, SpecObserversRideEveryEntryPoint) {
   EXPECT_EQ(run_minutes, static_cast<size_t>(window));
 
   run_minutes = 0;
-  ScenarioSession session(fleet.trace);
-  ASSERT_TRUE(session.Run(spec).ok());
+  InMemoryTraceSource source(fleet.trace);
+  ASSERT_TRUE(RunScenario(source, spec).ok());
   EXPECT_EQ(run_minutes, static_cast<size_t>(window));
 
-  // OpenScenario hands back the stream un-drained; the observer fires as
-  // the caller drives it.
+  // The batch forms run the spec on a worker or as a lockstep lane; the
+  // observer still sees exactly its own run.
   run_minutes = 0;
-  ScenarioStream open = OpenScenario(fleet.trace, spec).ValueOrDie();
-  ASSERT_TRUE(open.stream.RunUntil(kMinutesPerDay + 10).ok());
-  EXPECT_EQ(run_minutes, 10u);
+  for (const JobResult& r : SuiteRunner().Run(fleet.trace, {spec})) {
+    ASSERT_TRUE(r.status.ok());
+  }
+  EXPECT_EQ(run_minutes, static_cast<size_t>(window));
+  run_minutes = 0;
+  for (const JobResult& r : SuiteRunner().RunLockstep(fleet.trace, {spec})) {
+    ASSERT_TRUE(r.status.ok());
+  }
+  EXPECT_EQ(run_minutes, static_cast<size_t>(window));
 }
 
 TEST(RunLockstepTest, MatchesPerPolicyRunsOverOneWalk) {
@@ -230,10 +239,11 @@ TEST(RunLockstepTest, MatchesPerPolicyRunsOverOneWalk) {
   specs.push_back(SmallScenario({"oracle", {}}));
   specs.push_back(SmallScenario({"fixed_keepalive", {{"minutes", 3}}}));
 
-  const std::vector<ScenarioOutcome> lockstep =
-      RunLockstep(fleet.trace, specs).ValueOrDie();
+  const std::vector<JobResult> lockstep =
+      SuiteRunner().RunLockstep(fleet.trace, specs);
   ASSERT_EQ(lockstep.size(), 3u);
   for (size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(lockstep[i].status.ok());
     const ScenarioOutcome solo =
         RunScenario(fleet.trace, specs[i]).ValueOrDie();
     EXPECT_EQ(lockstep[i].outcome.memory_series,
@@ -247,22 +257,6 @@ TEST(RunLockstepTest, MatchesPerPolicyRunsOverOneWalk) {
   }
 }
 
-TEST(RunLockstepTest, RejectsMismatchedWindowsNamingSpecAndValues) {
-  const GeneratedTrace fleet =
-      GenerateTrace(SmallFleetConfig()).ValueOrDie();
-  std::vector<ScenarioSpec> specs;
-  specs.push_back(SmallScenario({"oracle", {}}));
-  specs.push_back(SmallScenario({"oracle", {}}));
-  specs[1].options.train_minutes = 2 * kMinutesPerDay;
-
-  const auto result = RunLockstep(fleet.trace, specs);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("spec 1"), std::string::npos);
-  EXPECT_NE(result.status().message().find("(=2880)"), std::string::npos);
-  EXPECT_NE(result.status().message().find("(=1440)"), std::string::npos);
-}
-
 TEST(RunLockstepTest, RejectsInvalidSpecNamingSlotAndLabel) {
   const GeneratedTrace fleet =
       GenerateTrace(SmallFleetConfig()).ValueOrDie();
@@ -271,42 +265,16 @@ TEST(RunLockstepTest, RejectsInvalidSpecNamingSlotAndLabel) {
   specs.push_back(SmallScenario({"", {}}));
   specs[1].label = "broken";
 
-  const auto result = RunLockstep(fleet.trace, specs);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("lockstep spec 1"),
+  const std::vector<JobResult> result =
+      SuiteRunner().RunLockstep(fleet.trace, specs);
+  ASSERT_EQ(result.size(), 2u);
+  EXPECT_TRUE(result[0].status.ok());
+  ASSERT_FALSE(result[1].status.ok());
+  EXPECT_NE(result[1].status.message().find("policy.name"),
             std::string::npos);
-  EXPECT_NE(result.status().message().find("broken"), std::string::npos);
+  EXPECT_EQ(result[1].label, "broken");
 
-  EXPECT_TRUE(RunLockstep(fleet.trace, {}).ValueOrDie().empty());
-}
-
-TEST(RunLockstepTest, SessionLockstepRequiresOneSharedChain) {
-  const GeneratedTrace fleet =
-      GenerateTrace(SmallFleetConfig()).ValueOrDie();
-  ScenarioSession session(fleet.trace);
-
-  std::vector<ScenarioSpec> specs;
-  specs.push_back(SmallScenario({"oracle", {}}));
-  specs.push_back(SmallScenario({"fixed_keepalive", {{"minutes", 10}}}));
-  specs[0].trace.transforms =
-      ParseTransformChain("load_scale{factor=2.0}").ValueOrDie();
-
-  const auto mismatch = session.RunLockstep(specs);
-  ASSERT_FALSE(mismatch.ok());
-  EXPECT_NE(mismatch.status().message().find("transform chain"),
-            std::string::npos);
-
-  // With the chain shared, the lockstep run matches per-spec session runs
-  // on the same stressed workload.
-  specs[1].trace.transforms = specs[0].trace.transforms;
-  const std::vector<ScenarioOutcome> lockstep =
-      session.RunLockstep(specs).ValueOrDie();
-  ASSERT_EQ(lockstep.size(), 2u);
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const ScenarioOutcome solo = session.Run(specs[i]).ValueOrDie();
-    EXPECT_EQ(lockstep[i].outcome.memory_series,
-              solo.outcome.memory_series);
-  }
+  EXPECT_TRUE(SuiteRunner().RunLockstep(fleet.trace, {}).empty());
 }
 
 TEST(SuiteRunnerSpecBatchTest, ResultsAreIdenticalAtAnyThreadCount) {
@@ -344,6 +312,168 @@ TEST(SuiteRunnerSpecBatchTest, ResultsAreIdenticalAtAnyThreadCount) {
               parallel[i].outcome.metrics.total_cold_starts);
   }
 }
+
+TEST(RunScenarioTest, TraceTakingEntryPointsApplyTheSpecChain) {
+  // A chained spec over a supplied trace is the same spec without the
+  // chain over the transformed trace — for a plain and a cluster spec, in
+  // every trace-taking entry point. The spec's own source stays ignored.
+  const GeneratedTrace fleet =
+      GenerateTrace(SmallFleetConfig()).ValueOrDie();
+  const std::vector<TransformSpec> chain =
+      ParseTransformChain("load_scale{factor=3.0}").ValueOrDie();
+  const Trace stressed = ApplyTransforms(fleet.trace, chain).ValueOrDie();
+
+  const ScenarioSpec plain =
+      SmallScenario({"fixed_keepalive", {{"minutes", 10}}});
+  ScenarioSpec cluster = plain;
+  cluster.cluster = ClusterSpec{};
+  cluster.cluster->nodes = 2;
+  cluster.cluster->router = ParseRouterSpec("least_loaded").ValueOrDie();
+
+  for (const ScenarioSpec& base : {plain, cluster}) {
+    SCOPED_TRACE(base.cluster.has_value() ? "cluster" : "plain");
+    const ScenarioOutcome unstressed =
+        RunScenario(fleet.trace, base).ValueOrDie();
+    const ScenarioOutcome expected = RunScenario(stressed, base).ValueOrDie();
+    EXPECT_EQ(expected.outcome.metrics.total_invocations,
+              3 * unstressed.outcome.metrics.total_invocations);
+    const auto expect_stressed = [&](const SimulationOutcome& run) {
+      EXPECT_EQ(run.memory_series, expected.outcome.memory_series);
+      EXPECT_EQ(run.metrics.total_invocations,
+                expected.outcome.metrics.total_invocations);
+      EXPECT_EQ(run.metrics.total_cold_starts,
+                expected.outcome.metrics.total_cold_starts);
+    };
+
+    ScenarioSpec chained = base;
+    chained.trace.transforms = chain;
+    const ScenarioOutcome single =
+        RunScenario(fleet.trace, chained).ValueOrDie();
+    expect_stressed(single.outcome);
+    EXPECT_EQ(single.cluster != nullptr, base.cluster.has_value());
+
+    const std::vector<ScenarioSpec> batch = {base, chained};
+    const std::vector<JobResult> pooled =
+        SuiteRunner({1, nullptr}).Run(fleet.trace, batch);
+    const std::vector<JobResult> lockstep =
+        SuiteRunner().RunLockstep(fleet.trace, batch);
+    for (const std::vector<JobResult>* results : {&pooled, &lockstep}) {
+      ASSERT_EQ(results->size(), 2u);
+      ASSERT_TRUE((*results)[0].status.ok());
+      ASSERT_TRUE((*results)[1].status.ok());
+      EXPECT_EQ((*results)[0].outcome.memory_series,
+                unstressed.outcome.memory_series);
+      expect_stressed((*results)[1].outcome);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Path equivalence: every registered policy, on a plain fleet and on one
+// with a rare-function tail, runs the same simulation through every
+// entry point.
+// ---------------------------------------------------------------------
+
+/// The series, every per-function account, and every FleetMetrics field
+/// but the wall-clock overhead.
+void ExpectSameRun(const SimulationOutcome& a, const SimulationOutcome& b,
+                   const std::string& path) {
+  SCOPED_TRACE(path);
+  EXPECT_EQ(a.memory_series, b.memory_series);
+  ASSERT_EQ(a.accounts.size(), b.accounts.size());
+  for (size_t f = 0; f < a.accounts.size(); ++f) {
+    EXPECT_EQ(a.accounts[f].invocations, b.accounts[f].invocations) << f;
+    EXPECT_EQ(a.accounts[f].invoked_minutes, b.accounts[f].invoked_minutes)
+        << f;
+    EXPECT_EQ(a.accounts[f].cold_starts, b.accounts[f].cold_starts) << f;
+    EXPECT_EQ(a.accounts[f].loaded_minutes, b.accounts[f].loaded_minutes)
+        << f;
+    EXPECT_EQ(a.accounts[f].wasted_minutes, b.accounts[f].wasted_minutes)
+        << f;
+  }
+  const FleetMetrics& x = a.metrics;
+  const FleetMetrics& y = b.metrics;
+  EXPECT_EQ(x.policy_name, y.policy_name);
+  EXPECT_EQ(x.csr, y.csr);
+  EXPECT_EQ(x.q3_csr, y.q3_csr);
+  EXPECT_EQ(x.p90_csr, y.p90_csr);
+  EXPECT_EQ(x.median_csr, y.median_csr);
+  EXPECT_EQ(x.always_cold_fraction, y.always_cold_fraction);
+  EXPECT_EQ(x.zero_cold_fraction, y.zero_cold_fraction);
+  EXPECT_EQ(x.total_cold_starts, y.total_cold_starts);
+  EXPECT_EQ(x.total_invocations, y.total_invocations);
+  EXPECT_EQ(x.wasted_memory_minutes, y.wasted_memory_minutes);
+  EXPECT_EQ(x.loaded_instance_minutes, y.loaded_instance_minutes);
+  EXPECT_EQ(x.average_memory, y.average_memory);
+  EXPECT_EQ(x.max_memory, y.max_memory);
+  EXPECT_EQ(x.emcr, y.emcr);
+}
+
+/// (registered policy name, whether the fleet carries a rare tail)
+using PathCase = std::tuple<std::string, bool>;
+
+class PathEquivalenceTest : public testing::TestWithParam<PathCase> {};
+
+TEST_P(PathEquivalenceTest, EveryEntryPointRunsTheSameSimulation) {
+  const auto& [policy, rare_tail] = GetParam();
+  GeneratorConfig config;
+  config.num_functions = 80;
+  config.days = 3;
+  config.seed = 41;
+  if (rare_tail) config.rare_fraction = 0.4;
+  ScenarioSpec spec;
+  spec.trace = TraceSpec::FromGenerator(config);
+  spec.policy = {policy, {}};
+  spec.options.train_minutes = kMinutesPerDay;
+
+  const SimulationOutcome reference = RunScenario(spec).ValueOrDie().outcome;
+  ASSERT_GT(reference.metrics.total_invocations, 0u);
+  const Trace trace = RealizeTrace(spec.trace).ValueOrDie();
+  ExpectSameRun(reference, RunScenario(trace, spec).ValueOrDie().outcome,
+                "RunScenario(trace, spec)");
+
+  InMemoryTraceSource source(trace);
+  const Result<ScenarioOutcome> streamed = RunScenario(source, spec);
+  if (PolicyRegistry::Global().Create(spec.policy).ValueOrDie()
+          ->RequiresFullTrace()) {
+    EXPECT_EQ(streamed.status().code(), StatusCode::kInvalidArgument);
+  } else {
+    ExpectSameRun(reference, streamed.ValueOrDie().outcome,
+                  "RunScenario(source, spec)");
+  }
+
+  const auto expect_batch = [&](const std::vector<JobResult>& results,
+                                const std::string& path) {
+    for (size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].status.ok()) << path << ": "
+                                          << results[i].status.ToString();
+      ExpectSameRun(reference, results[i].outcome,
+                    path + " slot " + std::to_string(i));
+    }
+  };
+  const std::vector<ScenarioSpec> batch(4, spec);
+  expect_batch(SuiteRunner({1, nullptr}).Run(trace, batch),
+               "Run(trace, specs) on 1 thread");
+  expect_batch(SuiteRunner({4, nullptr}).Run(trace, batch),
+               "Run(trace, specs) on 4 threads");
+  expect_batch(SuiteRunner({4, nullptr}).Run(batch),
+               "Run(specs) on 4 threads");
+  expect_batch(SuiteRunner().RunLockstep(trace, batch), "RunLockstep");
+
+  ScenarioSpec one_node = spec;
+  one_node.cluster = ClusterSpec{};
+  ExpectSameRun(reference, RunScenario(trace, one_node).ValueOrDie().outcome,
+                "1-node cluster");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RegisteredPolicies, PathEquivalenceTest,
+    testing::Combine(testing::ValuesIn(PolicyRegistry::Global().Names()),
+                     testing::Bool()),
+    [](const testing::TestParamInfo<PathCase>& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) ? "_rare_tail" : "_plain");
+    });
 
 }  // namespace
 }  // namespace spes

@@ -282,7 +282,7 @@ TEST(TraceFileGoldenTest, StreamedFourNodeClusterMatchesGoldens) {
   spec.cluster->nodes = 4;
 
   const ScenarioOutcome run =
-      RunScenarioStreamed(*source, spec).ValueOrDie();
+      RunScenario(*source, spec).ValueOrDie();
   EXPECT_EQ(run.outcome.metrics.total_invocations, 505234u);
   EXPECT_EQ(run.outcome.metrics.total_cold_starts, 1535u);
   EXPECT_EQ(run.outcome.metrics.wasted_memory_minutes, 576460u);
@@ -351,7 +351,7 @@ TEST(TraceFileGoldenTest, OracleIsRejectedOnStreamedPaths) {
   cluster_spec.policy = {"oracle", {}};
   cluster_spec.options = GoldenOptions();
   cluster_spec.cluster = ClusterSpec{};
-  auto cluster_run = RunScenarioStreamed(*source, cluster_spec);
+  auto cluster_run = RunScenario(*source, cluster_spec);
   ASSERT_FALSE(cluster_run.ok());
   EXPECT_EQ(cluster_run.status().code(), StatusCode::kInvalidArgument);
 
@@ -429,7 +429,7 @@ TEST(TraceFileScenarioTest, DiskBackedTraceCachePacksOnceAndReopens) {
   scenario.policy = {"spes", {}};
   scenario.options = GoldenOptions();
   const ScenarioOutcome run =
-      RunScenarioStreamed(*streamed, scenario).ValueOrDie();
+      RunScenario(*streamed, scenario).ValueOrDie();
   EXPECT_EQ(run.outcome.metrics.total_cold_starts, 631u);
   EXPECT_EQ(SeriesSum(run.outcome.memory_series), 212568u);
 
@@ -450,7 +450,7 @@ TEST(TraceFileScenarioTest, StreamedScenarioRejectsTransformChains) {
   spec.policy = {"spes", {}};
   spec.options = GoldenOptions();
   spec.trace.transforms.push_back({"load_scale", {{"factor", 2.0}}});
-  const auto run = RunScenarioStreamed(*source, spec);
+  const auto run = RunScenario(*source, spec);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(run.status().message().find("transform"), std::string::npos);

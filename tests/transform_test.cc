@@ -1,8 +1,9 @@
 // Trace-transform registry and operators: parse/format round trips (specs
 // and chains), registry error paths (unknown transform, unknown/ill-typed/
 // out-of-domain parameters), per-operator semantics on a hand-built fleet,
-// seeded reproducibility of the stochastic operators, and determinism of a
-// transformed SuiteRunner sweep across thread counts.
+// seeded reproducibility of the stochastic operators, TraceCache variants
+// (one realization per source, one variant per chain), and determinism of
+// a transformed SuiteRunner sweep across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/recorder.h"
+#include "obs/run_log.h"
 #include "runner/suite_runner.h"
 #include "sim/scenario.h"
 #include "trace/generator.h"
@@ -459,25 +462,114 @@ TEST(ScenarioSessionTest, CachesTransformedVariantsPerChain) {
   config.num_functions = 60;
   config.days = 2;
   config.seed = 5;
-  const ScenarioSession session =
-      ScenarioSession::Open(TraceSpec::FromGenerator(config)).ValueOrDie();
+  TraceCache cache;
+  const TraceSpec source = TraceSpec::FromGenerator(config);
+  const std::shared_ptr<const Trace> base = cache.Get(source).ValueOrDie();
 
+  // Every distinct chain is one cached variant: a repeat Get() hands back
+  // the same trace, and each chain's variant is its own.
+  std::vector<const Trace*> variants;
+  for (const char* text : {"load_scale{factor=3.0}", "top_k{k=10}"}) {
+    TraceSpec stressed = source;
+    stressed.transforms = ParseTransformChain(text).ValueOrDie();
+    const auto variant = cache.Get(stressed).ValueOrDie();
+    const auto cached = cache.Get(stressed).ValueOrDie();
+    EXPECT_EQ(variant.get(), cached.get()) << text;
+    EXPECT_NE(variant.get(), base.get()) << text;
+    variants.push_back(variant.get());
+  }
+  EXPECT_NE(variants[0], variants[1]);
+  EXPECT_EQ(cache.Get(source).ValueOrDie().get(), base.get());
+
+  // RunScenario applies the spec's transforms on top of the trace.
   const std::vector<TransformSpec> chain = {{"load_scale", {{"factor", 3.0}}}};
-  const auto variant = session.TransformedTrace(chain).ValueOrDie();
-  const auto cached = session.TransformedTrace(chain).ValueOrDie();
-  EXPECT_EQ(variant.get(), cached.get());
-  EXPECT_EQ(session.TransformedTrace({}).ValueOrDie().get(),
-            &session.trace());
-
-  // Run() applies the spec's transforms on top of the session base.
   ScenarioSpec spec;
   spec.policy = {"fixed_keepalive", {}};
   spec.options.train_minutes = kMinutesPerDay;
-  const ScenarioOutcome base = session.Run(spec).ValueOrDie();
+  const ScenarioOutcome unstressed = RunScenario(*base, spec).ValueOrDie();
   spec.trace.transforms = chain;
-  const ScenarioOutcome stressed = session.Run(spec).ValueOrDie();
+  const ScenarioOutcome stressed = RunScenario(*base, spec).ValueOrDie();
   EXPECT_GT(stressed.outcome.metrics.total_invocations,
-            base.outcome.metrics.total_invocations);
+            unstressed.outcome.metrics.total_invocations);
+}
+
+/// True when two traces hold the same functions with the same counts.
+bool SameTrace(const Trace& a, const Trace& b) {
+  if (a.num_functions() != b.num_functions()) return false;
+  for (size_t f = 0; f < a.num_functions(); ++f) {
+    if (a.function(f).meta.name != b.function(f).meta.name ||
+        a.function(f).counts != b.function(f).counts) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(TraceCacheTest, ChainsOverOneSourceRealizeTheSourceOnce) {
+  GeneratorConfig config;
+  config.num_functions = 50;
+  config.days = 2;
+  config.seed = 3;
+  const TraceSpec source = TraceSpec::FromGenerator(config);
+  const Trace direct = RealizeTrace(source).ValueOrDie();
+
+  StringLogSink sink;
+  RunRecorder recorder(&sink);
+  TraceCache cache;
+  cache.set_recorder(&recorder);
+  for (const char* text : {"load_scale{factor=2.0}", "top_k{k=10}",
+                           "load_scale{factor=2.0} | top_k{k=10}"}) {
+    TraceSpec variant = source;
+    variant.transforms = ParseTransformChain(text).ValueOrDie();
+    const auto cached = cache.Get(variant).ValueOrDie();
+    EXPECT_TRUE(SameTrace(
+        *cached, ApplyTransforms(direct, variant.transforms).ValueOrDie()))
+        << text;
+  }
+  recorder.Finish();
+
+  // Three variants plus the base they share: the source is realized once,
+  // and the second and third chains hit its cached base.
+  EXPECT_EQ(cache.size(), 4u);
+  const ParsedRunLog log = ParseRunLog(sink.contents()).ValueOrDie();
+  size_t realize_spans = 0;
+  for (const SpanRecord& span : log.spans) {
+    if (span.name == "realize") ++realize_spans;
+  }
+  EXPECT_EQ(realize_spans, 1u);
+  EXPECT_EQ(log.cache.misses, 4u);
+  EXPECT_EQ(log.cache.hits, 2u);
+}
+
+TEST(TraceCacheTest, SeededProvidedBaseServesChainedSpecs) {
+  GeneratorConfig config;
+  config.num_functions = 50;
+  config.days = 2;
+  config.seed = 3;
+  const Trace trace = GenerateTrace(config).ValueOrDie().trace;
+  const std::vector<TransformSpec> doubled =
+      ParseTransformChain("load_scale{factor=2.0}").ValueOrDie();
+  const std::vector<TransformSpec> top =
+      ParseTransformChain("top_k{k=10}").ValueOrDie();
+
+  std::vector<ScenarioSpec> specs(5);
+  for (ScenarioSpec& spec : specs) spec.policy = {"fixed_keepalive", {}};
+  specs[1].trace.transforms = doubled;
+  specs[2].trace.transforms = doubled;
+  // A realizable source is ignored too: the supplied trace stands in.
+  specs[3].trace = TraceSpec::FromGenerator(GeneratorConfig{});
+  specs[3].trace.transforms = top;
+  specs[4].policy.name.clear();  // invalid: fails only its own slot
+
+  const auto workloads = scenario_internal::ResolveWorkloads(&trace, specs);
+  ASSERT_EQ(workloads.size(), 5u);
+  EXPECT_EQ(workloads[0].ValueOrDie().get(), &trace);
+  EXPECT_EQ(workloads[1].ValueOrDie().get(), workloads[2].ValueOrDie().get());
+  EXPECT_TRUE(SameTrace(*workloads[1].ValueOrDie(),
+                        ApplyTransforms(trace, doubled).ValueOrDie()));
+  EXPECT_TRUE(SameTrace(*workloads[3].ValueOrDie(),
+                        ApplyTransforms(trace, top).ValueOrDie()));
+  EXPECT_EQ(workloads[4].status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(RealizeTraceTest, AppliesTheTransformChain) {

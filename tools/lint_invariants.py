@@ -43,6 +43,13 @@ docs/correctness.md):
                        Register(Entry ...) declaration anywhere else under
                        src/ is a hand-copied registry. New registry-built
                        components alias the template instead.
+  R7 one-run-core      In src/, only src/sim/scenario.cc (the scenario run
+                       core) and the Simulate() shim in src/sim/engine.cc
+                       may call SimStream::Create( or
+                       ClusterSession::Create(; their definitions are
+                       exempt. Every other layer runs scenarios through
+                       RunScenario / SuiteRunner, so there is one place
+                       that builds a session from a spec.
 
 Allowlist: a line that would fire R1, R2 or R5 is suppressed when it (or
 the line directly above it) carries a justification comment of the form
@@ -372,10 +379,47 @@ def lint_r6(relpath, lines):
 
 
 # --------------------------------------------------------------------------
+# R7: one run core
+# --------------------------------------------------------------------------
+
+R7_CALL = re.compile(r"\b(SimStream|ClusterSession)::Create\(")
+R7_DEFINITION = re.compile(r"^Result<\s*(\w+)\s*>\s+\1::Create\(")
+R7_CORE = "src/sim/scenario.cc"
+R7_SHIM = "src/sim/engine.cc"
+
+
+def lint_r7(relpath, lines):
+    if not relpath.startswith("src/") or relpath == R7_CORE:
+        return []
+    findings = []
+    function = ""  # the enclosing top-level definition's first line
+    for i, line in enumerate(lines):
+        if line[:1].isalpha() and "(" in line:
+            function = line
+        code = line.split("//", 1)[0]
+        match = R7_CALL.search(code)
+        if not match or R7_DEFINITION.match(code):
+            continue
+        if relpath == R7_SHIM and re.search(r"\bSimulate\(", function):
+            continue
+        findings.append(
+            Finding(
+                relpath,
+                i + 1,
+                "R7",
+                f"{match.group(1)}::Create outside {R7_CORE} and the "
+                f"Simulate() shim; run scenarios through RunScenario or "
+                "SuiteRunner (sim/scenario.h, runner/suite_runner.h)",
+            )
+        )
+    return findings
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
-RULES = (lint_r1, lint_r2, lint_r3, lint_r4, lint_r5, lint_r6)
+RULES = (lint_r1, lint_r2, lint_r3, lint_r4, lint_r5, lint_r6, lint_r7)
 SCAN_DIRS = ("src", "tests", "examples", "fuzz", "bench")
 SOURCE_EXT = (".h", ".cc", ".cpp")
 
@@ -550,6 +594,46 @@ SELF_TEST_TREE = {
     "tests/ok_registry_test.cc": (
         "Status s = registry.Register(Entry{});\n"
     ),
+    # R7: a second run path that opens its own sessions, and a call in
+    # engine.cc outside the Simulate() shim.
+    "src/runner/bad_run_path.cc": (
+        "Result<SimulationOutcome> RunJob(const Trace& trace, Policy* p) {\n"
+        "  SPES_ASSIGN_OR_RETURN(SimStream stream,\n"
+        "                        SimStream::Create(trace, p, {}));\n"
+        "  return stream.Finish();\n"
+        "}\n"
+    ),
+    "src/sim/engine.cc": (
+        "Result<SimulationOutcome> Simulate(const Trace& trace, Policy* p,\n"
+        "                                   const SimOptions& options) {\n"
+        "  SPES_ASSIGN_OR_RETURN(SimStream stream,\n"
+        "                        SimStream::Create(trace, p, options));\n"
+        "  return stream.Finish();\n"
+        "}\n"
+        "Result<ClusterOutcome> RunCluster(const Trace& trace) {\n"
+        "  auto s = ClusterSession::Create(trace, {}, {}, {});\n"
+        "}\n"
+    ),
+    # R7 (negative): the run core, the session definitions, a mention in a
+    # comment, and callers outside src/.
+    "src/sim/scenario.cc": (
+        "auto s = SimStream::Create(workload, std::move(lanes), options);\n"
+        "auto c = ClusterSession::Create(workload, cluster, policy, o);\n"
+    ),
+    "src/sim/stream.cc": (
+        "Result<SimStream> SimStream::Create(const Trace& trace, Policy* p,\n"
+        "                                    const SimOptions& options) {\n"
+        "  return Create(trace, std::vector<Policy*>{p}, options);\n"
+        "}\n"
+        "// SimStream::Create( in a comment is fine\n"
+    ),
+    "src/cluster/cluster.cc": (
+        "Result<ClusterSession> ClusterSession::Create(const Trace& trace,\n"
+        "                                              const ClusterSpec& c);\n"
+    ),
+    "tests/ok_stream_test.cc": (
+        "SimStream s = SimStream::Create(trace, &p, {}).ValueOrDie();\n"
+    ),
 }
 
 # (rule, path) pairs that MUST be flagged...
@@ -567,6 +651,8 @@ SELF_TEST_EXPECTED = [
     ("R4", "src/core/bad_header.h"),
     ("R5", "src/trace/bad_cast.cc"),
     ("R6", "src/cluster/bad_registry.cc"),
+    ("R7", "src/runner/bad_run_path.cc"),
+    ("R7", "src/sim/engine.cc"),
 ]
 # ...and paths that must stay clean.
 SELF_TEST_CLEAN = [
@@ -582,7 +668,14 @@ SELF_TEST_CLEAN = [
     "src/core/param_spec.h",
     "src/sim/ok_registry_comment.cc",
     "tests/ok_registry_test.cc",
+    "src/sim/scenario.cc",
+    "src/sim/stream.cc",
+    "src/cluster/cluster.cc",
+    "tests/ok_stream_test.cc",
 ]
+# (path, rule, line) findings that must NOT fire in a file that also has a
+# seeded violation: the Simulate() shim's own call in engine.cc.
+SELF_TEST_CLEAN_LINES = [("src/sim/engine.cc", "R7", 4)]
 
 
 def self_test():
@@ -600,6 +693,14 @@ def self_test():
                 failures.append(f"expected {rule} to fire on {path}, it did not")
         for path in SELF_TEST_CLEAN:
             hits = [f for f in findings if f.path == path]
+            for f in hits:
+                failures.append(f"false positive: {f}")
+        for path, rule, line in SELF_TEST_CLEAN_LINES:
+            hits = [
+                f
+                for f in findings
+                if (f.path, f.rule, f.line) == (path, rule, line)
+            ]
             for f in hits:
                 failures.append(f"false positive: {f}")
         if failures:

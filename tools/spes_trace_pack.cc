@@ -215,7 +215,7 @@ int SimulatePacked(const std::string& path, const std::string& policy,
     spec.options.recorder = recorder.get();
   }
 
-  auto run = RunScenarioStreamed(*source, spec);
+  auto run = RunScenario(*source, spec);
   if (recorder != nullptr) {
     recorder->Finish();
     if (run.ok()) std::printf("run log: %s\n", run_log_path.c_str());
