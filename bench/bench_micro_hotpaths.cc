@@ -147,7 +147,8 @@ BENCHMARK(BM_ArrivalDecodeNaive)->Apply(FleetArgs);
 
 void BM_ArrivalDecodeColumnar(benchmark::State& state) {
   const GeneratedTrace& fleet = SharedFleet(state.range(0));
-  ArrivalDecoder decoder(fleet.trace);
+  InMemoryTraceSource source(fleet.trace);
+  ArrivalDecoder decoder(&source);
   // One iteration = one full block of minutes, cycling through distinct
   // blocks so every iteration pays (and amortizes) a real block transpose.
   // Items/sec stays in function-minutes, comparable with the naive scan.
@@ -252,7 +253,8 @@ void BM_SpesProvisionMinute(benchmark::State& state) {
   std::vector<std::vector<Invocation>> decoded(
       static_cast<size_t>(sim_minutes));
   {
-    ArrivalDecoder decoder(fleet.trace);
+    InMemoryTraceSource source(fleet.trace);
+    ArrivalDecoder decoder(&source);
     for (int m = 0; m < sim_minutes; ++m) {
       const auto span = decoder.Decode(train + m);
       decoded[static_cast<size_t>(m)].assign(span.begin(), span.end());

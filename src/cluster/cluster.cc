@@ -236,30 +236,20 @@ Status ValidateClusterSpec(const ClusterSpec& spec) {
 ClusterSession::ClusterSession(TraceSource* source,
                                std::unique_ptr<TraceSource> owned,
                                const SimOptions& options, int end)
-    : SessionCore("ClusterSession", source, options, end),
-      owned_source_(std::move(owned)),
+    : SessionCore("ClusterSession", "session", "node", source,
+                  std::move(owned), options, end),
       assignment_(source->num_functions(), -1) {}
 
 Result<ClusterSession> ClusterSession::CreateImpl(
     TraceSource* source, std::unique_ptr<TraceSource> owned,
-    const Trace* full_trace, const ClusterSpec& cluster,
-    const PolicySpec& policy, const SimOptions& options) {
+    const ClusterSpec& cluster, const PolicySpec& policy,
+    const SimOptions& options) {
   SPES_RETURN_NOT_OK(ValidateClusterSpec(cluster));
   SPES_ASSIGN_OR_RETURN(const int end,
                         ResolveStreamWindow(source->num_minutes(), options));
 
   SPES_ASSIGN_OR_RETURN(std::unique_ptr<Router> router,
                         RouterRegistry::Global().Create(cluster.router));
-
-  // Streamed sources only materialize the train prefix — once, shared by
-  // every node's policy. The in-memory overload keeps handing policies
-  // the real full trace, preserving oracle behaviour bit for bit.
-  Trace train_prefix;
-  if (full_trace == nullptr) {
-    SPES_ASSIGN_OR_RETURN(train_prefix,
-                          source->MaterializePrefix(options.train_minutes));
-  }
-  const Trace& training = full_trace != nullptr ? *full_trace : train_prefix;
 
   ClusterSession session(source, std::move(owned), options, end);
   session.router_ = std::move(router);
@@ -272,6 +262,7 @@ Result<ClusterSession> ClusterSession::CreateImpl(
   for (const NodeEvent& event : cluster.events) {
     if (event.kind == NodeEvent::Kind::kAdd) ++total_nodes;
   }
+  std::vector<Policy*> policies;
   const auto latency_hashes = SharedLatencyHashes(*source, options);
   session.nodes_.reserve(total_nodes);
   size_t add_index = 0;
@@ -290,17 +281,7 @@ Result<ClusterSession> ClusterSession::CreateImpl(
     }
     SPES_ASSIGN_OR_RETURN(std::unique_ptr<Policy> node_policy,
                           PolicyRegistry::Global().Create(policy));
-    if (full_trace == nullptr && node_policy->RequiresFullTrace()) {
-      return Status::InvalidArgument(
-          "policy '" + node_policy->name() +
-          "' requires the full realized trace, but a streamed source only "
-          "materializes the train prefix; run it over an in-memory Trace");
-    }
-    {
-      const ScopedSpan span(options.recorder, "train", options.recorder_slot,
-                            static_cast<int>(k), node_policy->name());
-      node_policy->Train(training, options.train_minutes);
-    }
+    policies.push_back(node_policy.get());
     SPES_ASSIGN_OR_RETURN(EngineLane lane,
                           EngineLane::Create(k, node_policy.get(), n, options,
                                              end, latency_hashes));
@@ -312,6 +293,7 @@ Result<ClusterSession> ClusterSession::CreateImpl(
                                   .lru = LruIndex(n),
                                   .arrivals = {}});
   }
+  SPES_RETURN_NOT_OK(TrainPolicies(*source, policies, options));
   return session;
 }
 
@@ -321,20 +303,14 @@ Result<ClusterSession> ClusterSession::Create(const Trace& trace,
                                               const SimOptions& options) {
   auto owned = std::make_unique<InMemoryTraceSource>(trace);
   TraceSource* source = owned.get();
-  return CreateImpl(source, std::move(owned), &trace, cluster, policy,
-                    options);
+  return CreateImpl(source, std::move(owned), cluster, policy, options);
 }
 
 Result<ClusterSession> ClusterSession::Create(TraceSource& source,
                                               const ClusterSpec& cluster,
                                               const PolicySpec& policy,
                                               const SimOptions& options) {
-  return CreateImpl(&source, nullptr, /*full_trace=*/nullptr, cluster, policy,
-                    options);
-}
-
-void ClusterSession::AddObserver(SimObserver* observer) {
-  if (observer != nullptr) observers_.push_back(observer);
+  return CreateImpl(&source, nullptr, cluster, policy, options);
 }
 
 void ClusterSession::ApplyEvents(int t) {
@@ -649,24 +625,8 @@ Result<ClusterOutcome> ClusterSession::Finish() {
 }
 
 Result<ClusterCheckpoint> ClusterSession::Checkpoint() const {
-  if (finished_) {
-    return Status::OutOfRange(
-        "cannot Checkpoint a session consumed by Finish()");
-  }
-  for (size_t k = 0; k < nodes_.size(); ++k) {
-    if (!nodes_[k].policy->SupportsCheckpoint()) {
-      return Status::NotImplemented(
-          "policy '" + nodes_[k].policy->name() + "' (node " +
-          std::to_string(k) + ") does not support checkpointing");
-    }
-  }
   ClusterCheckpoint checkpoint;
-  checkpoint.cursor = cursor_;
-  checkpoint.train_minutes = options_.train_minutes;
-  checkpoint.end_minute = end_;
-  checkpoint.pin_executing_functions = options_.pin_executing_functions;
-  checkpoint.num_functions = source_->num_functions();
-  checkpoint.stopped = stopped_;
+  SPES_RETURN_NOT_OK(BeginCheckpoint(&checkpoint));
   checkpoint.reroutes = reroutes_;
   checkpoint.event_index = event_index_;
   checkpoint.assignment = assignment_;
@@ -681,21 +641,13 @@ Result<ClusterCheckpoint> ClusterSession::Checkpoint() const {
     out.reroutes_in = node.reroutes_in;
     checkpoint.nodes.push_back(std::move(out));
   }
-  if (options_.recorder != nullptr) {
-    options_.recorder->CheckpointEvent("save", options_.recorder_slot,
-                                       static_cast<uint64_t>(cursor_));
-  }
+  RecordCheckpointEvent("save");
   return checkpoint;
 }
 
 Status ClusterSession::Restore(const ClusterCheckpoint& checkpoint) {
-  if (finished_) {
-    return Status::OutOfRange(
-        "cannot Restore a session consumed by Finish()");
-  }
+  SPES_RETURN_NOT_OK(BeginRestore(checkpoint, checkpoint.nodes.size()));
   const size_t n = source_->num_functions();
-  SPES_RETURN_NOT_OK(
-      CheckCheckpointWindow(checkpoint, n, options_, end_, "session"));
   if (checkpoint.event_index > events_.size()) {
     return Status::InvalidArgument(
         "checkpoint event_index (=" + std::to_string(checkpoint.event_index) +
@@ -707,12 +659,6 @@ Status ClusterSession::Restore(const ClusterCheckpoint& checkpoint) {
         "checkpoint assignment is sized for (=" +
         std::to_string(checkpoint.assignment.size()) +
         ") functions, expected (=" + std::to_string(n) + ")");
-  }
-  if (checkpoint.nodes.size() != nodes_.size()) {
-    return Status::InvalidArgument(
-        "checkpoint has (=" + std::to_string(checkpoint.nodes.size()) +
-        ") nodes but this session has (=" + std::to_string(nodes_.size()) +
-        ")");
   }
   for (size_t f = 0; f < n; ++f) {
     const int32_t a = checkpoint.assignment[f];
@@ -774,15 +720,10 @@ Status ClusterSession::Restore(const ClusterCheckpoint& checkpoint) {
     node.pressure_evictions = in.pressure_evictions;
     node.reroutes_in = in.reroutes_in;
   }
-  cursor_ = checkpoint.cursor;
-  stopped_ = checkpoint.stopped;
   reroutes_ = checkpoint.reroutes;
-  if (options_.recorder != nullptr) {
-    options_.recorder->CheckpointEvent("restore", options_.recorder_slot,
-                                       static_cast<uint64_t>(cursor_));
-  }
   event_index_ = static_cast<size_t>(checkpoint.event_index);
   assignment_ = checkpoint.assignment;
+  EndRestore(checkpoint);
   return Status::OK();
 }
 

@@ -193,59 +193,32 @@ Result<ClusterCheckpoint> ParseClusterCheckpoint(const std::string& bytes);
 
 /// \brief An open, incrementally drivable cluster simulation. Create()
 /// builds one policy instance per node (including nodes that join later)
-/// from `policy` through PolicyRegistry::Global(), trains each on the
-/// trace prefix, builds the router, and positions the cursor at the
-/// first simulated minute. The trace and observers are borrowed and must
-/// outlive the session. Not thread-safe; drive each session from one
-/// thread.
-class ClusterSession : private SessionCore<ClusterSession> {
+/// from `policy` through PolicyRegistry::Global(), trains them all on
+/// the one trace TrainPolicies() (sim/engine_lane.h) picks, builds the
+/// router, and positions the cursor at the first simulated minute. The
+/// source (any TraceSource, e.g. a packed trace file) and observers are
+/// borrowed and must outlive the session. Not thread-safe; drive each
+/// session from one thread. Observers see one MinuteView per *live* node
+/// per minute, with MinuteView::lane equal to the node id;
+/// StreamInfo::num_lanes is num_nodes(). Returning false stops the
+/// session after the current minute, exactly as on a SimStream.
+class ClusterSession : public SessionCore<ClusterSession> {
  public:
-  static Result<ClusterSession> Create(const Trace& trace,
-                                       const ClusterSpec& cluster,
-                                       const PolicySpec& policy,
-                                       const SimOptions& options);
-
-  /// \brief Streamed form over any TraceSource (e.g. a packed trace file):
-  /// arrivals are pulled in chunked minute windows instead of from a
-  /// realized Trace. The train prefix is materialized ONCE and shared by
-  /// every node's policy; policies whose RequiresFullTrace() is true are
-  /// rejected with InvalidArgument. The source must outlive the session.
-  /// Outcomes are bitwise-identical to the in-memory overload.
   static Result<ClusterSession> Create(TraceSource& source,
                                        const ClusterSpec& cluster,
                                        const PolicySpec& policy,
                                        const SimOptions& options);
 
-  /// \brief Attaches a per-minute observer (borrowed). Observers see one
-  /// MinuteView per *live* node per minute, with MinuteView::lane equal
-  /// to the node id; StreamInfo::num_lanes is the total node-id space
-  /// (initial nodes plus scheduled adds). Returning false stops the
-  /// session after the current minute, exactly as on a SimStream.
-  void AddObserver(SimObserver* observer);
+  /// \brief Adapter over a realized Trace: the session owns an
+  /// InMemoryTraceSource over `trace` and runs exactly as above.
+  static Result<ClusterSession> Create(const Trace& trace,
+                                       const ClusterSpec& cluster,
+                                       const PolicySpec& policy,
+                                       const SimOptions& options);
 
-  /// \name Cursor state
-  /// @{
-  [[nodiscard]] int cursor() const { return cursor_; }       ///< next minute to run
-  [[nodiscard]] int start_minute() const { return start_; }  ///< == train_minutes
-  [[nodiscard]] int end_minute() const { return end_; }      ///< resolved end
   /// Total node-id space: initial nodes plus scheduled add events.
   [[nodiscard]] size_t num_nodes() const { return nodes_.size(); }
   [[nodiscard]] const Policy* policy(size_t node) const { return nodes_[node].policy.get(); }
-  /// Minutes decoded so far: one arrival decode serves every node.
-  [[nodiscard]] int64_t minutes_decoded() const { return minutes_decoded_; }
-  [[nodiscard]] bool done() const { return finished_ || stopped_ || cursor_ >= end_; }
-  [[nodiscard]] bool stopped_early() const { return stopped_; }
-  /// @}
-
-  /// \brief Simulates one minute across all live nodes. Cancelled once
-  /// the session was stopped early by an observer, OutOfRange once it is
-  /// exhausted or consumed by Finish().
-  Status Step() { return StepOnce(); }
-
-  /// \brief Steps until the cursor reaches min(minute, end_minute()).
-  /// Cancelled when an observer stop halts the session short of the
-  /// target, matching Step(); OutOfRange once consumed by Finish().
-  Status RunUntil(int minute) { return RunUntilMinute(minute); }
 
   /// \brief Runs to the end of the window (unless already stopped) and
   /// returns the aggregated + per-node outcome, consuming the session.
@@ -359,13 +332,10 @@ class ClusterSession : private SessionCore<ClusterSession> {
   ClusterSession(TraceSource* source, std::unique_ptr<TraceSource> owned,
                  const SimOptions& options, int end);
 
-  /// Shared body of the Create() overloads. `full_trace` is non-null for
-  /// the in-memory path (policies then train on the real full trace);
-  /// when null, the train prefix is materialized from `source` and
-  /// RequiresFullTrace() policies are rejected.
+  /// Shared body of the Create() overloads; `owned` is the adapter the
+  /// Trace overload built over `source`, null for a borrowed source.
   static Result<ClusterSession> CreateImpl(TraceSource* source,
                                            std::unique_ptr<TraceSource> owned,
-                                           const Trace* full_trace,
                                            const ClusterSpec& cluster,
                                            const PolicySpec& policy,
                                            const SimOptions& options);
@@ -394,9 +364,6 @@ class ClusterSession : private SessionCore<ClusterSession> {
   /// O(evictions + changes) through the node's LruIndex.
   void EnforceCapacity(Node* node, int t);
 
-  /// The in-memory adapter when created from a Trace; null for borrowed
-  /// sources. Heap-allocated so source_ stays stable across moves.
-  std::unique_ptr<TraceSource> owned_source_;
   uint64_t reroutes_ = 0;
   std::unique_ptr<Router> router_;
   std::vector<Node> nodes_;

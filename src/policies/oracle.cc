@@ -20,24 +20,38 @@ void RegisterOraclePolicy(PolicyRegistry& registry) {
 }
 
 void OraclePolicy::Train(const Trace& trace, int train_minutes) {
-  (void)train_minutes;
-  trace_ = &trace;
+  const size_t n = trace.num_functions();
+  first_ = train_minutes + 1;
+  offsets_.assign(1, 0);
+  ids_.clear();
+  for (int t = first_; t < trace.num_minutes(); ++t) {
+    for (size_t f = 0; f < n; ++f) {
+      if (trace.function(f).counts[static_cast<size_t>(t)] > 0) {
+        ids_.push_back(static_cast<uint32_t>(f));
+      }
+    }
+    offsets_.push_back(ids_.size());
+  }
+  next_.assign(n, 0);
 }
 
 void OraclePolicy::OnMinute(int t, const std::vector<Invocation>& arrivals,
                             MemSet* mem) {
   (void)arrivals;
-  const int next = t + 1;
-  const bool has_next = next < trace_->num_minutes();
-  for (size_t f = 0; f < trace_->num_functions(); ++f) {
-    const bool needed_next =
-        has_next &&
-        trace_->function(f).counts[static_cast<size_t>(next)] > 0;
-    if (needed_next) {
-      mem->Add(f);
-    } else {
-      mem->Remove(f);
-    }
+  const int64_t i = static_cast<int64_t>(t) + 1 - first_;
+  size_t begin = 0;
+  size_t end = 0;
+  if (i >= 0 && static_cast<size_t>(i) + 1 < offsets_.size()) {
+    begin = offsets_[static_cast<size_t>(i)];
+    end = offsets_[static_cast<size_t>(i) + 1];
+  }
+  for (size_t k = begin; k < end; ++k) next_[ids_[k]] = 1;
+  mem->ForEachLoaded([this, mem](size_t f) {
+    if (next_[f] == 0) mem->Remove(f);
+  });
+  for (size_t k = begin; k < end; ++k) {
+    mem->Add(ids_[k]);
+    next_[ids_[k]] = 0;
   }
 }
 

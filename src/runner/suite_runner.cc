@@ -8,6 +8,7 @@
 
 #include "obs/recorder.h"
 #include "sim/scenario.h"
+#include "trace/trace_source.h"
 
 namespace spes {
 
@@ -61,9 +62,10 @@ std::vector<JobResult> RunPooled(const SuiteRunnerOptions& options,
                               static_cast<int>(slot), 0, spec.label);
     result.status = workloads[slot].status();
     if (result.status.ok()) {
+      InMemoryTraceSource source(*workloads[slot].ValueOrDie());
       Result<std::vector<ScenarioOutcome>> run =
-          scenario_internal::RunValidated(*workloads[slot].ValueOrDie(),
-                                          {&spec}, static_cast<int>(slot));
+          scenario_internal::RunValidated(source, {&spec},
+                                          static_cast<int>(slot));
       if (run.ok()) {
         Fill(std::move(run.ValueOrDie()[0]), &result);
       } else {
@@ -178,9 +180,10 @@ std::vector<JobResult> SuiteRunner::RunLockstep(
     for (size_t slot : group) lanes.push_back(&specs[slot]);
     // Recorded events from a shared lockstep stream carry the group's
     // first slot; lanes keep each member apart.
+    InMemoryTraceSource source(*workloads[group[0]].ValueOrDie());
     Result<std::vector<ScenarioOutcome>> run =
-        scenario_internal::RunValidated(*workloads[group[0]].ValueOrDie(),
-                                        lanes, static_cast<int>(group[0]));
+        scenario_internal::RunValidated(source, lanes,
+                                        static_cast<int>(group[0]));
     for (size_t k = 0; k < group.size(); ++k) {
       if (run.ok()) {
         Fill(std::move(run.ValueOrDie()[k]), &results[group[k]]);

@@ -6,14 +6,8 @@
 
 namespace spes {
 
-ArrivalDecoder::ArrivalDecoder(const Trace& trace, int block_minutes)
-    : owned_(std::make_unique<InMemoryTraceSource>(trace)),
-      source_(owned_.get()),
-      // Clamped so a block minute index always fits scatter_minute_'s u16.
-      block_minutes_(std::clamp(block_minutes, 1, 65535)) {}
-
 ArrivalDecoder::ArrivalDecoder(TraceSource* source, int block_minutes)
-    : source_(source), block_minutes_(std::clamp(block_minutes, 1, 65535)) {}
+    : source_(source), block_minutes_(std::max(block_minutes, 1)) {}
 
 std::span<const Invocation> ArrivalDecoder::Decode(int t) {
   assert(source_ != nullptr && "ArrivalDecoder used before construction");

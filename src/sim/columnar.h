@@ -28,7 +28,6 @@
 #define SPES_SIM_COLUMNAR_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -36,7 +35,6 @@
 #include "sim/accounting.h"
 #include "sim/memset.h"
 #include "sim/policy.h"
-#include "trace/trace.h"
 #include "trace/trace_source.h"
 
 namespace spes {
@@ -57,11 +55,8 @@ class ArrivalDecoder {
  public:
   static constexpr int kDefaultBlockMinutes = 256;
 
-  ArrivalDecoder() = default;
-  /// \brief Decodes a realized trace (owns the in-memory adapter).
-  explicit ArrivalDecoder(const Trace& trace,
-                          int block_minutes = kDefaultBlockMinutes);
-  /// \brief Decodes a borrowed source, which must outlive the decoder.
+  /// \brief Decodes a borrowed source, which must outlive the decoder (a
+  /// realized Trace goes through an InMemoryTraceSource).
   explicit ArrivalDecoder(TraceSource* source,
                           int block_minutes = kDefaultBlockMinutes);
 
@@ -89,9 +84,6 @@ class ArrivalDecoder {
  private:
   Status DecodeBlock(int block_start);
 
-  /// Set when constructed from a Trace: the adapter the decoder owns. A
-  /// unique_ptr keeps `source_` stable across moves of the decoder.
-  std::unique_ptr<TraceSource> owned_;
   TraceSource* source_ = nullptr;
   Status status_;
   int block_minutes_ = kDefaultBlockMinutes;

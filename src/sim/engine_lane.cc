@@ -22,6 +22,28 @@ Result<int> ResolveStreamWindow(int horizon, const SimOptions& options) {
                                 : horizon;
 }
 
+Status TrainPolicies(TraceSource& source, const std::vector<Policy*>& policies,
+                     const SimOptions& options) {
+  const Trace* training = source.realized_trace();
+  Trace prefix;
+  if (training == nullptr) {
+    const bool full = std::any_of(policies.begin(), policies.end(),
+                                  [](const Policy* policy) {
+                                    return policy->RequiresFullTrace();
+                                  });
+    SPES_ASSIGN_OR_RETURN(prefix, source.MaterializePrefix(
+                                      full ? source.num_minutes()
+                                           : options.train_minutes));
+    training = &prefix;
+  }
+  for (size_t i = 0; i < policies.size(); ++i) {
+    const ScopedSpan span(options.recorder, "train", options.recorder_slot,
+                          static_cast<int>(i), policies[i]->name());
+    policies[i]->Train(*training, options.train_minutes);
+  }
+  return Status::OK();
+}
+
 std::shared_ptr<const std::vector<uint64_t>> SharedLatencyHashes(
     const TraceSource& source, const SimOptions& options) {
   if (!options.latency.has_value()) return nullptr;

@@ -14,10 +14,11 @@
 //
 // The lane also owns its checkpoint fields (Save/Load), its outcome and
 // the helpers that encode the per-lane fields both checkpoint wire
-// formats (SPESCKPT and SPESCLCK) carry. SessionCore is the session
-// lifecycle around the lanes — cursor, stop/consumed flags, Step(),
-// RunUntil(), OnStreamStart and the Finish() preamble — that both
-// sessions inherit.
+// formats (SPESCKPT and SPESCLCK) carry. TrainPolicies() picks the one
+// trace a session's policies train on. SessionCore is the session
+// skeleton around the lanes — owned adapter, cursor, stop/consumed
+// flags, observers, Step(), RunUntil(), OnStreamStart and the Finish(),
+// Checkpoint() and Restore() preambles — that both sessions inherit.
 
 #ifndef SPES_SIM_ENGINE_LANE_H_
 #define SPES_SIM_ENGINE_LANE_H_
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -45,6 +47,15 @@ namespace spes {
 /// \brief Validates `options` against a trace of `horizon` minutes and
 /// resolves the end minute (0 = the horizon; larger requests clamp to it).
 Result<int> ResolveStreamWindow(int horizon, const SimOptions& options);
+
+/// \brief Trains every policy of one session, in lane order, each inside
+/// a "train" span tagged with its lane index. The trace they train on is
+/// chosen here and nowhere else: the source's own realized trace when it
+/// holds one (no copy), otherwise a prefix materialized from the source —
+/// the train window, or the whole horizon when any policy
+/// RequiresFullTrace(). Fails only when that materialization fails.
+Status TrainPolicies(TraceSource& source, const std::vector<Policy*>& policies,
+                     const SimOptions& options);
 
 /// \brief The per-request sampling keys every latency lane of one session
 /// shares, or null when `options` has no latency block. The keys depend
@@ -152,29 +163,46 @@ class EngineLane {
   std::vector<FunctionAccount> scratch_accounts_;
 };
 
-/// \brief The session lifecycle SimStream and ClusterSession share: the
-/// cursor over [start, end), the early-stop and consumed flags, the
-/// shared arrival decoder, and the Step()/RunUntil()/Finish() plumbing
-/// around them. `Session` inherits it privately (CRTP), befriends it, and
-/// supplies StepLocked() (one minute), LaneCount() and SimulateLabel()
-/// (StreamInfo::num_lanes and the "simulate" span detail). `kind` names
-/// the session class in every status message.
+/// \brief The session skeleton SimStream and ClusterSession share: the
+/// owned in-memory adapter, the cursor over [start, end), the early-stop
+/// and consumed flags, the observers, the shared arrival decoder, the
+/// Step()/RunUntil()/Finish() plumbing around them, and the preambles of
+/// Checkpoint() and Restore(). `Session` inherits it publicly (CRTP),
+/// befriends it, and supplies StepLocked() (one minute), LaneCount(),
+/// policy(i) and SimulateLabel() (the "simulate" span detail). `kind`
+/// names the session class in cursor errors ("SimStream"), `noun` the
+/// session in checkpoint errors ("stream") and `lane_noun` one of its
+/// lanes ("lane").
 template <class Session>
 class SessionCore {
- protected:
-  SessionCore(const char* kind, TraceSource* source, const SimOptions& options,
-              int end)
-      : kind_(kind),
-        source_(source),
-        options_(options),
-        start_(options.train_minutes),
-        end_(end),
-        cursor_(options.train_minutes),
-        decoder_(source) {}
+ public:
+  /// \brief Attaches a per-minute observer (borrowed; null is ignored).
+  /// Must be called before the first Step(); OnStreamStart fires at that
+  /// first step.
+  void AddObserver(SimObserver* observer) {
+    if (observer != nullptr) observers_.push_back(observer);
+  }
 
-  /// Step(): refuses a consumed, stopped or exhausted session, then
-  /// simulates one minute.
-  Status StepOnce() {
+  /// \name Cursor state
+  /// @{
+  [[nodiscard]] int cursor() const { return cursor_; }       ///< next minute to run
+  [[nodiscard]] int start_minute() const { return start_; }  ///< == train_minutes
+  [[nodiscard]] int end_minute() const { return end_; }      ///< resolved end
+  /// Minutes decoded so far: one arrival decode serves every lane, so
+  /// this counts simulated minutes, not minutes x lanes.
+  [[nodiscard]] int64_t minutes_decoded() const { return minutes_decoded_; }
+  /// True once the cursor reached end_minute(), an early stop halted the
+  /// session, or Finish() consumed it.
+  [[nodiscard]] bool done() const { return finished_ || stopped_ || cursor_ >= end_; }
+  /// True when the session halted before end_minute().
+  [[nodiscard]] bool stopped_early() const { return stopped_; }
+  /// @}
+
+  /// \brief Simulates one minute across all lanes. Cancelled once the
+  /// session was stopped early (an observer returned false, or
+  /// SimStream::RequestStop), OutOfRange once it is exhausted or consumed
+  /// by Finish().
+  Status Step() {
     if (finished_) {
       return Status::OutOfRange(std::string(kind_) +
                                 " was consumed by Finish()");
@@ -194,15 +222,18 @@ class SessionCore {
     return static_cast<Session&>(*this).StepLocked();
   }
 
-  /// RunUntil(): steps until the cursor reaches min(minute, end_).
-  Status RunUntilMinute(int minute) {
+  /// \brief Steps until the cursor reaches min(minute, end_minute()). A
+  /// minute at or before the cursor is a no-op. Cancelled when an early
+  /// stop halts the session short of the target, matching Step();
+  /// OutOfRange once consumed by Finish().
+  Status RunUntil(int minute) {
     if (finished_) {
       return Status::OutOfRange(std::string(kind_) +
                                 " was consumed by Finish()");
     }
     const int target = std::min(minute, end_);
     while (cursor_ < target && !stopped_) {
-      SPES_RETURN_NOT_OK(StepOnce());
+      SPES_RETURN_NOT_OK(Step());
     }
     if (stopped_ && cursor_ < target) {
       // Same signal Step() gives: an early stop left the target unreached.
@@ -213,6 +244,24 @@ class SessionCore {
     }
     return Status::OK();
   }
+
+ protected:
+  /// `owned` is the in-memory adapter a Trace overload built (null for a
+  /// borrowed `source`); heap-allocated so `source` stays stable across
+  /// moves of the session.
+  SessionCore(const char* kind, const char* noun, const char* lane_noun,
+              TraceSource* source, std::unique_ptr<TraceSource> owned,
+              const SimOptions& options, int end)
+      : kind_(kind),
+        noun_(noun),
+        lane_noun_(lane_noun),
+        owned_source_(std::move(owned)),
+        source_(source),
+        options_(options),
+        start_(options.train_minutes),
+        end_(end),
+        cursor_(options.train_minutes),
+        decoder_(source) {}
 
   /// Delivers OnStreamStart exactly once, before any other callback, and
   /// opens the "simulate" span.
@@ -247,7 +296,7 @@ class SessionCore {
     EnsureStarted();
     // An early stop is a documented way to end a session: Finish() still
     // delivers the partial-window outcome, so Cancelled is success here.
-    const Status run = RunUntilMinute(end_);
+    const Status run = RunUntil(end_);
     if (!run.ok() && run.code() != StatusCode::kCancelled) return run;
     finished_ = true;
     if (options_.recorder != nullptr) {
@@ -260,7 +309,108 @@ class SessionCore {
     return ScopedSpan(options_.recorder, "finish", options_.recorder_slot, 0);
   }
 
+  /// The Checkpoint() preamble: refuses a consumed session and one with
+  /// a policy that cannot checkpoint, then fills the window fields of
+  /// `c`. The session adds its per-lane records, then calls
+  /// RecordCheckpointEvent("save").
+  template <typename Checkpoint>
+  Status BeginCheckpoint(Checkpoint* c) const {
+    if (finished_) {
+      return Status::OutOfRange(std::string("cannot Checkpoint a ") + noun_ +
+                                " consumed by Finish()");
+    }
+    const Session& session = static_cast<const Session&>(*this);
+    for (size_t i = 0; i < session.LaneCount(); ++i) {
+      const Policy* policy = session.policy(i);
+      if (!policy->SupportsCheckpoint()) {
+        return Status::NotImplemented(
+            "policy '" + policy->name() + "' (" + lane_noun_ + " " +
+            std::to_string(i) + ") does not support checkpointing");
+      }
+    }
+    c->cursor = cursor_;
+    c->train_minutes = options_.train_minutes;
+    c->end_minute = end_;
+    c->pin_executing_functions = options_.pin_executing_functions;
+    c->num_functions = source_->num_functions();
+    c->stopped = stopped_;
+    return Status::OK();
+  }
+
+  /// The Restore() preamble: refuses a consumed session, then checks that
+  /// `c` came from a session over the same fleet size, window and pinning
+  /// as this one, with its cursor inside the window and `num_records`
+  /// lane records. The session adds its per-lane checks and loads, then
+  /// calls EndRestore().
+  template <typename Checkpoint>
+  Status BeginRestore(const Checkpoint& c, size_t num_records) const {
+    if (finished_) {
+      return Status::OutOfRange(std::string("cannot Restore a ") + noun_ +
+                                " consumed by Finish()");
+    }
+    const std::string owner = noun_;
+    const size_t n = source_->num_functions();
+    if (c.num_functions != n) {
+      return Status::InvalidArgument(
+          "checkpoint num_functions (=" + std::to_string(c.num_functions) +
+          ") does not match this " + owner + "'s trace (=" +
+          std::to_string(n) + ")");
+    }
+    if (c.train_minutes != options_.train_minutes) {
+      return Status::InvalidArgument(
+          "checkpoint train_minutes (=" + std::to_string(c.train_minutes) +
+          ") does not match this " + owner + " (=" +
+          std::to_string(options_.train_minutes) + ")");
+    }
+    if (c.end_minute != end_) {
+      return Status::InvalidArgument(
+          "checkpoint end_minute (=" + std::to_string(c.end_minute) +
+          ") does not match this " + owner + " (=" + std::to_string(end_) +
+          ")");
+    }
+    if (c.pin_executing_functions != options_.pin_executing_functions) {
+      return Status::InvalidArgument(
+          "checkpoint pin_executing_functions (=" +
+          std::string(c.pin_executing_functions ? "true" : "false") +
+          ") does not match this " + owner);
+    }
+    if (c.cursor < start_ || c.cursor > end_) {
+      return Status::InvalidArgument(
+          "checkpoint cursor (=" + std::to_string(c.cursor) +
+          ") is outside this " + owner + "'s window [" +
+          std::to_string(start_) + ", " + std::to_string(end_) + "]");
+    }
+    const size_t lanes = static_cast<const Session&>(*this).LaneCount();
+    if (num_records != lanes) {
+      return Status::InvalidArgument(
+          "checkpoint has (=" + std::to_string(num_records) + ") " +
+          lane_noun_ + "s but this " + owner + " has (=" +
+          std::to_string(lanes) + ")");
+    }
+    return Status::OK();
+  }
+
+  /// Closes a successful Restore(): the cursor and stop flag of `c`, then
+  /// the "restore" event.
+  template <typename Checkpoint>
+  void EndRestore(const Checkpoint& c) {
+    cursor_ = c.cursor;
+    stopped_ = c.stopped;
+    RecordCheckpointEvent("restore");
+  }
+
+  /// The recorder's checkpoint event ("save" or "restore") at the cursor.
+  void RecordCheckpointEvent(const char* what) const {
+    if (options_.recorder != nullptr) {
+      options_.recorder->CheckpointEvent(what, options_.recorder_slot,
+                                         static_cast<uint64_t>(cursor_));
+    }
+  }
+
   const char* kind_;
+  const char* noun_;
+  const char* lane_noun_;
+  std::unique_ptr<TraceSource> owned_source_;
   TraceSource* source_;
   SimOptions options_;
   int start_;
@@ -304,46 +454,6 @@ Status ReadCheckpointWindow(BinaryReader& r, Checkpoint* c) {
   SPES_ASSIGN_OR_RETURN(c->pin_executing_functions, r.Bool());
   SPES_ASSIGN_OR_RETURN(c->num_functions, r.U64());
   SPES_ASSIGN_OR_RETURN(c->stopped, r.Bool());
-  return Status::OK();
-}
-
-/// \brief Restore-time check that `c` came from a session over the same
-/// fleet size, window and pinning as this one, with its cursor inside the
-/// window. `owner` names the session kind in errors ("stream").
-template <typename Checkpoint>
-Status CheckCheckpointWindow(const Checkpoint& c, size_t num_functions,
-                             const SimOptions& options, int end,
-                             const char* owner) {
-  if (c.num_functions != num_functions) {
-    return Status::InvalidArgument(
-        "checkpoint num_functions (=" + std::to_string(c.num_functions) +
-        ") does not match this " + owner + "'s trace (=" +
-        std::to_string(num_functions) + ")");
-  }
-  if (c.train_minutes != options.train_minutes) {
-    return Status::InvalidArgument(
-        "checkpoint train_minutes (=" + std::to_string(c.train_minutes) +
-        ") does not match this " + owner + " (=" +
-        std::to_string(options.train_minutes) + ")");
-  }
-  if (c.end_minute != end) {
-    return Status::InvalidArgument(
-        "checkpoint end_minute (=" + std::to_string(c.end_minute) +
-        ") does not match this " + owner + " (=" + std::to_string(end) + ")");
-  }
-  if (c.pin_executing_functions != options.pin_executing_functions) {
-    return Status::InvalidArgument(
-        "checkpoint pin_executing_functions (=" +
-        std::string(c.pin_executing_functions ? "true" : "false") +
-        ") does not match this " + owner);
-  }
-  if (c.cursor < options.train_minutes || c.cursor > end) {
-    return Status::InvalidArgument(
-        "checkpoint cursor (=" + std::to_string(c.cursor) +
-        ") is outside this " + owner + "'s window [" +
-        std::to_string(options.train_minutes) + ", " + std::to_string(end) +
-        "]");
-  }
   return Status::OK();
 }
 

@@ -32,6 +32,13 @@ class Policy {
   /// [0, train_minutes). Called exactly once before any OnMinute().
   virtual void Train(const Trace& trace, int train_minutes) = 0;
 
+  /// \brief "Train me on the whole horizon": true when Train() must see
+  /// every minute of the trace, not just the train window (the oracle
+  /// indexes its future there). Engines then hand Train() the full trace
+  /// — materialized from a streamed source if need be — and every policy
+  /// still runs on every path; see TrainPolicies() in sim/engine_lane.h.
+  [[nodiscard]] virtual bool RequiresFullTrace() const { return false; }
+
   /// \brief Online step for minute `t` (absolute trace minute).
   ///
   /// The engine has already loaded every arriving function into `mem`
@@ -51,14 +58,6 @@ class Policy {
   /// that produced the blob; it only needs to reinstate online-mutable
   /// state. The default implementation opts out.
   /// @{
-  /// \brief True when the policy retains a pointer into the trained trace
-  /// and reads minutes beyond the train window at OnMinute() time (the
-  /// oracle does). The streamed entry points — SimStream/ClusterSession
-  /// over a TraceSource — materialize only the train prefix, so they
-  /// reject such policies with InvalidArgument instead of silently feeding
-  /// them a horizon that ends at the train boundary.
-  [[nodiscard]] virtual bool RequiresFullTrace() const { return false; }
-
   [[nodiscard]] virtual bool SupportsCheckpoint() const { return false; }
   [[nodiscard]] virtual Result<std::string> SaveState() const {
     return Status::NotImplemented("policy '" + name() +

@@ -151,22 +151,26 @@ class LaneScopedObserver : public SimObserver {
 };
 
 /// A single spec through the core: validated by the caller.
-template <class Workload>
-Result<ScenarioOutcome> RunOne(Workload& workload, const ScenarioSpec& spec) {
+Result<ScenarioOutcome> RunOne(TraceSource& source, const ScenarioSpec& spec) {
   SPES_ASSIGN_OR_RETURN(
       std::vector<ScenarioOutcome> outcomes,
-      scenario_internal::RunValidated(workload, {&spec},
+      scenario_internal::RunValidated(source, {&spec},
                                       spec.options.recorder_slot));
   return std::move(outcomes[0]);
+}
+
+/// RunOne over a realized trace, through a stack adapter of its own.
+Result<ScenarioOutcome> RunOne(const Trace& trace, const ScenarioSpec& spec) {
+  InMemoryTraceSource source(trace);
+  return RunOne(source, spec);
 }
 
 }  // namespace
 
 namespace scenario_internal {
 
-template <class Workload>
 Result<std::vector<ScenarioOutcome>> RunValidated(
-    Workload& workload, const std::vector<const ScenarioSpec*>& specs,
+    TraceSource& source, const std::vector<const ScenarioSpec*>& specs,
     int recorder_slot) {
   SimOptions options = specs[0]->options;
   options.recorder_slot = recorder_slot;
@@ -175,7 +179,7 @@ Result<std::vector<ScenarioOutcome>> RunValidated(
     // A cluster is its own multi-lane session: observers see every node.
     const ScenarioSpec& spec = *specs[0];
     SPES_ASSIGN_OR_RETURN(ClusterSession session,
-                          ClusterSession::Create(workload, *spec.cluster,
+                          ClusterSession::Create(source, *spec.cluster,
                                                  spec.policy, options));
     for (SimObserver* observer : spec.observers) {
       session.AddObserver(observer);
@@ -193,7 +197,7 @@ Result<std::vector<ScenarioOutcome>> RunValidated(
     lanes.push_back(outcomes[k].policy.get());
   }
   SPES_ASSIGN_OR_RETURN(SimStream stream,
-                        SimStream::Create(workload, std::move(lanes), options));
+                        SimStream::Create(source, std::move(lanes), options));
   std::vector<std::unique_ptr<LaneScopedObserver>> scoped;
   for (size_t k = 0; k < specs.size(); ++k) {
     for (SimObserver* observer : specs[k]->observers) {
@@ -209,11 +213,6 @@ Result<std::vector<ScenarioOutcome>> RunValidated(
   }
   return outcomes;
 }
-
-template Result<std::vector<ScenarioOutcome>> RunValidated<const Trace>(
-    const Trace&, const std::vector<const ScenarioSpec*>&, int);
-template Result<std::vector<ScenarioOutcome>> RunValidated<TraceSource>(
-    TraceSource&, const std::vector<const ScenarioSpec*>&, int);
 
 std::vector<Result<std::shared_ptr<const Trace>>> ResolveWorkloads(
     const Trace* provided, const std::vector<ScenarioSpec>& specs) {

@@ -161,9 +161,10 @@ Result<ScenarioOutcome> RunScenario(const Trace& trace,
 /// trace source (e.g. a TraceFileSource over a packed trace that would not
 /// fit in memory). The spec must not carry transforms — transforms need a
 /// realized trace; pack the transformed workload instead (a TraceCache
-/// with a pack directory does exactly that). Policies whose
-/// RequiresFullTrace() is true are rejected with InvalidArgument.
-/// Outcomes are bitwise-identical to running the realized trace in memory.
+/// with a pack directory does exactly that). Every registered policy runs
+/// here, `oracle` included (its RequiresFullTrace() makes the engine
+/// materialize the whole horizon for training). Outcomes are
+/// bitwise-identical to running the realized trace in memory.
 Result<ScenarioOutcome> RunScenario(TraceSource& source,
                                     const ScenarioSpec& spec);
 
@@ -171,17 +172,16 @@ namespace scenario_internal {
 
 /// \brief The one run core behind every entry point (the three
 /// RunScenario overloads and runner/suite_runner.h). Runs `specs` as ONE
-/// session over `workload`: a ClusterSession for a single cluster spec,
+/// session over `source`: a ClusterSession for a single cluster spec,
 /// otherwise a SimStream with one lane per spec, so a lockstep group walks
-/// the workload once. Lanes share one cursor, so every spec must carry the
+/// the source once. Lanes share one cursor, so every spec must carry the
 /// same SimOptions (recorder_slot aside); `recorder_slot` stamps recorded
 /// events. Each spec's observers see only their own lane, presented as a
-/// single-lane stream. Specs must already be validated. Instantiated for
-/// `const Trace` (policies train on the full trace, as `oracle` needs)
-/// and TraceSource.
-template <class Workload>
+/// single-lane stream. Specs must already be validated. A realized trace
+/// reaches it through an InMemoryTraceSource, one per run: the adapter
+/// caches row pointers lazily, so it is never shared across threads.
 Result<std::vector<ScenarioOutcome>> RunValidated(
-    Workload& workload, const std::vector<const ScenarioSpec*>& specs,
+    TraceSource& source, const std::vector<const ScenarioSpec*>& specs,
     int recorder_slot);
 
 /// \brief Validates every spec of a batch and resolves its workload

@@ -44,11 +44,6 @@ Status ValidateStreamPolicies(const std::vector<Policy*>& policies) {
 
 }  // namespace
 
-SimStream::SimStream(TraceSource* source, std::unique_ptr<TraceSource> owned,
-                     const SimOptions& options, int end)
-    : SessionCore("SimStream", source, options, end),
-      owned_source_(std::move(owned)) {}
-
 Result<SimStream> SimStream::Create(const Trace& trace, Policy* policy,
                                     const SimOptions& options) {
   return Create(trace, std::vector<Policy*>{policy}, options);
@@ -64,66 +59,34 @@ Result<SimStream> SimStream::Create(const Trace& trace,
                                     const SimOptions& options) {
   auto owned = std::make_unique<InMemoryTraceSource>(trace);
   TraceSource* source = owned.get();
-  return CreateImpl(source, std::move(owned), &trace, policies, options);
+  return CreateImpl(source, std::move(owned), policies, options);
 }
 
 Result<SimStream> SimStream::Create(TraceSource& source,
                                     std::vector<Policy*> policies,
                                     const SimOptions& options) {
-  return CreateImpl(&source, nullptr, /*full_trace=*/nullptr, policies,
-                    options);
+  return CreateImpl(&source, nullptr, policies, options);
 }
 
 Result<SimStream> SimStream::CreateImpl(TraceSource* source,
                                         std::unique_ptr<TraceSource> owned,
-                                        const Trace* full_trace,
                                         const std::vector<Policy*>& policies,
                                         const SimOptions& options) {
   SPES_RETURN_NOT_OK(ValidateStreamPolicies(policies));
-  for (size_t i = 0; full_trace == nullptr && i < policies.size(); ++i) {
-    if (policies[i]->RequiresFullTrace()) {
-      return Status::InvalidArgument(
-          "policy '" + policies[i]->name() + "'" +
-          (policies.size() == 1 ? std::string()
-                                : " (lane " + std::to_string(i) + ")") +
-          " requires the full realized trace, but a streamed source only "
-          "materializes the train prefix; run it over an in-memory Trace");
-    }
-  }
   SPES_ASSIGN_OR_RETURN(const int end,
                         ResolveStreamWindow(source->num_minutes(), options));
-  // Streamed sources train on a materialized prefix — exactly the minutes
-  // the Train() contract allows them to observe — shared across lanes.
-  // In-memory streams train on the real full trace, so policies that peek
-  // past the train window (the oracle) keep their exact behaviour.
-  Trace train_prefix;
-  if (full_trace == nullptr) {
-    SPES_ASSIGN_OR_RETURN(train_prefix,
-                          source->MaterializePrefix(options.train_minutes));
-  }
-  const Trace& training = full_trace != nullptr ? *full_trace : train_prefix;
-
   SimStream stream(source, std::move(owned), options, end);
   const size_t n = source->num_functions();
   const auto latency_hashes = SharedLatencyHashes(*source, options);
   stream.lanes_.reserve(policies.size());
   for (Policy* policy : policies) {
-    const size_t index = stream.lanes_.size();
-    {
-      const ScopedSpan span(options.recorder, "train", options.recorder_slot,
-                            static_cast<int>(index), policy->name());
-      policy->Train(training, options.train_minutes);
-    }
     SPES_ASSIGN_OR_RETURN(EngineLane lane,
-                          EngineLane::Create(index, policy, n, options, end,
-                                             latency_hashes));
+                          EngineLane::Create(stream.lanes_.size(), policy, n,
+                                             options, end, latency_hashes));
     stream.lanes_.push_back(std::move(lane));
   }
+  SPES_RETURN_NOT_OK(TrainPolicies(*source, policies, options));
   return stream;
-}
-
-void SimStream::AddObserver(SimObserver* observer) {
-  if (observer != nullptr) observers_.push_back(observer);
 }
 
 Status SimStream::StepLocked() {
@@ -186,49 +149,20 @@ Result<SimulationOutcome> SimStream::Finish() {
 }
 
 Result<SimCheckpoint> SimStream::Checkpoint() const {
-  if (finished_) {
-    return Status::OutOfRange(
-        "cannot Checkpoint a stream consumed by Finish()");
-  }
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    if (!lanes_[i].policy()->SupportsCheckpoint()) {
-      return Status::NotImplemented(
-          "policy '" + lanes_[i].policy()->name() + "' (lane " +
-          std::to_string(i) + ") does not support checkpointing");
-    }
-  }
   SimCheckpoint checkpoint;
-  checkpoint.cursor = cursor_;
-  checkpoint.train_minutes = options_.train_minutes;
-  checkpoint.end_minute = end_;
-  checkpoint.pin_executing_functions = options_.pin_executing_functions;
-  checkpoint.num_functions = source_->num_functions();
-  checkpoint.stopped = stopped_;
+  SPES_RETURN_NOT_OK(BeginCheckpoint(&checkpoint));
   checkpoint.lanes.reserve(lanes_.size());
   for (const EngineLane& lane : lanes_) {
     SimCheckpoint::Lane out;
     SPES_RETURN_NOT_OK(lane.Save(cursor_, &out));
     checkpoint.lanes.push_back(std::move(out));
   }
-  if (options_.recorder != nullptr) {
-    options_.recorder->CheckpointEvent("save", options_.recorder_slot,
-                                       static_cast<uint64_t>(cursor_));
-  }
+  RecordCheckpointEvent("save");
   return checkpoint;
 }
 
 Status SimStream::Restore(const SimCheckpoint& checkpoint) {
-  if (finished_) {
-    return Status::OutOfRange("cannot Restore a stream consumed by Finish()");
-  }
-  SPES_RETURN_NOT_OK(CheckCheckpointWindow(
-      checkpoint, source_->num_functions(), options_, end_, "stream"));
-  if (checkpoint.lanes.size() != lanes_.size()) {
-    return Status::InvalidArgument(
-        "checkpoint has (=" + std::to_string(checkpoint.lanes.size()) +
-        ") lanes but this stream has (=" + std::to_string(lanes_.size()) +
-        ")");
-  }
+  SPES_RETURN_NOT_OK(BeginRestore(checkpoint, checkpoint.lanes.size()));
   for (size_t i = 0; i < lanes_.size(); ++i) {
     SPES_RETURN_NOT_OK(lanes_[i].CheckShape(
         checkpoint.lanes[i], "checkpoint lane " + std::to_string(i), "stream",
@@ -242,12 +176,7 @@ Status SimStream::Restore(const SimCheckpoint& checkpoint) {
   for (size_t i = 0; i < lanes_.size(); ++i) {
     SPES_RETURN_NOT_OK(lanes_[i].Load(checkpoint.lanes[i], checkpoint.cursor));
   }
-  cursor_ = checkpoint.cursor;
-  stopped_ = checkpoint.stopped;
-  if (options_.recorder != nullptr) {
-    options_.recorder->CheckpointEvent("restore", options_.recorder_slot,
-                                       static_cast<uint64_t>(cursor_));
-  }
+  EndRestore(checkpoint);
   return Status::OK();
 }
 

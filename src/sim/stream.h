@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -84,67 +85,36 @@ Result<SimCheckpoint> ParseCheckpoint(const std::string& bytes);
 
 /// \brief An incremental simulation session. Create() trains the
 /// policy/policies and positions the cursor at the first simulated minute.
-/// The trace, policies and observers are borrowed and must outlive the
-/// stream. Not thread-safe; drive each stream from one thread.
-class SimStream : private SessionCore<SimStream> {
+/// The trace or source, policies and observers are borrowed and must
+/// outlive the stream. Not thread-safe; drive each stream from one thread.
+class SimStream : public SessionCore<SimStream> {
  public:
-  /// \brief Single-policy stream. Fails like Simulate() on a null policy,
-  /// an invalid window, or a train window past the trace horizon.
-  static Result<SimStream> Create(const Trace& trace, Policy* policy,
+  /// \brief Single-policy stream over any TraceSource (e.g. a packed
+  /// trace file): arrivals are pulled in chunked minute windows, so the
+  /// full trace never needs to exist in memory. Policies train as
+  /// TrainPolicies() (sim/engine_lane.h) picks: on the source's realized
+  /// trace, or on a materialized prefix. Fails like Simulate() on a null
+  /// policy, an invalid window, or a train window past the horizon.
+  static Result<SimStream> Create(TraceSource& source, Policy* policy,
                                   const SimOptions& options);
 
   /// \brief Lockstep multi-policy stream: every lane advances over one
   /// shared arrival decode per minute. Lanes must be distinct, non-null
   /// policy instances (each lane owns its MemSet and counters).
-  static Result<SimStream> Create(const Trace& trace,
-                                  std::vector<Policy*> policies,
-                                  const SimOptions& options);
-
-  /// \brief Streamed single-policy stream over any TraceSource (e.g. a
-  /// packed trace file): arrivals are pulled in chunked minute windows, so
-  /// the full trace never needs to exist in memory. The policy trains on
-  /// the materialized train prefix; policies whose RequiresFullTrace() is
-  /// true are rejected with InvalidArgument. The source must outlive the
-  /// stream. Outcomes are bitwise-identical to the in-memory overloads.
-  static Result<SimStream> Create(TraceSource& source, Policy* policy,
-                                  const SimOptions& options);
-
-  /// \brief Streamed lockstep form; see the TraceSource overload above.
   static Result<SimStream> Create(TraceSource& source,
                                   std::vector<Policy*> policies,
                                   const SimOptions& options);
 
-  /// \brief Attaches a per-minute observer (borrowed). Must be called
-  /// before the first Step(); OnStreamStart fires at that first step.
-  void AddObserver(SimObserver* observer);
+  /// \brief Adapters over a realized Trace: the stream owns an
+  /// InMemoryTraceSource over `trace` and runs exactly as above.
+  static Result<SimStream> Create(const Trace& trace, Policy* policy,
+                                  const SimOptions& options);
+  static Result<SimStream> Create(const Trace& trace,
+                                  std::vector<Policy*> policies,
+                                  const SimOptions& options);
 
-  /// \name Cursor state
-  /// @{
-  [[nodiscard]] int cursor() const { return cursor_; }          ///< next minute to run
-  [[nodiscard]] int start_minute() const { return start_; }     ///< == train_minutes
-  [[nodiscard]] int end_minute() const { return end_; }         ///< resolved end
   [[nodiscard]] size_t num_lanes() const { return lanes_.size(); }
   [[nodiscard]] const Policy* policy(size_t lane) const { return lanes_[lane].policy(); }
-  /// Minutes decoded so far: one arrival decode serves every lane, so
-  /// this counts simulated minutes, not minutes x lanes.
-  [[nodiscard]] int64_t minutes_decoded() const { return minutes_decoded_; }
-  /// True once the cursor reached end_minute(), an observer (or
-  /// RequestStop) halted the stream, or Finish()/FinishAll() consumed it.
-  [[nodiscard]] bool done() const { return finished_ || stopped_ || cursor_ >= end_; }
-  /// True when the stream halted before end_minute().
-  [[nodiscard]] bool stopped_early() const { return stopped_; }
-  /// @}
-
-  /// \brief Simulates one minute across all lanes. Cancelled once the
-  /// stream was stopped early (observer or RequestStop), OutOfRange once
-  /// it is exhausted or consumed by Finish().
-  Status Step() { return StepOnce(); }
-
-  /// \brief Steps until the cursor reaches min(minute, end_minute()). A
-  /// minute at or before the cursor is a no-op. Cancelled when an early
-  /// stop (observer or RequestStop) halts the stream short of the target;
-  /// OutOfRange if the stream was already consumed by Finish().
-  Status RunUntil(int minute) { return RunUntilMinute(minute); }
 
   /// \brief Convenience: RunUntil(end_minute()).
   Status RunToEnd() { return RunUntil(end_); }
@@ -186,15 +156,14 @@ class SimStream : private SessionCore<SimStream> {
   friend class SessionCore<SimStream>;
 
   SimStream(TraceSource* source, std::unique_ptr<TraceSource> owned,
-            const SimOptions& options, int end);
+            const SimOptions& options, int end)
+      : SessionCore("SimStream", "stream", "lane", source, std::move(owned),
+                    options, end) {}
 
-  /// Shared body of the Create() overloads. `full_trace` is non-null for
-  /// the in-memory path (policies then train on the real full trace);
-  /// when null, the train prefix is materialized from `source` and
-  /// RequiresFullTrace() policies are rejected.
+  /// Shared body of the Create() overloads; `owned` is the adapter a
+  /// Trace overload built over `source`, null for a borrowed source.
   static Result<SimStream> CreateImpl(TraceSource* source,
                                       std::unique_ptr<TraceSource> owned,
-                                      const Trace* full_trace,
                                       const std::vector<Policy*>& policies,
                                       const SimOptions& options);
 
@@ -208,9 +177,6 @@ class SimStream : private SessionCore<SimStream> {
   /// only possible for disk-backed sources.
   Status StepLocked();
 
-  /// The in-memory adapter when created from a Trace; null for borrowed
-  /// sources. Heap-allocated so source_ stays stable across moves.
-  std::unique_ptr<TraceSource> owned_source_;
   std::vector<EngineLane> lanes_;
   /// This minute's arrivals, copied from the decoder block (the Policy
   /// API takes a vector); reused across steps.

@@ -59,10 +59,16 @@ class TraceSource {
 
   /// \brief Materializes the first `num_minutes` minutes as an in-memory
   /// Trace (counts beyond the prefix are absent, not zeroed — the returned
-  /// trace's horizon IS `num_minutes`). Engines use this to train policies
-  /// without realizing the full horizon. O(num_functions * num_minutes)
-  /// memory — callers cap the prefix, not the fleet.
+  /// trace's horizon IS `num_minutes`). Engines call it, through
+  /// TrainPolicies() (sim/engine_lane.h), only when realized_trace() is
+  /// null: for the train window, or for the whole horizon when a policy
+  /// RequiresFullTrace(). O(num_functions * num_minutes) memory — callers
+  /// cap the prefix, not the fleet.
   virtual Result<Trace> MaterializePrefix(int num_minutes) = 0;
+
+  /// \brief The realized trace behind this source, if it holds one (then
+  /// policies train on it without a prefix copy); null for pure streams.
+  [[nodiscard]] virtual const Trace* realized_trace() const { return nullptr; }
 };
 
 /// \brief TraceSource over a borrowed, fully realized Trace — the zero-copy
@@ -90,7 +96,7 @@ class InMemoryTraceSource final : public TraceSource {
   Result<Trace> MaterializePrefix(int num_minutes) override;
 
   /// \brief The borrowed underlying trace.
-  [[nodiscard]] const Trace& trace() const { return *trace_; }
+  [[nodiscard]] const Trace* realized_trace() const override { return trace_; }
 
  private:
   const Trace* trace_;

@@ -7,16 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/rng.h"
 #include "policies/fixed_keepalive.h"
 #include "runner/suite_runner.h"
 #include "sim/observers.h"
 #include "sim/scenario.h"
+#include "sim/stream.h"
 #include "trace/azure_csv.h"
 #include "trace/generator.h"
+#include "trace/trace_file.h"
 #include "trace/trace_source.h"
 #include "trace/transform.h"
 
@@ -433,14 +437,8 @@ TEST_P(PathEquivalenceTest, EveryEntryPointRunsTheSameSimulation) {
                 "RunScenario(trace, spec)");
 
   InMemoryTraceSource source(trace);
-  const Result<ScenarioOutcome> streamed = RunScenario(source, spec);
-  if (PolicyRegistry::Global().Create(spec.policy).ValueOrDie()
-          ->RequiresFullTrace()) {
-    EXPECT_EQ(streamed.status().code(), StatusCode::kInvalidArgument);
-  } else {
-    ExpectSameRun(reference, streamed.ValueOrDie().outcome,
-                  "RunScenario(source, spec)");
-  }
+  ExpectSameRun(reference, RunScenario(source, spec).ValueOrDie().outcome,
+                "RunScenario(source, spec)");
 
   const auto expect_batch = [&](const std::vector<JobResult>& results,
                                 const std::string& path) {
@@ -464,6 +462,41 @@ TEST_P(PathEquivalenceTest, EveryEntryPointRunsTheSameSimulation) {
   one_node.cluster = ClusterSpec{};
   ExpectSameRun(reference, RunScenario(trace, one_node).ValueOrDie().outcome,
                 "1-node cluster");
+
+  // Streamed from packed .spt bytes, as a stream and as a 1-node cluster.
+  TraceFileWriter writer =
+      TraceFileWriter::Create(trace.num_minutes()).ValueOrDie();
+  for (size_t f = 0; f < trace.num_functions(); ++f) {
+    writer.Add(trace.function(f).meta, trace.function(f).counts).CheckOK();
+  }
+  const std::unique_ptr<TraceFileSource> packed =
+      TraceFileSource::FromBytes(writer.ToBytes().ValueOrDie()).ValueOrDie();
+  ExpectSameRun(reference, RunScenario(*packed, spec).ValueOrDie().outcome,
+                "RunScenario(.spt bytes, spec)");
+  ExpectSameRun(reference,
+                RunScenario(*packed, one_node).ValueOrDie().outcome,
+                "1-node cluster over .spt bytes");
+
+  // Restored from checkpoint bytes taken at a random minute, seeded by the
+  // fleet.
+  const std::unique_ptr<Policy> first =
+      PolicyRegistry::Global().Create(spec.policy).ValueOrDie();
+  if (!first->SupportsCheckpoint()) return;
+  Rng rng(static_cast<uint64_t>(reference.metrics.total_invocations));
+  const int cut = static_cast<int>(
+      rng.UniformInt(spec.options.train_minutes, trace.num_minutes()));
+  SimStream before =
+      SimStream::Create(source, first.get(), spec.options).ValueOrDie();
+  ASSERT_TRUE(before.RunUntil(cut).ok());
+  const std::string bytes =
+      SerializeCheckpoint(before.Checkpoint().ValueOrDie());
+  const std::unique_ptr<Policy> second =
+      PolicyRegistry::Global().Create(spec.policy).ValueOrDie();
+  SimStream after =
+      SimStream::Create(source, second.get(), spec.options).ValueOrDie();
+  ASSERT_TRUE(after.Restore(ParseCheckpoint(bytes).ValueOrDie()).ok());
+  ExpectSameRun(reference, after.Finish().ValueOrDie(),
+                "restored at minute " + std::to_string(cut));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -330,38 +330,26 @@ TEST(TraceFileGoldenTest, StreamedCheckpointRestoreMatchesBatchGoldens) {
   std::filesystem::remove(path);
 }
 
-TEST(TraceFileGoldenTest, OracleIsRejectedOnStreamedPaths) {
+TEST(TraceFileGoldenTest, OracleFromPackedFileMatchesInMemorySimulate) {
   const std::string path = PackGoldenToFile("spes_tf_golden_oracle.spt");
   std::unique_ptr<TraceFileSource> source =
       OpenTraceFile(path).ValueOrDie();
-
-  // The oracle reads minutes beyond the train prefix from its retained
-  // trace pointer, which a streamed source never materializes.
-  std::unique_ptr<Policy> oracle =
-      PolicyRegistry::Global().CreateFromString("oracle").ValueOrDie();
-  ASSERT_TRUE(oracle->RequiresFullTrace());
-
-  auto stream = SimStream::Create(*source, oracle.get(), GoldenOptions());
-  ASSERT_FALSE(stream.ok());
-  EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(stream.status().message().find("full realized trace"),
-            std::string::npos);
-
-  ScenarioSpec cluster_spec;
-  cluster_spec.policy = {"oracle", {}};
-  cluster_spec.options = GoldenOptions();
-  cluster_spec.cluster = ClusterSpec{};
-  auto cluster_run = RunScenario(*source, cluster_spec);
-  ASSERT_FALSE(cluster_run.ok());
-  EXPECT_EQ(cluster_run.status().code(), StatusCode::kInvalidArgument);
-
-  // The same policy over the same workload realized in memory is fine.
   const Trace fleet = GoldenTrace();
-  std::unique_ptr<Policy> in_memory_oracle =
+  std::unique_ptr<Policy> in_memory =
       PolicyRegistry::Global().CreateFromString("oracle").ValueOrDie();
-  EXPECT_TRUE(
-      SimStream::Create(fleet, in_memory_oracle.get(), GoldenOptions())
-          .ok());
+  const SimulationOutcome expected =
+      Simulate(fleet, in_memory.get(), GoldenOptions()).ValueOrDie();
+
+  // The oracle trains on the whole horizon materialized from the file.
+  ScenarioSpec spec;
+  spec.policy = {"oracle", {}};
+  spec.options = GoldenOptions();
+  ExpectBitwiseIdenticalBehaviour(
+      expected, RunScenario(*source, spec).ValueOrDie().outcome);
+
+  spec.cluster = ClusterSpec{};
+  ExpectBitwiseIdenticalBehaviour(
+      expected, RunScenario(*source, spec).ValueOrDie().outcome);
   std::filesystem::remove(path);
 }
 

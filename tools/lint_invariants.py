@@ -50,6 +50,14 @@ docs/correctness.md):
                        exempt. Every other layer runs scenarios through
                        RunScenario / SuiteRunner, so there is one place
                        that builds a session from a spec.
+  R8 one-training-input
+                       In src/, only src/sim/engine_lane.cc (the
+                       TrainPolicies() helper) may call
+                       RequiresFullTrace() through `->` or `.`;
+                       declarations and overrides are exempt. The helper
+                       is the one place that picks the trace policies
+                       train on, so no engine grows a rejection path for
+                       a policy that needs the whole horizon.
 
 Allowlist: a line that would fire R1, R2 or R5 is suppressed when it (or
 the line directly above it) carries a justification comment of the form
@@ -416,10 +424,40 @@ def lint_r7(relpath, lines):
 
 
 # --------------------------------------------------------------------------
+# R8: one training input
+# --------------------------------------------------------------------------
+
+R8_CALL = re.compile(r"(->|\.)\s*RequiresFullTrace\s*\(")
+R8_ALLOWED = "src/sim/engine_lane.cc"
+
+
+def lint_r8(relpath, lines):
+    if not relpath.startswith("src/") or relpath == R8_ALLOWED:
+        return []
+    findings = []
+    for i, line in enumerate(lines):
+        if R8_CALL.search(line.split("//", 1)[0]):
+            findings.append(
+                Finding(
+                    relpath,
+                    i + 1,
+                    "R8",
+                    f"RequiresFullTrace() called outside {R8_ALLOWED}; "
+                    "TrainPolicies() alone picks the trace policies train "
+                    "on (sim/engine_lane.h), so engines never reject a "
+                    "policy for needing the whole horizon",
+                )
+            )
+    return findings
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
-RULES = (lint_r1, lint_r2, lint_r3, lint_r4, lint_r5, lint_r6, lint_r7)
+RULES = (
+    lint_r1, lint_r2, lint_r3, lint_r4, lint_r5, lint_r6, lint_r7, lint_r8
+)
 SCAN_DIRS = ("src", "tests", "examples", "fuzz", "bench")
 SOURCE_EXT = (".h", ".cc", ".cpp")
 
@@ -634,6 +672,32 @@ SELF_TEST_TREE = {
     "tests/ok_stream_test.cc": (
         "SimStream s = SimStream::Create(trace, &p, {}).ValueOrDie();\n"
     ),
+    # R8: an engine that grows its own rejection path, through a pointer
+    # and through a reference.
+    "src/cluster/bad_rejection.cc": (
+        "Status Check(const Policy* policy) {\n"
+        "  if (policy->RequiresFullTrace()) {\n"
+        '    return Status::InvalidArgument("needs the full trace");\n'
+        "  }\n"
+        "  return Status::OK();\n"
+        "}\n"
+    ),
+    "src/sim/bad_rejection.cc": (
+        "bool Full(const Policy& policy) { return policy.RequiresFullTrace(); }\n"
+    ),
+    # R8 (negative): the training helper, an override, the declaration, a
+    # call in a comment, and callers outside src/.
+    "src/sim/engine_lane.cc": (
+        "const bool full = policies[0]->RequiresFullTrace();\n"
+    ),
+    "src/policies/ok_full_trace.cc": (
+        "bool RequiresFullTrace() const override { return true; }\n"
+        "virtual bool RequiresFullTrace() const { return false; }\n"
+        "// policy->RequiresFullTrace() mentioned in a comment is fine\n"
+    ),
+    "tests/ok_full_trace_test.cc": (
+        "EXPECT_TRUE(oracle->RequiresFullTrace());\n"
+    ),
 }
 
 # (rule, path) pairs that MUST be flagged...
@@ -653,6 +717,8 @@ SELF_TEST_EXPECTED = [
     ("R6", "src/cluster/bad_registry.cc"),
     ("R7", "src/runner/bad_run_path.cc"),
     ("R7", "src/sim/engine.cc"),
+    ("R8", "src/cluster/bad_rejection.cc"),
+    ("R8", "src/sim/bad_rejection.cc"),
 ]
 # ...and paths that must stay clean.
 SELF_TEST_CLEAN = [
@@ -672,6 +738,9 @@ SELF_TEST_CLEAN = [
     "src/sim/stream.cc",
     "src/cluster/cluster.cc",
     "tests/ok_stream_test.cc",
+    "src/sim/engine_lane.cc",
+    "src/policies/ok_full_trace.cc",
+    "tests/ok_full_trace_test.cc",
 ]
 # (path, rule, line) findings that must NOT fire in a file that also has a
 # seeded violation: the Simulate() shim's own call in engine.cc.
