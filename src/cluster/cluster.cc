@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/binary_io.h"
+#include "core/param_spec.h"
 #include "obs/recorder.h"
 
 namespace spes {
@@ -20,34 +21,21 @@ namespace {
 constexpr char kClusterCheckpointMagic[] = "SPESCLCK";
 constexpr uint32_t kClusterCheckpointVersion = 1;
 
-/// Typed accessor over a parsed node-event spec: `name` must be a declared
-/// int parameter of the event kind; errors mirror the registry wording.
-/// The ceiling keeps every accepted value representable as an `int`, so
-/// the NodeEvent fields never truncate.
-Result<int64_t> EventIntParam(const NamedSpec& spec, const std::string& name,
-                              bool required, int64_t min_value) {
-  constexpr int64_t kMaxValue = 2147483647;
-  auto it = spec.params.find(name);
-  if (it == spec.params.end()) {
-    if (!required) return int64_t{-1};
-    return Status::InvalidArgument("node event '" + spec.name +
-                                   "' is missing required parameter '" +
-                                   name + "'");
-  }
-  if (it->second.type() != ParamType::kInt) {
-    return Status::InvalidArgument(
-        "node event '" + spec.name + "' parameter '" + name +
-        "' expects int, got " + ParamTypeToString(it->second.type()) + " (=" +
-        FormatParamValue(it->second) + ")");
-  }
-  const int64_t value = it->second.AsInt();
-  if (value < min_value || value > kMaxValue) {
-    return Status::InvalidArgument(
-        "node event '" + spec.name + "' parameter '" + name + "' (=" +
-        std::to_string(value) + ") must be in [" +
-        std::to_string(min_value) + ", " + std::to_string(kMaxValue) + "]");
-  }
-  return value;
+/// Parameter schema of one node-event kind: `at` for every kind, plus
+/// `capacity` for add and `node` for drain/fail. `at` and `node` are
+/// required, so only capacity's default (-1, the cluster default) is
+/// ever used.
+const std::vector<ParamSpec>& NodeEventParamSchema(bool is_add) {
+  static const auto* add = new std::vector<ParamSpec>{
+      {"at", ParamType::kInt, ParamValue(0), "minute the node joins"},
+      {"capacity", ParamType::kInt, ParamValue(-1),
+       "instance capacity; -1 = ClusterSpec.node_capacity"},
+  };
+  static const auto* targeted = new std::vector<ParamSpec>{
+      {"at", ParamType::kInt, ParamValue(0), "minute the event applies"},
+      {"node", ParamType::kInt, ParamValue(-1), "target node id"},
+  };
+  return is_add ? *add : *targeted;
 }
 
 }  // namespace
@@ -79,27 +67,32 @@ Result<NodeEvent> ParseNodeEvent(const std::string& text) {
                                    "'; expected add, drain or fail");
   }
   const bool is_add = event.kind == NodeEvent::Kind::kAdd;
-  for (const auto& [key, value] : spec.params) {
-    (void)value;
-    const bool known =
-        key == "at" || (is_add ? key == "capacity" : key == "node");
-    if (!known) {
-      return Status::InvalidArgument("node event '" + spec.name +
-                                     "' does not accept parameter '" + key +
-                                     "'");
-    }
-  }
+  SPES_ASSIGN_OR_RETURN(
+      const ParamMap params,
+      MergeSpecParams("node event", spec, NodeEventParamSchema(is_add)));
+  const std::string owner = "node event '" + spec.name + "'";
+  const auto require = [&](const std::string& name) -> Status {
+    if (spec.params.count(name) > 0) return Status::OK();
+    return Status::InvalidArgument(owner + " is missing required parameter '" +
+                                   name + "'");
+  };
+  SPES_RETURN_NOT_OK(require("at"));
+  if (!is_add) SPES_RETURN_NOT_OK(require("node"));
+  // Values are bounded by INT_MAX, so the NodeEvent fields never
+  // truncate.
   SPES_ASSIGN_OR_RETURN(const int64_t at,
-                        EventIntParam(spec, "at", /*required=*/true, 0));
+                        IntParamInRange(params, owner, "at", 0));
   event.minute = static_cast<int>(at);
   if (is_add) {
+    // Only the omitted capacity may stay at its -1 default.
+    const int64_t min_capacity = spec.params.count("capacity") > 0 ? 0 : -1;
     SPES_ASSIGN_OR_RETURN(
         const int64_t capacity,
-        EventIntParam(spec, "capacity", /*required=*/false, 0));
+        IntParamInRange(params, owner, "capacity", min_capacity));
     event.capacity = static_cast<int>(capacity);
   } else {
     SPES_ASSIGN_OR_RETURN(const int64_t node,
-                          EventIntParam(spec, "node", /*required=*/true, 0));
+                          IntParamInRange(params, owner, "node", 0));
     event.node = static_cast<int>(node);
   }
   return event;
@@ -121,34 +114,12 @@ std::string FormatNodeEvent(const NodeEvent& event) {
 
 Result<std::vector<NodeEvent>> ParseNodeEventTimeline(
     const std::string& text) {
-  std::vector<NodeEvent> events;
-  // A fully blank string is the empty timeline; an empty segment between
-  // bars ("a||b", "|a") is a syntax error.
-  if (text.find_first_not_of(" \t") == std::string::npos) return events;
-  size_t start = 0;
-  while (true) {
-    const size_t bar = text.find('|', start);
-    const size_t item_end = bar == std::string::npos ? text.size() : bar;
-    const std::string item = text.substr(start, item_end - start);
-    if (item.find_first_not_of(" \t") == std::string::npos) {
-      return Status::InvalidArgument("node event timeline '" + text +
-                                     "' has an empty entry");
-    }
-    SPES_ASSIGN_OR_RETURN(NodeEvent event, ParseNodeEvent(item));
-    events.push_back(event);
-    if (bar == std::string::npos) break;
-    start = bar + 1;
-  }
-  return events;
+  return ParseSpecChain<NodeEvent>(text, "node event timeline",
+                                   ParseNodeEvent);
 }
 
 std::string FormatNodeEventTimeline(const std::vector<NodeEvent>& events) {
-  std::string text;
-  for (const NodeEvent& event : events) {
-    if (!text.empty()) text += " | ";
-    text += FormatNodeEvent(event);
-  }
-  return text;
+  return FormatSpecChain(events, FormatNodeEvent);
 }
 
 Status ValidateClusterSpec(const ClusterSpec& spec) {
@@ -734,16 +705,14 @@ std::string SerializeClusterCheckpoint(const ClusterCheckpoint& checkpoint) {
   WriteCheckpointWindow(w, checkpoint);
   w.PutU64(checkpoint.reroutes);
   w.PutU64(checkpoint.event_index);
-  w.PutU64(checkpoint.assignment.size());
-  for (int32_t a : checkpoint.assignment) w.PutI32(a);
+  w.PutVector(checkpoint.assignment);
   w.PutU64(checkpoint.nodes.size());
   for (const ClusterCheckpoint::Node& node : checkpoint.nodes) {
     w.PutBytes(node.policy_name);
     w.PutU8(node.state);
     w.PutI32(node.capacity);
     WriteLaneCounters(w, node);
-    w.PutU64(node.last_used.size());
-    for (int32_t v : node.last_used) w.PutI32(v);
+    w.PutVector(node.last_used);
     WriteLaneTotals(w, node);
     w.PutU64(node.pressure_evictions);
     w.PutU64(node.reroutes_in);
@@ -771,12 +740,7 @@ Result<ClusterCheckpoint> ParseClusterCheckpoint(const std::string& bytes) {
   SPES_RETURN_NOT_OK(ReadCheckpointWindow(r, &checkpoint));
   SPES_ASSIGN_OR_RETURN(checkpoint.reroutes, r.U64());
   SPES_ASSIGN_OR_RETURN(checkpoint.event_index, r.U64());
-  SPES_ASSIGN_OR_RETURN(const uint64_t num_assignment, r.Length(4));
-  checkpoint.assignment.reserve(num_assignment);
-  for (uint64_t f = 0; f < num_assignment; ++f) {
-    SPES_ASSIGN_OR_RETURN(const int32_t a, r.I32());
-    checkpoint.assignment.push_back(a);
-  }
+  SPES_ASSIGN_OR_RETURN(checkpoint.assignment, r.Vector<int32_t>());
   // Minimal encoded node: 117 bytes (empty name/blob/vector prefixes +
   // state + capacity + totals + overhead + cluster counters) — bounds
   // reserve() against corrupt counts.
@@ -788,12 +752,7 @@ Result<ClusterCheckpoint> ParseClusterCheckpoint(const std::string& bytes) {
     SPES_ASSIGN_OR_RETURN(node.state, r.U8());
     SPES_ASSIGN_OR_RETURN(node.capacity, r.I32());
     SPES_RETURN_NOT_OK(ReadLaneCounters(r, &node));
-    SPES_ASSIGN_OR_RETURN(const uint64_t num_last_used, r.Length(4));
-    node.last_used.reserve(num_last_used);
-    for (uint64_t i = 0; i < num_last_used; ++i) {
-      SPES_ASSIGN_OR_RETURN(const int32_t v, r.I32());
-      node.last_used.push_back(v);
-    }
+    SPES_ASSIGN_OR_RETURN(node.last_used, r.Vector<int32_t>());
     SPES_RETURN_NOT_OK(ReadLaneTotals(r, &node));
     SPES_ASSIGN_OR_RETURN(node.pressure_evictions, r.U64());
     SPES_ASSIGN_OR_RETURN(node.reroutes_in, r.U64());

@@ -76,17 +76,18 @@ const char* NodeEventKindToString(NodeEvent::Kind kind);
 /// \brief Parses one event in the registry spec grammar:
 ///   `fail{at=2980,node=1}` | `drain{at=2900,node=0}` |
 ///   `add{at=3000,capacity=40}`
-/// `at` is required; `node` is required for drain/fail and rejected for
-/// add; `capacity` is accepted only by add. Unknown names and parameters
-/// yield InvalidArgument naming the field.
+/// Each kind validates against its own ParamSpec schema: `at` is
+/// required; `node` is required for drain/fail and rejected for add;
+/// `capacity` is accepted only by add. Every value lies in [0, INT_MAX].
+/// Unknown names and parameters yield InvalidArgument naming the field.
 Result<NodeEvent> ParseNodeEvent(const std::string& text);
 
 /// \brief Inverse of ParseNodeEvent: canonical `kind{at=..,...}` form.
 std::string FormatNodeEvent(const NodeEvent& event);
 
 /// \brief Parses a '|'-separated event timeline, e.g.
-/// `drain{at=2900,node=0} | add{at=3000}`. Whitespace around '|' is
-/// ignored; an empty string yields an empty timeline.
+/// `drain{at=2900,node=0} | add{at=3000}`, in the shared chain grammar
+/// (ParseSpecChain, core/param_spec.h).
 Result<std::vector<NodeEvent>> ParseNodeEventTimeline(
     const std::string& text);
 
@@ -151,35 +152,20 @@ struct ClusterOutcome {
 /// consumed by ClusterSession::Restore();
 /// SerializeClusterCheckpoint()/ParseClusterCheckpoint() round-trip it
 /// through bytes ("SPESCLCK" magic).
-struct ClusterCheckpoint {
-  /// Next minute to simulate when resumed.
-  int cursor = 0;
-  /// The window the session was created with (validated on Restore).
-  int train_minutes = 0;
-  int end_minute = 0;
-  bool pin_executing_functions = true;
-  uint64_t num_functions = 0;
-  bool stopped = false;
+struct ClusterCheckpoint : CheckpointWindow {
   /// Routing state at the snapshot.
   uint64_t reroutes = 0;
   uint64_t event_index = 0;  ///< timeline events already applied
   std::vector<int32_t> assignment;  ///< sticky function->node; -1 = none
 
-  struct Node {
-    std::string policy_name;  ///< Policy::name(), validated on Restore
+  /// One node: its engine lane plus the cluster-side fields.
+  struct Node : LaneCheckpoint {
     /// Lifecycle state: 0 pending, 1 routable, 2 draining, 3 failed.
     uint8_t state = 1;
     int capacity = 0;  ///< structural; validated (not restored)
-    std::vector<FunctionAccount> accounts;
-    std::vector<uint32_t> memory_series;
-    std::vector<uint8_t> loaded;     ///< MemSet membership bytes
     std::vector<int32_t> last_used;  ///< LRU clock; -1 = never
-    LiveTotals totals;
-    double overhead_seconds = 0.0;
     uint64_t pressure_evictions = 0;
     uint64_t reroutes_in = 0;
-    std::string policy_state;   ///< Policy::SaveState() blob
-    std::string latency_state;  ///< LatencyLane::SaveState(); empty = none
   };
   std::vector<Node> nodes;
 };
@@ -202,7 +188,7 @@ Result<ClusterCheckpoint> ParseClusterCheckpoint(const std::string& bytes);
 /// per minute, with MinuteView::lane equal to the node id;
 /// StreamInfo::num_lanes is num_nodes(). Returning false stops the
 /// session after the current minute, exactly as on a SimStream.
-class ClusterSession : public SessionCore<ClusterSession> {
+class ClusterSession : public SessionCore {
  public:
   static Result<ClusterSession> Create(TraceSource& source,
                                        const ClusterSpec& cluster,
@@ -218,7 +204,9 @@ class ClusterSession : public SessionCore<ClusterSession> {
 
   /// Total node-id space: initial nodes plus scheduled add events.
   [[nodiscard]] size_t num_nodes() const { return nodes_.size(); }
-  [[nodiscard]] const Policy* policy(size_t node) const { return nodes_[node].policy.get(); }
+  [[nodiscard]] const Policy* policy(size_t node) const override {
+    return nodes_[node].policy.get();
+  }
 
   /// \brief Runs to the end of the window (unless already stopped) and
   /// returns the aggregated + per-node outcome, consuming the session.
@@ -327,8 +315,6 @@ class ClusterSession : public SessionCore<ClusterSession> {
     std::vector<Invocation> arrivals;
   };
 
-  friend class SessionCore<ClusterSession>;
-
   ClusterSession(TraceSource* source, std::unique_ptr<TraceSource> owned,
                  const SimOptions& options, int end);
 
@@ -350,15 +336,15 @@ class ClusterSession : public SessionCore<ClusterSession> {
 
   /// SessionCore hooks: StreamInfo::num_lanes is the node-id space, and
   /// the "simulate" span reads "<N>-node cluster".
-  [[nodiscard]] size_t LaneCount() const { return nodes_.size(); }
-  [[nodiscard]] std::string SimulateLabel() const {
+  [[nodiscard]] size_t LaneCount() const override { return nodes_.size(); }
+  [[nodiscard]] std::string SimulateLabel() const override {
     return std::to_string(nodes_.size()) + "-node cluster";
   }
 
   /// One simulated minute: shared decode, routing, then one engine-lane
   /// step plus pressure eviction per live node. Internal on a router
   /// that returns an unroutable node.
-  Status StepLocked();
+  Status StepLocked() override;
 
   /// Evicts idle instances in LRU order until `node` fits its capacity.
   /// O(evictions + changes) through the node's LruIndex.

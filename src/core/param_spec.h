@@ -111,6 +111,56 @@ Result<NamedSpec> ParseNamedSpec(const std::string& text,
 /// keys in lexicographic order; just `name` when no overrides.
 std::string FormatNamedSpec(const NamedSpec& spec);
 
+/// \name '|'-separated spec chains
+///
+/// One grammar for every chain of specs — transform chains
+/// (`load_scale{factor=2.0} | inject_burst{at=2900}`) and node-event
+/// timelines alike: whitespace around '|' is ignored, a blank string is
+/// the empty chain, and an empty segment between bars ("a||b", "|a") is
+/// InvalidArgument naming the chain's `noun`. The formatter joins items
+/// with " | ".
+/// @{
+
+/// \brief Parses `text` into items, each segment through `parse_item`
+/// (a callable from const std::string& to Result<T>); the first failing
+/// segment's error is returned.
+template <typename T, typename ParseItem>
+Result<std::vector<T>> ParseSpecChain(const std::string& text,
+                                      const std::string& noun,
+                                      ParseItem parse_item) {
+  std::vector<T> chain;
+  if (text.find_first_not_of(" \t") == std::string::npos) return chain;
+  size_t start = 0;
+  while (true) {
+    const size_t bar = text.find('|', start);
+    const size_t item_end = bar == std::string::npos ? text.size() : bar;
+    const std::string item = text.substr(start, item_end - start);
+    if (item.find_first_not_of(" \t") == std::string::npos) {
+      return Status::InvalidArgument(noun + " '" + text +
+                                     "' has an empty entry");
+    }
+    SPES_ASSIGN_OR_RETURN(T value, parse_item(item));
+    chain.push_back(std::move(value));
+    if (bar == std::string::npos) break;
+    start = bar + 1;
+  }
+  return chain;
+}
+
+/// \brief Inverse of ParseSpecChain: each item through `format_item`
+/// (a callable from const T& to std::string), joined with " | ".
+template <typename T, typename FormatItem>
+std::string FormatSpecChain(const std::vector<T>& chain,
+                            FormatItem format_item) {
+  std::string text;
+  for (const T& item : chain) {
+    if (!text.empty()) text += " | ";
+    text += format_item(item);
+  }
+  return text;
+}
+/// @}
+
 /// \brief Validated parameters handed to a registered factory: the
 /// registered defaults overlaid with the spec's (type-checked) overrides,
 /// so every declared parameter is present with its declared type.

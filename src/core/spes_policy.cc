@@ -552,32 +552,12 @@ void SpesPolicy::OnMinute(int t, const std::vector<Invocation>& arrivals,
   }
 }
 
-namespace {
-
-void PutI64Vector(BinaryWriter* w, const std::vector<int64_t>& values) {
-  w->PutU64(values.size());
-  for (int64_t v : values) w->PutI64(v);
-}
-
-Result<std::vector<int64_t>> GetI64Vector(BinaryReader* r) {
-  SPES_ASSIGN_OR_RETURN(const uint64_t n, r->Length(8));
-  std::vector<int64_t> values;
-  values.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    SPES_ASSIGN_OR_RETURN(const int64_t v, r->I64());
-    values.push_back(v);
-  }
-  return values;
-}
-
-}  // namespace
-
 Result<std::string> SpesPolicy::SaveState() const {
   BinaryWriter w;
   w.PutU64(states_.size());
   for (const FunctionState& st : states_) {
     w.PutU8(static_cast<uint8_t>(st.model.type));
-    PutI64Vector(&w, st.model.values);
+    w.PutVector(st.model.values);
     w.PutI64(st.model.range_lo);
     w.PutI64(st.model.range_hi);
     w.PutBool(st.model.continuous);
@@ -588,7 +568,7 @@ Result<std::string> SpesPolicy::SaveState() const {
     w.PutBool(st.seen_in_training);
     w.PutI32(st.corr_hold_until);
     w.PutI64(st.next_predicted);
-    PutI64Vector(&w, st.online_wts);
+    w.PutVector(st.online_wts);
     w.PutI32(st.adjust_cursor);
   }
   w.PutU64(links_by_candidate_.size());
@@ -604,10 +584,9 @@ Result<std::string> SpesPolicy::SaveState() const {
   w.PutU64(online_corr_.size());
   for (const OnlineCorrState& corr : online_corr_) {
     w.PutU32(corr.target);
-    w.PutU64(corr.candidates.size());
-    for (uint32_t c : corr.candidates) w.PutU32(c);
-    for (uint8_t a : corr.active) w.PutU8(a);
-    for (int32_t n : corr.co_count) w.PutI32(n);
+    w.PutVector(corr.candidates);
+    w.PutArray(corr.active);
+    w.PutArray(corr.co_count);
     w.PutI32(corr.target_arrivals);
     w.PutI32(corr.grants_since_arrival);
   }
@@ -644,7 +623,7 @@ Status SpesPolicy::RestoreState(const std::string& blob) {
           ")");
     }
     st.model.type = static_cast<FunctionType>(type);
-    SPES_ASSIGN_OR_RETURN(st.model.values, GetI64Vector(&r));
+    SPES_ASSIGN_OR_RETURN(st.model.values, r.Vector<int64_t>());
     SPES_ASSIGN_OR_RETURN(st.model.range_lo, r.I64());
     SPES_ASSIGN_OR_RETURN(st.model.range_hi, r.I64());
     SPES_ASSIGN_OR_RETURN(st.model.continuous, r.Bool());
@@ -655,7 +634,7 @@ Status SpesPolicy::RestoreState(const std::string& blob) {
     SPES_ASSIGN_OR_RETURN(st.seen_in_training, r.Bool());
     SPES_ASSIGN_OR_RETURN(st.corr_hold_until, r.I32());
     SPES_ASSIGN_OR_RETURN(st.next_predicted, r.I64());
-    SPES_ASSIGN_OR_RETURN(st.online_wts, GetI64Vector(&r));
+    SPES_ASSIGN_OR_RETURN(st.online_wts, r.Vector<int64_t>());
     SPES_ASSIGN_OR_RETURN(st.adjust_cursor, r.I32());
     states.push_back(std::move(st));
   }
@@ -698,28 +677,20 @@ Status SpesPolicy::RestoreState(const std::string& blob) {
           std::to_string(corr.target) + ") outside the fleet (=" +
           std::to_string(n) + " functions)");
     }
+    // Each candidate takes 9 bytes: its id, its active flag and its
+    // co-arrival count, stored as three parallel arrays.
     SPES_ASSIGN_OR_RETURN(const uint64_t num_cand, r.Length(9));
-    corr.candidates.reserve(num_cand);
-    for (uint64_t k = 0; k < num_cand; ++k) {
-      SPES_ASSIGN_OR_RETURN(const uint32_t c, r.U32());
+    SPES_ASSIGN_OR_RETURN(corr.candidates, r.Array<uint32_t>(num_cand));
+    for (const uint32_t c : corr.candidates) {
       if (c >= n) {
         return Status::InvalidArgument(
             "spes state blob holds online-correlation candidate (=" +
             std::to_string(c) + ") outside the fleet (=" +
             std::to_string(n) + " functions)");
       }
-      corr.candidates.push_back(c);
     }
-    corr.active.reserve(num_cand);
-    for (uint64_t k = 0; k < num_cand; ++k) {
-      SPES_ASSIGN_OR_RETURN(const uint8_t a, r.U8());
-      corr.active.push_back(a);
-    }
-    corr.co_count.reserve(num_cand);
-    for (uint64_t k = 0; k < num_cand; ++k) {
-      SPES_ASSIGN_OR_RETURN(const int32_t v, r.I32());
-      corr.co_count.push_back(v);
-    }
+    SPES_ASSIGN_OR_RETURN(corr.active, r.Array<uint8_t>(num_cand));
+    SPES_ASSIGN_OR_RETURN(corr.co_count, r.Array<int32_t>(num_cand));
     SPES_ASSIGN_OR_RETURN(corr.target_arrivals, r.I32());
     SPES_ASSIGN_OR_RETURN(corr.grants_since_arrival, r.I32());
     online_corr.push_back(std::move(corr));

@@ -23,29 +23,27 @@ std::vector<double> SortedCopy(const std::vector<double>& heap) {
 }
 
 void PutHeap(BinaryWriter* writer, const std::vector<double>& heap) {
-  const std::vector<double> sorted = SortedCopy(heap);
-  writer->PutVarU64(sorted.size());
-  for (double t : sorted) writer->PutDouble(t);
+  writer->PutVarU64(heap.size());
+  writer->PutArray(SortedCopy(heap));
 }
 
 Result<std::vector<double>> ReadHeap(BinaryReader* reader,
                                      const char* which) {
   SPES_ASSIGN_OR_RETURN(const uint64_t size, reader->VarLength(8));
-  std::vector<double> heap;
-  heap.reserve(static_cast<size_t>(size));
-  for (uint64_t i = 0; i < size; ++i) {
-    SPES_ASSIGN_OR_RETURN(const double t, reader->Double());
+  SPES_ASSIGN_OR_RETURN(std::vector<double> heap,
+                        reader->Array<double>(size));
+  for (size_t i = 0; i < heap.size(); ++i) {
+    const double t = heap[i];
     if (!std::isfinite(t) || t < 0.0) {
       return Status::InvalidArgument(
           std::string("corrupt queue state: ") + which +
           " holds a negative or non-finite time");
     }
-    if (!heap.empty() && t < heap.back()) {
+    if (i > 0 && t < heap[i - 1]) {
       return Status::InvalidArgument(
           std::string("corrupt queue state: ") + which +
           " times are not sorted ascending");
     }
-    heap.push_back(t);
   }
   return heap;
 }

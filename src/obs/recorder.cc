@@ -89,7 +89,7 @@ void RunRecorder::Config(const std::string& key, const std::string& value) {
                   ",\"value\":" + JsonEscape(value) + "}");
 }
 
-void RunRecorder::EmitHeartbeat(const Heartbeat& heartbeat) {
+void RunRecorder::EmitHeartbeat(const HeartbeatRecord& heartbeat) {
   const double now = Elapsed();
   std::lock_guard<std::mutex> lock(mu_);
   if (finished_) return;

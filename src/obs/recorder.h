@@ -76,23 +76,9 @@ class RunRecorder {
   /// \brief Emits a `config` key/value event (options, specs, labels).
   void Config(const std::string& key, const std::string& value);
 
-  /// Plain-integer snapshot of one lane-minute, mirroring LiveTotals
-  /// plus the latency queue depth. Deliberately not the sim types:
-  /// src/obs depends only on src/common.
-  struct Heartbeat {
-    int slot = 0;
-    int lane = 0;
-    int minute = 0;
-    uint64_t invocations = 0;
-    uint64_t cold_starts = 0;
-    uint64_t loaded_instance_minutes = 0;
-    uint64_t wasted_memory_minutes = 0;
-    uint32_t loaded_instances = 0;
-    uint32_t queue_depth = 0;
-  };
-
-  /// \brief Emits a `heartbeat` event.
-  void EmitHeartbeat(const Heartbeat& heartbeat);
+  /// \brief Emits a `heartbeat` event: the record the run log parses
+  /// back, its `t` stamped by the recorder (the caller's is ignored).
+  void EmitHeartbeat(const HeartbeatRecord& heartbeat);
 
   /// \brief Emits a TraceCache `cache` event; op is hit/miss/pack.
   void CacheEvent(const std::string& op, const std::string& key);

@@ -118,7 +118,7 @@ struct HeartbeatRecord {
   uint64_t wasted_memory_minutes = 0;
   uint32_t loaded_instances = 0;
   uint32_t queue_depth = 0;
-  double t = 0.0;
+  double t = 0.0;  ///< seconds since recorder start, stamped on emit
 };
 
 /// \brief Aggregated TraceCache activity parsed from `cache` events.

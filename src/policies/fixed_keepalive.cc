@@ -54,8 +54,7 @@ void FixedKeepAlivePolicy::OnMinute(int t,
 Result<std::string> FixedKeepAlivePolicy::SaveState() const {
   BinaryWriter w;
   w.PutI32(keepalive_minutes_);
-  w.PutU64(last_arrival_.size());
-  for (int last : last_arrival_) w.PutI32(last);
+  w.PutVector(last_arrival_);
   return w.Take();
 }
 
@@ -68,21 +67,16 @@ Status FixedKeepAlivePolicy::RestoreState(const std::string& blob) {
         std::to_string(minutes) + ") but this policy has (=" +
         std::to_string(keepalive_minutes_) + ")");
   }
-  SPES_ASSIGN_OR_RETURN(const uint64_t n, r.Length(4));
+  SPES_ASSIGN_OR_RETURN(std::vector<int> restored, r.Vector<int32_t>());
   // The blob must describe the fleet this policy was trained on —
   // OnMinute indexes last_arrival_ by function id, so restoring a
   // different fleet size would read/write out of bounds.
-  if (n != last_arrival_.size()) {
+  if (restored.size() != last_arrival_.size()) {
     return Status::InvalidArgument(
-        "fixed_keepalive state blob describes (=" + std::to_string(n) +
+        "fixed_keepalive state blob describes (=" +
+        std::to_string(restored.size()) +
         ") functions but this policy was trained on (=" +
         std::to_string(last_arrival_.size()) + ")");
-  }
-  std::vector<int> restored;
-  restored.reserve(n);
-  for (uint64_t f = 0; f < n; ++f) {
-    SPES_ASSIGN_OR_RETURN(const int32_t last, r.I32());
-    restored.push_back(last);
   }
   if (!r.AtEnd()) {
     return Status::InvalidArgument(

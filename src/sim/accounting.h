@@ -29,6 +29,8 @@ struct FunctionAccount {
   /// Resident minutes with no arrival = wasted memory time contribution.
   uint64_t wasted_minutes = 0;
 
+  bool operator==(const FunctionAccount&) const = default;
+
   /// \brief Function-wise cold-start rate: cold starts / invocations.
   ///
   /// Cold starts are counted per arrival-minute (at most one per minute —

@@ -143,16 +143,12 @@ bool EngineLane::Accrue(int t, const std::vector<Invocation>& arrivals,
 
   bool keep_going = true;
   if (!observers.empty()) {
-    // Observers see the classic account view; materializing it per
-    // minute is the documented cost of attaching one.
-    cols_.Materialize(t + 1, mem_, &scratch_accounts_);
     MinuteView view;
     view.minute = t;
     view.lane = index_;
     view.policy = policy_;
     view.arrivals = &arrivals;
     view.mem = &mem_;
-    view.accounts = &scratch_accounts_;
     view.memory_series = &memory_series_;
     view.totals = totals_;
     if (latency_ != nullptr) view.latency = &latency_->live();
@@ -167,7 +163,7 @@ bool EngineLane::Accrue(int t, const std::vector<Invocation>& arrivals,
     // of sim state — wall-clock speed never changes what is sampled.
     const int stride = recorder_->heartbeat_minute_stride();
     if ((t + 1 - start_) % stride == 0 || t + 1 == end_) {
-      RunRecorder::Heartbeat heartbeat;
+      HeartbeatRecord heartbeat;
       heartbeat.slot = recorder_slot_;
       heartbeat.lane = static_cast<int>(index_);
       heartbeat.minute = t;
@@ -218,6 +214,313 @@ SimulationOutcome EngineLane::TakeOutcome(int cursor) {
         std::make_shared<const LatencyOutcome>(latency_->TakeOutcome());
   }
   return outcome;
+}
+
+Status EngineLane::Save(int cursor, LaneCheckpoint* out) const {
+  out->policy_name = policy_->name();
+  cols_.Materialize(cursor, mem_, &out->accounts);
+  out->memory_series = memory_series_;
+  out->loaded = mem_.ToBytes();
+  out->totals = totals_;
+  out->overhead_seconds = overhead_seconds_;
+  SPES_ASSIGN_OR_RETURN(out->policy_state, policy_->SaveState());
+  if (latency_ != nullptr) out->latency_state = latency_->SaveState();
+  return Status::OK();
+}
+
+Status EngineLane::CheckShape(const LaneCheckpoint& in,
+                              const std::string& where, const char* owner,
+                              int cursor) const {
+  if (in.policy_name != policy_->name()) {
+    return Status::InvalidArgument(where + " holds policy '" +
+                                   in.policy_name + "' but this " + owner +
+                                   " has '" + policy_->name() + "'");
+  }
+  const size_t n = mem_.Capacity();
+  if (in.accounts.size() != n || in.loaded.size() != n) {
+    return Status::InvalidArgument(
+        where + " is sized for (=" + std::to_string(in.accounts.size()) +
+        ") functions, expected (=" + std::to_string(n) + ")");
+  }
+  // Every lane — a dark cluster node too — pushes one series entry per
+  // simulated minute, so the length pins the cursor.
+  const size_t expected_series = static_cast<size_t>(cursor - start_);
+  if (in.memory_series.size() != expected_series) {
+    return Status::InvalidArgument(
+        where + " memory series has (=" +
+        std::to_string(in.memory_series.size()) +
+        ") entries but the cursor implies (=" +
+        std::to_string(expected_series) + ")");
+  }
+  // A LatencyLane blob is never empty, so presence of latency state is
+  // exactly "the origin session ran with a latency block".
+  if (in.latency_state.empty() != (latency_ == nullptr)) {
+    return Status::InvalidArgument(
+        where + (in.latency_state.empty()
+                     ? std::string(" has no latency state but this ") +
+                           owner + " has a latency block"
+                     : std::string(" carries latency state but this ") +
+                           owner + " has no latency block"));
+  }
+  return Status::OK();
+}
+
+Status EngineLane::Load(const LaneCheckpoint& in, int cursor) {
+  SPES_RETURN_NOT_OK(policy_->RestoreState(in.policy_state));
+  if (latency_ != nullptr) {
+    SPES_RETURN_NOT_OK(latency_->RestoreState(
+        in.latency_state, static_cast<size_t>(cursor - start_)));
+  }
+  memory_series_ = in.memory_series;
+  totals_ = in.totals;
+  overhead_seconds_ = in.overhead_seconds;
+  const size_t n = mem_.Capacity();
+  mem_ = MemSet(n);
+  for (size_t f = 0; f < n; ++f) {
+    if (in.loaded[f]) mem_.Add(f);
+  }
+  cols_.LoadFrom(in.accounts, mem_, cursor);
+  return Status::OK();
+}
+
+void WriteCheckpointWindow(BinaryWriter& w, const CheckpointWindow& c) {
+  w.PutI32(c.cursor);
+  w.PutI32(c.train_minutes);
+  w.PutI32(c.end_minute);
+  w.PutBool(c.pin_executing_functions);
+  w.PutU64(c.num_functions);
+  w.PutBool(c.stopped);
+}
+
+Status ReadCheckpointWindow(BinaryReader& r, CheckpointWindow* c) {
+  SPES_ASSIGN_OR_RETURN(c->cursor, r.I32());
+  SPES_ASSIGN_OR_RETURN(c->train_minutes, r.I32());
+  SPES_ASSIGN_OR_RETURN(c->end_minute, r.I32());
+  SPES_ASSIGN_OR_RETURN(c->pin_executing_functions, r.Bool());
+  SPES_ASSIGN_OR_RETURN(c->num_functions, r.U64());
+  SPES_ASSIGN_OR_RETURN(c->stopped, r.Bool());
+  return Status::OK();
+}
+
+void WriteLaneCounters(BinaryWriter& w, const LaneCheckpoint& lane) {
+  w.PutU64(lane.accounts.size());
+  for (const FunctionAccount& acc : lane.accounts) {
+    w.PutU64(acc.invocations);
+    w.PutU64(acc.invoked_minutes);
+    w.PutU64(acc.cold_starts);
+    w.PutU64(acc.loaded_minutes);
+    w.PutU64(acc.wasted_minutes);
+  }
+  w.PutVector(lane.memory_series);
+  w.PutVector(lane.loaded);
+}
+
+Status ReadLaneCounters(BinaryReader& r, LaneCheckpoint* lane) {
+  SPES_ASSIGN_OR_RETURN(const uint64_t num_accounts, r.Length(40));
+  lane->accounts.resize(static_cast<size_t>(num_accounts));
+  for (FunctionAccount& acc : lane->accounts) {
+    SPES_ASSIGN_OR_RETURN(acc.invocations, r.U64());
+    SPES_ASSIGN_OR_RETURN(acc.invoked_minutes, r.U64());
+    SPES_ASSIGN_OR_RETURN(acc.cold_starts, r.U64());
+    SPES_ASSIGN_OR_RETURN(acc.loaded_minutes, r.U64());
+    SPES_ASSIGN_OR_RETURN(acc.wasted_minutes, r.U64());
+  }
+  SPES_ASSIGN_OR_RETURN(lane->memory_series, r.Vector<uint32_t>());
+  SPES_ASSIGN_OR_RETURN(lane->loaded, r.Vector<uint8_t>());
+  return Status::OK();
+}
+
+void WriteLaneTotals(BinaryWriter& w, const LaneCheckpoint& lane) {
+  w.PutU64(lane.totals.invocations);
+  w.PutU64(lane.totals.cold_starts);
+  w.PutU64(lane.totals.loaded_instance_minutes);
+  w.PutU64(lane.totals.wasted_memory_minutes);
+  w.PutDouble(lane.overhead_seconds);
+}
+
+Status ReadLaneTotals(BinaryReader& r, LaneCheckpoint* lane) {
+  SPES_ASSIGN_OR_RETURN(lane->totals.invocations, r.U64());
+  SPES_ASSIGN_OR_RETURN(lane->totals.cold_starts, r.U64());
+  SPES_ASSIGN_OR_RETURN(lane->totals.loaded_instance_minutes, r.U64());
+  SPES_ASSIGN_OR_RETURN(lane->totals.wasted_memory_minutes, r.U64());
+  SPES_ASSIGN_OR_RETURN(lane->overhead_seconds, r.Double());
+  return Status::OK();
+}
+
+SessionCore::SessionCore(const char* kind, const char* noun,
+                         const char* lane_noun, TraceSource* source,
+                         std::unique_ptr<TraceSource> owned,
+                         const SimOptions& options, int end)
+    : kind_(kind),
+      noun_(noun),
+      lane_noun_(lane_noun),
+      owned_source_(std::move(owned)),
+      source_(source),
+      options_(options),
+      start_(options.train_minutes),
+      end_(end),
+      cursor_(options.train_minutes),
+      decoder_(source) {}
+
+Status SessionCore::Step() {
+  if (finished_) {
+    return Status::OutOfRange(std::string(kind_) +
+                              " was consumed by Finish()");
+  }
+  if (stopped_) {
+    return Status::Cancelled(std::string(kind_) +
+                             " was stopped early at minute (=" +
+                             std::to_string(cursor_) + ")");
+  }
+  if (cursor_ >= end_) {
+    return Status::OutOfRange(
+        std::string(kind_) + " is exhausted: cursor (=" +
+        std::to_string(cursor_) + ") reached end_minute (=" +
+        std::to_string(end_) + ")");
+  }
+  EnsureStarted();
+  return StepLocked();
+}
+
+Status SessionCore::RunUntil(int minute) {
+  if (finished_) {
+    return Status::OutOfRange(std::string(kind_) +
+                              " was consumed by Finish()");
+  }
+  const int target = std::min(minute, end_);
+  while (cursor_ < target && !stopped_) {
+    SPES_RETURN_NOT_OK(Step());
+  }
+  if (stopped_ && cursor_ < target) {
+    // Same signal Step() gives: an early stop left the target unreached.
+    return Status::Cancelled(
+        std::string(kind_) + " was stopped early at minute (=" +
+        std::to_string(cursor_) + ") before reaching minute (=" +
+        std::to_string(target) + ")");
+  }
+  return Status::OK();
+}
+
+void SessionCore::EnsureStarted() {
+  if (started_) return;
+  started_ = true;
+  if (options_.recorder != nullptr) {
+    simulate_span_ = options_.recorder->BeginSpan(
+        "simulate", options_.recorder_slot, 0, SimulateLabel());
+  }
+  StreamInfo info;
+  info.train_minutes = options_.train_minutes;
+  info.start_minute = start_;
+  info.end_minute = end_;
+  info.num_lanes = LaneCount();
+  info.num_functions = source_->num_functions();
+  for (SimObserver* observer : observers_) observer->OnStreamStart(info);
+}
+
+Result<ScopedSpan> SessionCore::BeginFinish() {
+  if (finished_) {
+    return Status::OutOfRange(std::string(kind_) +
+                              " was already consumed by Finish()");
+  }
+  // Even a zero-step window (train == horizon, or a session restored at
+  // its end) pairs OnStreamStart with OnStreamEnd, so observers always
+  // get their sizing hook before any other callback.
+  EnsureStarted();
+  // An early stop is a documented way to end a session: Finish() still
+  // delivers the partial-window outcome, so Cancelled is success here.
+  const Status run = RunUntil(end_);
+  if (!run.ok() && run.code() != StatusCode::kCancelled) return run;
+  finished_ = true;
+  if (options_.recorder != nullptr) {
+    options_.recorder->EndSpan(simulate_span_);
+    simulate_span_ = 0;
+    options_.recorder->DecoderEvent(options_.recorder_slot,
+                                    decoder_.blocks_decoded(),
+                                    decoder_.invocations_decoded());
+  }
+  return ScopedSpan(options_.recorder, "finish", options_.recorder_slot, 0);
+}
+
+Status SessionCore::BeginCheckpoint(CheckpointWindow* c) const {
+  if (finished_) {
+    return Status::OutOfRange(std::string("cannot Checkpoint a ") + noun_ +
+                              " consumed by Finish()");
+  }
+  for (size_t i = 0; i < LaneCount(); ++i) {
+    const Policy* lane_policy = policy(i);
+    if (!lane_policy->SupportsCheckpoint()) {
+      return Status::NotImplemented(
+          "policy '" + lane_policy->name() + "' (" + lane_noun_ + " " +
+          std::to_string(i) + ") does not support checkpointing");
+    }
+  }
+  c->cursor = cursor_;
+  c->train_minutes = options_.train_minutes;
+  c->end_minute = end_;
+  c->pin_executing_functions = options_.pin_executing_functions;
+  c->num_functions = source_->num_functions();
+  c->stopped = stopped_;
+  return Status::OK();
+}
+
+Status SessionCore::BeginRestore(const CheckpointWindow& c,
+                                 size_t num_records) const {
+  if (finished_) {
+    return Status::OutOfRange(std::string("cannot Restore a ") + noun_ +
+                              " consumed by Finish()");
+  }
+  const std::string owner = noun_;
+  const size_t n = source_->num_functions();
+  if (c.num_functions != n) {
+    return Status::InvalidArgument(
+        "checkpoint num_functions (=" + std::to_string(c.num_functions) +
+        ") does not match this " + owner + "'s trace (=" +
+        std::to_string(n) + ")");
+  }
+  if (c.train_minutes != options_.train_minutes) {
+    return Status::InvalidArgument(
+        "checkpoint train_minutes (=" + std::to_string(c.train_minutes) +
+        ") does not match this " + owner + " (=" +
+        std::to_string(options_.train_minutes) + ")");
+  }
+  if (c.end_minute != end_) {
+    return Status::InvalidArgument(
+        "checkpoint end_minute (=" + std::to_string(c.end_minute) +
+        ") does not match this " + owner + " (=" + std::to_string(end_) +
+        ")");
+  }
+  if (c.pin_executing_functions != options_.pin_executing_functions) {
+    return Status::InvalidArgument(
+        "checkpoint pin_executing_functions (=" +
+        std::string(c.pin_executing_functions ? "true" : "false") +
+        ") does not match this " + owner);
+  }
+  if (c.cursor < start_ || c.cursor > end_) {
+    return Status::InvalidArgument(
+        "checkpoint cursor (=" + std::to_string(c.cursor) +
+        ") is outside this " + owner + "'s window [" +
+        std::to_string(start_) + ", " + std::to_string(end_) + "]");
+  }
+  if (num_records != LaneCount()) {
+    return Status::InvalidArgument(
+        "checkpoint has (=" + std::to_string(num_records) + ") " +
+        lane_noun_ + "s but this " + owner + " has (=" +
+        std::to_string(LaneCount()) + ")");
+  }
+  return Status::OK();
+}
+
+void SessionCore::EndRestore(const CheckpointWindow& c) {
+  cursor_ = c.cursor;
+  stopped_ = c.stopped;
+  RecordCheckpointEvent("restore");
+}
+
+void SessionCore::RecordCheckpointEvent(const char* what) const {
+  if (options_.recorder != nullptr) {
+    options_.recorder->CheckpointEvent(what, options_.recorder_slot,
+                                       static_cast<uint64_t>(cursor_));
+  }
 }
 
 }  // namespace spes

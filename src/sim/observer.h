@@ -34,14 +34,15 @@ struct StreamInfo {
 /// \brief Read-only view of one lane at the end of one simulated minute
 /// (after the policy step, execution pinning and residency accounting).
 /// Borrowed references are valid only for the duration of the callback.
+/// Building the view is O(1): per-function accounts are not part of it
+/// (SimStream::SnapshotMetrics and the outcome carry them).
 struct MinuteView {
   int minute = 0;   ///< the absolute trace minute just simulated
   size_t lane = 0;  ///< which policy lane (0 for single-policy streams)
   const Policy* policy = nullptr;
   const std::vector<Invocation>* arrivals = nullptr;  ///< this minute's
   const MemSet* mem = nullptr;                        ///< post-step state
-  const std::vector<FunctionAccount>* accounts = nullptr;  ///< incremental
-  const std::vector<uint32_t>* memory_series = nullptr;    ///< so far
+  const std::vector<uint32_t>* memory_series = nullptr;  ///< so far
   LiveTotals totals;  ///< fleet-wide counters through this minute
   /// Live latency counters when the opt-in latency subsystem is enabled;
   /// null otherwise (latency/latency.h).

@@ -44,35 +44,16 @@
 
 namespace spes {
 
-/// \brief A resumable snapshot of a SimStream: the cursor plus, per lane,
-/// every counter the engine maintains and the policy's serialized state.
-/// Produced by SimStream::Checkpoint(), consumed by SimStream::Restore();
-/// SerializeCheckpoint()/ParseCheckpoint() round-trip it through bytes.
-struct SimCheckpoint {
-  /// Next minute to simulate when resumed.
-  int cursor = 0;
-  /// The window the stream was created with (validated on Restore).
-  int train_minutes = 0;
-  int end_minute = 0;  ///< resolved end (never 0 unless the window is empty)
-  bool pin_executing_functions = true;
-  uint64_t num_functions = 0;
-  bool stopped = false;  ///< an early stop was requested before the snapshot
-
-  struct Lane {
-    std::string policy_name;  ///< Policy::name(), validated on Restore
-    std::vector<FunctionAccount> accounts;
-    std::vector<uint32_t> memory_series;
-    std::vector<uint8_t> loaded;  ///< MemSet membership bytes
-    LiveTotals totals;
-    double overhead_seconds = 0.0;
-    std::string policy_state;  ///< Policy::SaveState() blob
-    /// LatencyLane::SaveState() blob when the stream ran with a latency
-    /// block; empty otherwise. Serialized checkpoints stay at version 1
-    /// (byte-identical to before the latency subsystem existed) when
-    /// every lane's blob is empty; any non-empty blob bumps the tag to
-    /// version 2.
-    std::string latency_state;
-  };
+/// \brief A resumable snapshot of a SimStream: the window (cursor
+/// included) plus, per lane, every counter the engine maintains and the
+/// policy's serialized state. Produced by SimStream::Checkpoint(),
+/// consumed by SimStream::Restore(); SerializeCheckpoint()/
+/// ParseCheckpoint() round-trip it through bytes. Serialized checkpoints
+/// stay at version 1 (byte-identical to before the latency subsystem
+/// existed) when every lane's latency_state is empty; any non-empty blob
+/// bumps the tag to version 2.
+struct SimCheckpoint : CheckpointWindow {
+  using Lane = LaneCheckpoint;
   std::vector<Lane> lanes;
 };
 
@@ -87,7 +68,7 @@ Result<SimCheckpoint> ParseCheckpoint(const std::string& bytes);
 /// policy/policies and positions the cursor at the first simulated minute.
 /// The trace or source, policies and observers are borrowed and must
 /// outlive the stream. Not thread-safe; drive each stream from one thread.
-class SimStream : public SessionCore<SimStream> {
+class SimStream : public SessionCore {
  public:
   /// \brief Single-policy stream over any TraceSource (e.g. a packed
   /// trace file): arrivals are pulled in chunked minute windows, so the
@@ -114,7 +95,9 @@ class SimStream : public SessionCore<SimStream> {
                                   const SimOptions& options);
 
   [[nodiscard]] size_t num_lanes() const { return lanes_.size(); }
-  [[nodiscard]] const Policy* policy(size_t lane) const { return lanes_[lane].policy(); }
+  [[nodiscard]] const Policy* policy(size_t lane) const override {
+    return lanes_[lane].policy();
+  }
 
   /// \brief Convenience: RunUntil(end_minute()).
   Status RunToEnd() { return RunUntil(end_); }
@@ -153,8 +136,6 @@ class SimStream : public SessionCore<SimStream> {
   Status Restore(const SimCheckpoint& checkpoint);
 
  private:
-  friend class SessionCore<SimStream>;
-
   SimStream(TraceSource* source, std::unique_ptr<TraceSource> owned,
             const SimOptions& options, int end)
       : SessionCore("SimStream", "stream", "lane", source, std::move(owned),
@@ -169,13 +150,13 @@ class SimStream : public SessionCore<SimStream> {
 
   /// SessionCore hooks: StreamInfo::num_lanes and the "simulate" span
   /// detail (the policy name, or the lockstep lane count).
-  [[nodiscard]] size_t LaneCount() const { return lanes_.size(); }
-  [[nodiscard]] std::string SimulateLabel() const;
+  [[nodiscard]] size_t LaneCount() const override { return lanes_.size(); }
+  [[nodiscard]] std::string SimulateLabel() const override;
 
   /// One simulated minute for every lane over a single arrival decode.
   /// Fails (without advancing the cursor) when the source fails mid-run —
   /// only possible for disk-backed sources.
-  Status StepLocked();
+  Status StepLocked() override;
 
   std::vector<EngineLane> lanes_;
   /// This minute's arrivals, copied from the decoder block (the Policy

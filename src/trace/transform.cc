@@ -434,34 +434,12 @@ Result<TransformSpec> ParseTransformSpec(const std::string& text) {
 
 Result<std::vector<TransformSpec>> ParseTransformChain(
     const std::string& text) {
-  std::vector<TransformSpec> chain;
-  // A fully blank string is the empty chain; an empty segment between
-  // bars ("a||b", "|a") is a syntax error.
-  if (text.find_first_not_of(" \t") == std::string::npos) return chain;
-  size_t start = 0;
-  while (true) {
-    const size_t bar = text.find('|', start);
-    const size_t item_end = bar == std::string::npos ? text.size() : bar;
-    const std::string item = text.substr(start, item_end - start);
-    if (item.find_first_not_of(" \t") == std::string::npos) {
-      return Status::InvalidArgument("transform chain '" + text +
-                                     "' has an empty step");
-    }
-    SPES_ASSIGN_OR_RETURN(TransformSpec spec, ParseTransformSpec(item));
-    chain.push_back(std::move(spec));
-    if (bar == std::string::npos) break;
-    start = bar + 1;
-  }
-  return chain;
+  return ParseSpecChain<TransformSpec>(text, "transform chain",
+                                       ParseTransformSpec);
 }
 
 std::string FormatTransformChain(const std::vector<TransformSpec>& chain) {
-  std::string text;
-  for (const TransformSpec& spec : chain) {
-    if (!text.empty()) text += " | ";
-    text += FormatNamedSpec(spec);
-  }
-  return text;
+  return FormatSpecChain(chain, FormatNamedSpec);
 }
 
 template <>

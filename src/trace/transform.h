@@ -42,8 +42,8 @@ using TransformParams = ParamMap;
 Result<TransformSpec> ParseTransformSpec(const std::string& text);
 
 /// \brief Parses a '|'-separated chain of transform specs, e.g.
-/// `load_scale{factor=2.0}|slice{end_minute=1440}`. Whitespace around '|'
-/// is ignored; an empty string yields an empty chain.
+/// `load_scale{factor=2.0}|slice{end_minute=1440}`, in the shared chain
+/// grammar (ParseSpecChain, core/param_spec.h).
 Result<std::vector<TransformSpec>> ParseTransformChain(
     const std::string& text);
 

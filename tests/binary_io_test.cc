@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "sim/stream.h"
@@ -154,6 +155,70 @@ TEST(BinaryIoTest, HostileCheckpointLaneCountIsRejected) {
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(parsed.status().message().find("element count"),
             std::string::npos);
+}
+
+TEST(BinaryIoTest, BoolRejectsBytesOtherThanZeroAndOne) {
+  const std::string bytes("\x00\x01\x02", 3);
+  BinaryReader r(bytes);
+  EXPECT_FALSE(r.Bool().ValueOrDie());
+  EXPECT_TRUE(r.Bool().ValueOrDie());
+  const auto bad = r.Bool();
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find("offset 2"), std::string::npos);
+}
+
+TEST(BinaryIoTest, FixedWidthVectorsRoundTripInTheScalarEncoding) {
+  const std::vector<int32_t> ints = {-1, 0, 7, INT32_MIN};
+  const std::vector<double> doubles = {-0.0, 1.5};
+  const std::vector<uint8_t> bytes = {0, 255};
+  BinaryWriter w;
+  w.PutVector(ints);
+  w.PutArray(doubles);
+  w.PutVector(std::vector<uint64_t>{});
+  w.PutVector(bytes);
+
+  // Byte for byte what the scalar writers produce.
+  BinaryWriter scalar;
+  scalar.PutU64(ints.size());
+  for (const int32_t v : ints) scalar.PutI32(v);
+  for (const double v : doubles) scalar.PutDouble(v);
+  scalar.PutU64(0);
+  scalar.PutU64(bytes.size());
+  for (const uint8_t v : bytes) scalar.PutU8(v);
+  ASSERT_EQ(w.data(), scalar.data());
+
+  BinaryReader r(w.data());
+  EXPECT_EQ(r.Vector<int32_t>().ValueOrDie(), ints);
+  const std::vector<double> doubles_back = r.Array<double>(2).ValueOrDie();
+  EXPECT_TRUE(std::signbit(doubles_back[0]));
+  EXPECT_EQ(doubles_back[1], 1.5);
+  EXPECT_TRUE(r.Vector<uint64_t>().ValueOrDie().empty());
+  EXPECT_EQ(r.Vector<uint8_t>().ValueOrDie(), bytes);
+  EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(BinaryIoTest, VectorCountIsBoundedByTheElementWidth) {
+  // Eight bytes follow the count: two u32s fit, three do not.
+  BinaryWriter w;
+  w.PutU64(3);
+  w.PutU64(0);
+  BinaryReader r(w.data());
+  const auto too_many = r.Vector<uint32_t>();
+  EXPECT_EQ(too_many.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_many.status().message().find("element count"),
+            std::string::npos);
+
+  BinaryReader exact(w.data());
+  ASSERT_TRUE(exact.U64().ok());
+  EXPECT_EQ(exact.Array<uint32_t>(2).ValueOrDie().size(), 2u);
+  EXPECT_TRUE(exact.AtEnd());
+
+  // A caller-supplied count near UINT64_MAX cannot overflow the check.
+  BinaryReader hostile(w.data());
+  EXPECT_EQ(hostile.Array<uint64_t>(std::numeric_limits<uint64_t>::max())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "policies/fixed_keepalive.h"
 #include "sim/scenario.h"
 #include "sim/stream.h"
+#include "tests/same_outcome.h"
 #include "trace/generator.h"
 #include "trace/transform.h"
 
@@ -66,28 +67,6 @@ std::string StableBytes(ClusterCheckpoint checkpoint) {
     node.overhead_seconds = 0.0;
   }
   return SerializeClusterCheckpoint(checkpoint);
-}
-
-void ExpectSameOutcome(const SimulationOutcome& a,
-                       const SimulationOutcome& b) {
-  ASSERT_EQ(a.accounts.size(), b.accounts.size());
-  for (size_t f = 0; f < a.accounts.size(); ++f) {
-    EXPECT_EQ(a.accounts[f].invocations, b.accounts[f].invocations) << f;
-    EXPECT_EQ(a.accounts[f].invoked_minutes, b.accounts[f].invoked_minutes)
-        << f;
-    EXPECT_EQ(a.accounts[f].cold_starts, b.accounts[f].cold_starts) << f;
-    EXPECT_EQ(a.accounts[f].loaded_minutes, b.accounts[f].loaded_minutes)
-        << f;
-    EXPECT_EQ(a.accounts[f].wasted_minutes, b.accounts[f].wasted_minutes)
-        << f;
-  }
-  EXPECT_EQ(a.memory_series, b.memory_series);
-  EXPECT_EQ(a.metrics.csr, b.metrics.csr);
-  EXPECT_EQ(a.metrics.wasted_memory_minutes, b.metrics.wasted_memory_minutes);
-  ASSERT_EQ(a.latency == nullptr, b.latency == nullptr);
-  if (a.latency != nullptr) {
-    EXPECT_EQ(*a.latency, *b.latency);
-  }
 }
 
 TEST(CheckpointGoldenTest, SpesStreamVersion1BytesArePinned) {

@@ -18,6 +18,7 @@
 #include "sim/engine.h"
 #include "sim/reference_kernel.h"
 #include "sim/stream.h"
+#include "tests/same_outcome.h"
 #include "trace/generator.h"
 
 namespace spes {
@@ -64,30 +65,6 @@ std::vector<std::unique_ptr<Policy>> MakePolicyPair(const std::string& name) {
   return pair;
 }
 
-void ExpectBitwiseEqualOutcomes(const SimulationOutcome& columnar,
-                                const SimulationOutcome& reference,
-                                const std::string& context) {
-  ASSERT_EQ(columnar.accounts.size(), reference.accounts.size()) << context;
-  for (size_t f = 0; f < columnar.accounts.size(); ++f) {
-    const FunctionAccount& a = columnar.accounts[f];
-    const FunctionAccount& b = reference.accounts[f];
-    ASSERT_EQ(a.invocations, b.invocations) << context << " f=" << f;
-    ASSERT_EQ(a.invoked_minutes, b.invoked_minutes) << context << " f=" << f;
-    ASSERT_EQ(a.cold_starts, b.cold_starts) << context << " f=" << f;
-    ASSERT_EQ(a.loaded_minutes, b.loaded_minutes) << context << " f=" << f;
-    ASSERT_EQ(a.wasted_minutes, b.wasted_minutes) << context << " f=" << f;
-  }
-  ASSERT_EQ(columnar.memory_series, reference.memory_series) << context;
-  const FleetMetrics& m = columnar.metrics;
-  const FleetMetrics& r = reference.metrics;
-  EXPECT_EQ(m.total_invocations, r.total_invocations) << context;
-  EXPECT_EQ(m.total_cold_starts, r.total_cold_starts) << context;
-  EXPECT_EQ(m.loaded_instance_minutes, r.loaded_instance_minutes) << context;
-  EXPECT_EQ(m.wasted_memory_minutes, r.wasted_memory_minutes) << context;
-  EXPECT_EQ(m.max_memory, r.max_memory) << context;
-  EXPECT_EQ(m.csr, r.csr) << context;
-}
-
 TEST(ColumnarDiffTest, MatchesReferenceAcrossFleetsPoliciesAndPinning) {
   for (const FleetCase& fleet : FleetCases()) {
     const Trace trace =
@@ -107,7 +84,7 @@ TEST(ColumnarDiffTest, MatchesReferenceAcrossFleetsPoliciesAndPinning) {
             SimulateReference(trace, policies[1].get(), options)
                 .ValueOrDie();
 
-        ExpectBitwiseEqualOutcomes(
+        ExpectSameOutcome(
             columnar, reference,
             fleet.label + "/" + policy_name + (pin ? "/pin" : "/nopin"));
       }

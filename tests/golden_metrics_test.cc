@@ -29,6 +29,7 @@
 #include "sim/reference_kernel.h"
 #include "sim/scenario.h"
 #include "sim/stream.h"
+#include "tests/same_outcome.h"
 #include "trace/generator.h"
 #include "trace/transform.h"
 
@@ -137,42 +138,6 @@ TEST(GoldenMetricsTest, NaiveReferenceKernelReproducesGoldenValues) {
   EXPECT_EQ(outcome.accounts[0].wasted_minutes, 141u);
 }
 
-/// Asserts two outcomes describe bitwise-identical simulated behaviour:
-/// every per-function counter, the full memory series, and every derived
-/// metric except the wall-clock overhead measurements.
-void ExpectBitwiseIdenticalBehaviour(const SimulationOutcome& a,
-                                     const SimulationOutcome& b) {
-  ASSERT_EQ(a.accounts.size(), b.accounts.size());
-  for (size_t f = 0; f < a.accounts.size(); ++f) {
-    EXPECT_EQ(a.accounts[f].invocations, b.accounts[f].invocations) << f;
-    EXPECT_EQ(a.accounts[f].invoked_minutes, b.accounts[f].invoked_minutes)
-        << f;
-    EXPECT_EQ(a.accounts[f].cold_starts, b.accounts[f].cold_starts) << f;
-    EXPECT_EQ(a.accounts[f].loaded_minutes, b.accounts[f].loaded_minutes)
-        << f;
-    EXPECT_EQ(a.accounts[f].wasted_minutes, b.accounts[f].wasted_minutes)
-        << f;
-  }
-  EXPECT_EQ(a.memory_series, b.memory_series);
-
-  const FleetMetrics& ma = a.metrics;
-  const FleetMetrics& mb = b.metrics;
-  EXPECT_EQ(ma.policy_name, mb.policy_name);
-  EXPECT_EQ(ma.csr, mb.csr);
-  EXPECT_EQ(ma.q3_csr, mb.q3_csr);
-  EXPECT_EQ(ma.p90_csr, mb.p90_csr);
-  EXPECT_EQ(ma.median_csr, mb.median_csr);
-  EXPECT_EQ(ma.always_cold_fraction, mb.always_cold_fraction);
-  EXPECT_EQ(ma.zero_cold_fraction, mb.zero_cold_fraction);
-  EXPECT_EQ(ma.total_cold_starts, mb.total_cold_starts);
-  EXPECT_EQ(ma.total_invocations, mb.total_invocations);
-  EXPECT_EQ(ma.wasted_memory_minutes, mb.wasted_memory_minutes);
-  EXPECT_EQ(ma.loaded_instance_minutes, mb.loaded_instance_minutes);
-  EXPECT_EQ(ma.average_memory, mb.average_memory);
-  EXPECT_EQ(ma.max_memory, mb.max_memory);
-  EXPECT_EQ(ma.emcr, mb.emcr);
-}
-
 TEST(GoldenMetricsTest, RegistryBuiltSpesMatchesDirectConstructionBitwise) {
   SpesPolicy direct;
   const SimulationOutcome direct_outcome = RunGoldenFleet(&direct);
@@ -182,7 +147,7 @@ TEST(GoldenMetricsTest, RegistryBuiltSpesMatchesDirectConstructionBitwise) {
   const SimulationOutcome registry_outcome =
       RunGoldenFleet(from_registry.get());
 
-  ExpectBitwiseIdenticalBehaviour(direct_outcome, registry_outcome);
+  ExpectSameOutcome(direct_outcome, registry_outcome);
   // Anchor against the goldens above, not just each other.
   EXPECT_EQ(registry_outcome.metrics.total_cold_starts, 631u);
   EXPECT_EQ(SeriesSum(registry_outcome.memory_series), 212568u);
@@ -200,7 +165,7 @@ TEST(GoldenMetricsTest,
   const SimulationOutcome registry_outcome =
       RunGoldenFleet(from_registry.get());
 
-  ExpectBitwiseIdenticalBehaviour(direct_outcome, registry_outcome);
+  ExpectSameOutcome(direct_outcome, registry_outcome);
   EXPECT_EQ(registry_outcome.metrics.total_cold_starts, 1574u);
   EXPECT_EQ(SeriesSum(registry_outcome.memory_series), 210020u);
 }
@@ -238,7 +203,7 @@ TEST(GoldenMetricsTest, TransformedChainReproducesGoldenValues) {
 
   // And the same spec realizes bitwise the same workload again.
   const ScenarioOutcome again = RunScenario(spec).ValueOrDie();
-  ExpectBitwiseIdenticalBehaviour(run.outcome, again.outcome);
+  ExpectSameOutcome(run.outcome, again.outcome);
 }
 
 // ---------------------------------------------------------------------
@@ -259,7 +224,7 @@ TEST(GoldenMetricsTest, StreamedFullRunMatchesBatchGoldens) {
   EXPECT_EQ(SeriesSum(spes_outcome.memory_series), 212568u);
 
   SpesPolicy spes_batch;
-  ExpectBitwiseIdenticalBehaviour(RunGoldenFleet(&spes_batch), spes_outcome);
+  ExpectSameOutcome(RunGoldenFleet(&spes_batch), spes_outcome);
 
   // Step-by-step driving is the same engine: alternate single steps and
   // RunUntil hops, then finish.
@@ -275,8 +240,7 @@ TEST(GoldenMetricsTest, StreamedFullRunMatchesBatchGoldens) {
   EXPECT_EQ(SeriesSum(fixed_outcome.memory_series), 210020u);
 
   FixedKeepAlivePolicy fixed_batch(10);
-  ExpectBitwiseIdenticalBehaviour(RunGoldenFleet(&fixed_batch),
-                                  fixed_outcome);
+  ExpectSameOutcome(RunGoldenFleet(&fixed_batch), fixed_outcome);
 }
 
 TEST(GoldenMetricsTest, CheckpointRestoreMidWindowMatchesBatchGoldens) {
@@ -304,7 +268,7 @@ TEST(GoldenMetricsTest, CheckpointRestoreMidWindowMatchesBatchGoldens) {
     EXPECT_EQ(SeriesSum(resumed.memory_series), 212568u);
 
     SpesPolicy batch;
-    ExpectBitwiseIdenticalBehaviour(RunGoldenFleet(&batch), resumed);
+    ExpectSameOutcome(RunGoldenFleet(&batch), resumed);
   }
   {
     FixedKeepAlivePolicy original(10);
@@ -322,7 +286,7 @@ TEST(GoldenMetricsTest, CheckpointRestoreMidWindowMatchesBatchGoldens) {
     EXPECT_EQ(SeriesSum(resumed.memory_series), 210020u);
 
     FixedKeepAlivePolicy batch(10);
-    ExpectBitwiseIdenticalBehaviour(RunGoldenFleet(&batch), resumed);
+    ExpectSameOutcome(RunGoldenFleet(&batch), resumed);
   }
 }
 
@@ -347,8 +311,8 @@ TEST(GoldenMetricsTest, LockstepLanesMatchBatchGoldensOverOneTraceWalk) {
 
   SpesPolicy spes_batch;
   FixedKeepAlivePolicy fixed_batch(10);
-  ExpectBitwiseIdenticalBehaviour(RunGoldenFleet(&spes_batch), outcomes[0]);
-  ExpectBitwiseIdenticalBehaviour(RunGoldenFleet(&fixed_batch), outcomes[1]);
+  ExpectSameOutcome(RunGoldenFleet(&spes_batch), outcomes[0]);
+  ExpectSameOutcome(RunGoldenFleet(&fixed_batch), outcomes[1]);
 }
 
 TEST(GoldenMetricsTest, Fig13StyleLockstepSweepMatchesPerPolicyGoldens) {
@@ -374,7 +338,7 @@ TEST(GoldenMetricsTest, Fig13StyleLockstepSweepMatchesPerPolicyGoldens) {
     ASSERT_TRUE(pooled[i].status.ok()) << pooled[i].status.ToString();
     ASSERT_TRUE(lockstep[i].status.ok()) << lockstep[i].status.ToString();
     EXPECT_EQ(pooled[i].label, lockstep[i].label);
-    ExpectBitwiseIdenticalBehaviour(pooled[i].outcome, lockstep[i].outcome);
+    ExpectSameOutcome(pooled[i].outcome, lockstep[i].outcome);
   }
   // Anchor against the absolute goldens, not just each other.
   EXPECT_EQ(lockstep[0].outcome.metrics.total_cold_starts, 631u);
@@ -405,14 +369,14 @@ TEST(GoldenMetricsTest, SingleNodeHashClusterMatchesBatchGoldensBitwise) {
       RunScenario(fleet, GoldenClusterSpec(1)).ValueOrDie();
 
   SpesPolicy batch;
-  ExpectBitwiseIdenticalBehaviour(RunGoldenFleet(&batch), run.outcome);
+  ExpectSameOutcome(RunGoldenFleet(&batch), run.outcome);
   EXPECT_EQ(run.outcome.metrics.total_cold_starts, 631u);
   EXPECT_EQ(SeriesSum(run.outcome.memory_series), 212568u);
 
   ASSERT_NE(run.cluster, nullptr);
   EXPECT_EQ(run.cluster->nodes.size(), 1u);
   EXPECT_EQ(run.cluster->reroutes, 0u);
-  ExpectBitwiseIdenticalBehaviour(run.cluster->nodes[0].sim, run.outcome);
+  ExpectSameOutcome(run.cluster->nodes[0].sim, run.outcome);
 }
 
 TEST(GoldenMetricsTest, FourNodeHashClusterReproducesGoldenValues) {
@@ -501,7 +465,7 @@ TEST(GoldenMetricsTest, ClusterSuiteIsBitwiseDeterministicAcrossThreads) {
   for (size_t i = 0; i < serial.size(); ++i) {
     ASSERT_TRUE(serial[i].status.ok()) << serial[i].status.ToString();
     ASSERT_TRUE(parallel[i].status.ok()) << parallel[i].status.ToString();
-    ExpectBitwiseIdenticalBehaviour(serial[i].outcome, parallel[i].outcome);
+    ExpectSameOutcome(serial[i].outcome, parallel[i].outcome);
     ASSERT_NE(serial[i].cluster, nullptr);
     ASSERT_NE(parallel[i].cluster, nullptr);
     ASSERT_EQ(serial[i].cluster->nodes.size(),
@@ -513,7 +477,7 @@ TEST(GoldenMetricsTest, ClusterSuiteIsBitwiseDeterministicAcrossThreads) {
       EXPECT_EQ(a.final_state, b.final_state);
       EXPECT_EQ(a.pressure_evictions, b.pressure_evictions);
       EXPECT_EQ(a.reroutes_in, b.reroutes_in);
-      ExpectBitwiseIdenticalBehaviour(a.sim, b.sim);
+      ExpectSameOutcome(a.sim, b.sim);
     }
   }
   // The hash cluster anchors against the absolute goldens above.
@@ -673,7 +637,7 @@ TEST(GoldenMetricsTest, LatencyStreamCheckpointRestoreMatchesGoldens) {
   ASSERT_NE(from_start.latency, nullptr);
   ASSERT_NE(from_restore.latency, nullptr);
   EXPECT_EQ(*from_start.latency, *from_restore.latency);
-  ExpectBitwiseIdenticalBehaviour(from_start, from_restore);
+  ExpectSameOutcome(from_start, from_restore);
   EXPECT_EQ(from_restore.latency->served, 1020800u);
   EXPECT_EQ(from_restore.latency->timeouts, 5266u);
   EXPECT_EQ(from_restore.latency->shed, 5402u);
@@ -702,7 +666,7 @@ TEST(GoldenMetricsTest, LatencyClusterCheckpointRestoreMatchesGoldens) {
   ASSERT_NE(from_start.fleet.latency, nullptr);
   ASSERT_NE(from_restore.fleet.latency, nullptr);
   EXPECT_EQ(*from_start.fleet.latency, *from_restore.fleet.latency);
-  ExpectBitwiseIdenticalBehaviour(from_start.fleet, from_restore.fleet);
+  ExpectSameOutcome(from_start.fleet, from_restore.fleet);
   ASSERT_EQ(from_restore.nodes.size(), 4u);
   for (size_t k = 0; k < 4; ++k) {
     ASSERT_NE(from_start.nodes[k].sim.latency, nullptr) << k;
@@ -742,7 +706,7 @@ TEST(GoldenMetricsTest, RecorderAttachedBatchRunMatchesGoldensBitwise) {
   recorder.Finish();
 
   SpesPolicy plain_policy;
-  ExpectBitwiseIdenticalBehaviour(RunGoldenFleet(&plain_policy), recorded);
+  ExpectSameOutcome(RunGoldenFleet(&plain_policy), recorded);
   EXPECT_EQ(recorded.metrics.total_cold_starts, 631u);
   EXPECT_EQ(SeriesSum(recorded.memory_series), 212568u);
 
@@ -787,8 +751,8 @@ TEST(GoldenMetricsTest, RecorderAttachedLockstepLanesMatchGoldensBitwise) {
   ASSERT_EQ(outcomes.size(), 2u);
   SpesPolicy spes_batch;
   FixedKeepAlivePolicy fixed_batch(10);
-  ExpectBitwiseIdenticalBehaviour(RunGoldenFleet(&spes_batch), outcomes[0]);
-  ExpectBitwiseIdenticalBehaviour(RunGoldenFleet(&fixed_batch), outcomes[1]);
+  ExpectSameOutcome(RunGoldenFleet(&spes_batch), outcomes[0]);
+  ExpectSameOutcome(RunGoldenFleet(&fixed_batch), outcomes[1]);
   EXPECT_EQ(outcomes[0].metrics.total_cold_starts, 631u);
   EXPECT_EQ(outcomes[1].metrics.total_cold_starts, 1574u);
 
@@ -820,7 +784,7 @@ TEST(GoldenMetricsTest, RecorderAttachedFourNodeClusterMatchesGoldensBitwise) {
   const ScenarioOutcome recorded = RunScenario(fleet, spec).ValueOrDie();
   recorder.Finish();
 
-  ExpectBitwiseIdenticalBehaviour(plain.outcome, recorded.outcome);
+  ExpectSameOutcome(plain.outcome, recorded.outcome);
   EXPECT_EQ(recorded.outcome.metrics.total_cold_starts, 1535u);
   EXPECT_EQ(SeriesSum(recorded.outcome.memory_series), 706610u);
   ASSERT_NE(recorded.cluster, nullptr);
@@ -830,8 +794,8 @@ TEST(GoldenMetricsTest, RecorderAttachedFourNodeClusterMatchesGoldensBitwise) {
     EXPECT_EQ(recorded.cluster->nodes[k].sim.metrics.total_cold_starts,
               node_cold_starts[k])
         << k;
-    ExpectBitwiseIdenticalBehaviour(plain.cluster->nodes[k].sim,
-                                    recorded.cluster->nodes[k].sim);
+    ExpectSameOutcome(plain.cluster->nodes[k].sim,
+                      recorded.cluster->nodes[k].sim);
   }
 
   // Node heartbeats ride the lane field: every node reports, and each

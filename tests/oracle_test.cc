@@ -12,6 +12,7 @@
 #include "policies/fixed_keepalive.h"
 #include "sim/engine.h"
 #include "sim/stream.h"
+#include "tests/same_outcome.h"
 #include "trace/generator.h"
 #include "trace/trace_file.h"
 #include "trace/transform.h"
@@ -62,21 +63,6 @@ void RegisterScanOracle() {
     return true;
   }();
   (void)registered;
-}
-
-void ExpectSameOutcome(const SimulationOutcome& expected,
-                       const SimulationOutcome& actual) {
-  EXPECT_EQ(expected.memory_series, actual.memory_series);
-  ASSERT_EQ(expected.accounts.size(), actual.accounts.size());
-  for (size_t f = 0; f < expected.accounts.size(); ++f) {
-    const FunctionAccount& a = expected.accounts[f];
-    const FunctionAccount& b = actual.accounts[f];
-    EXPECT_EQ(a.invocations, b.invocations) << f;
-    EXPECT_EQ(a.invoked_minutes, b.invoked_minutes) << f;
-    EXPECT_EQ(a.cold_starts, b.cold_starts) << f;
-    EXPECT_EQ(a.loaded_minutes, b.loaded_minutes) << f;
-    EXPECT_EQ(a.wasted_minutes, b.wasted_minutes) << f;
-  }
 }
 
 /// (fleet kind, whether end_minute stops short of the horizon)

@@ -18,6 +18,7 @@
 #include "sim/observers.h"
 #include "sim/scenario.h"
 #include "sim/stream.h"
+#include "tests/same_outcome.h"
 #include "trace/azure_csv.h"
 #include "trace/generator.h"
 #include "trace/trace_file.h"
@@ -378,41 +379,6 @@ TEST(RunScenarioTest, TraceTakingEntryPointsApplyTheSpecChain) {
 // entry point.
 // ---------------------------------------------------------------------
 
-/// The series, every per-function account, and every FleetMetrics field
-/// but the wall-clock overhead.
-void ExpectSameRun(const SimulationOutcome& a, const SimulationOutcome& b,
-                   const std::string& path) {
-  SCOPED_TRACE(path);
-  EXPECT_EQ(a.memory_series, b.memory_series);
-  ASSERT_EQ(a.accounts.size(), b.accounts.size());
-  for (size_t f = 0; f < a.accounts.size(); ++f) {
-    EXPECT_EQ(a.accounts[f].invocations, b.accounts[f].invocations) << f;
-    EXPECT_EQ(a.accounts[f].invoked_minutes, b.accounts[f].invoked_minutes)
-        << f;
-    EXPECT_EQ(a.accounts[f].cold_starts, b.accounts[f].cold_starts) << f;
-    EXPECT_EQ(a.accounts[f].loaded_minutes, b.accounts[f].loaded_minutes)
-        << f;
-    EXPECT_EQ(a.accounts[f].wasted_minutes, b.accounts[f].wasted_minutes)
-        << f;
-  }
-  const FleetMetrics& x = a.metrics;
-  const FleetMetrics& y = b.metrics;
-  EXPECT_EQ(x.policy_name, y.policy_name);
-  EXPECT_EQ(x.csr, y.csr);
-  EXPECT_EQ(x.q3_csr, y.q3_csr);
-  EXPECT_EQ(x.p90_csr, y.p90_csr);
-  EXPECT_EQ(x.median_csr, y.median_csr);
-  EXPECT_EQ(x.always_cold_fraction, y.always_cold_fraction);
-  EXPECT_EQ(x.zero_cold_fraction, y.zero_cold_fraction);
-  EXPECT_EQ(x.total_cold_starts, y.total_cold_starts);
-  EXPECT_EQ(x.total_invocations, y.total_invocations);
-  EXPECT_EQ(x.wasted_memory_minutes, y.wasted_memory_minutes);
-  EXPECT_EQ(x.loaded_instance_minutes, y.loaded_instance_minutes);
-  EXPECT_EQ(x.average_memory, y.average_memory);
-  EXPECT_EQ(x.max_memory, y.max_memory);
-  EXPECT_EQ(x.emcr, y.emcr);
-}
-
 /// (registered policy name, whether the fleet carries a rare tail)
 using PathCase = std::tuple<std::string, bool>;
 
@@ -433,20 +399,20 @@ TEST_P(PathEquivalenceTest, EveryEntryPointRunsTheSameSimulation) {
   const SimulationOutcome reference = RunScenario(spec).ValueOrDie().outcome;
   ASSERT_GT(reference.metrics.total_invocations, 0u);
   const Trace trace = RealizeTrace(spec.trace).ValueOrDie();
-  ExpectSameRun(reference, RunScenario(trace, spec).ValueOrDie().outcome,
-                "RunScenario(trace, spec)");
+  ExpectSameOutcome(reference, RunScenario(trace, spec).ValueOrDie().outcome,
+                    "RunScenario(trace, spec)");
 
   InMemoryTraceSource source(trace);
-  ExpectSameRun(reference, RunScenario(source, spec).ValueOrDie().outcome,
-                "RunScenario(source, spec)");
+  ExpectSameOutcome(reference, RunScenario(source, spec).ValueOrDie().outcome,
+                    "RunScenario(source, spec)");
 
   const auto expect_batch = [&](const std::vector<JobResult>& results,
                                 const std::string& path) {
     for (size_t i = 0; i < results.size(); ++i) {
       ASSERT_TRUE(results[i].status.ok()) << path << ": "
                                           << results[i].status.ToString();
-      ExpectSameRun(reference, results[i].outcome,
-                    path + " slot " + std::to_string(i));
+      ExpectSameOutcome(reference, results[i].outcome,
+                        path + " slot " + std::to_string(i));
     }
   };
   const std::vector<ScenarioSpec> batch(4, spec);
@@ -460,8 +426,9 @@ TEST_P(PathEquivalenceTest, EveryEntryPointRunsTheSameSimulation) {
 
   ScenarioSpec one_node = spec;
   one_node.cluster = ClusterSpec{};
-  ExpectSameRun(reference, RunScenario(trace, one_node).ValueOrDie().outcome,
-                "1-node cluster");
+  ExpectSameOutcome(reference,
+                    RunScenario(trace, one_node).ValueOrDie().outcome,
+                    "1-node cluster");
 
   // Streamed from packed .spt bytes, as a stream and as a 1-node cluster.
   TraceFileWriter writer =
@@ -471,11 +438,11 @@ TEST_P(PathEquivalenceTest, EveryEntryPointRunsTheSameSimulation) {
   }
   const std::unique_ptr<TraceFileSource> packed =
       TraceFileSource::FromBytes(writer.ToBytes().ValueOrDie()).ValueOrDie();
-  ExpectSameRun(reference, RunScenario(*packed, spec).ValueOrDie().outcome,
-                "RunScenario(.spt bytes, spec)");
-  ExpectSameRun(reference,
-                RunScenario(*packed, one_node).ValueOrDie().outcome,
-                "1-node cluster over .spt bytes");
+  ExpectSameOutcome(reference, RunScenario(*packed, spec).ValueOrDie().outcome,
+                    "RunScenario(.spt bytes, spec)");
+  ExpectSameOutcome(reference,
+                    RunScenario(*packed, one_node).ValueOrDie().outcome,
+                    "1-node cluster over .spt bytes");
 
   // Restored from checkpoint bytes taken at a random minute, seeded by the
   // fleet.
@@ -495,8 +462,8 @@ TEST_P(PathEquivalenceTest, EveryEntryPointRunsTheSameSimulation) {
   SimStream after =
       SimStream::Create(source, second.get(), spec.options).ValueOrDie();
   ASSERT_TRUE(after.Restore(ParseCheckpoint(bytes).ValueOrDie()).ok());
-  ExpectSameRun(reference, after.Finish().ValueOrDie(),
-                "restored at minute " + std::to_string(cut));
+  ExpectSameOutcome(reference, after.Finish().ValueOrDie(),
+                    "restored at minute " + std::to_string(cut));
 }
 
 INSTANTIATE_TEST_SUITE_P(

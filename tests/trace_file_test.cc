@@ -30,6 +30,7 @@
 #include "sim/engine.h"
 #include "sim/scenario.h"
 #include "sim/stream.h"
+#include "tests/same_outcome.h"
 #include "trace/generator.h"
 #include "trace/summary.h"
 #include "trace/trace_file.h"
@@ -78,31 +79,6 @@ std::string PackGoldenToFile(const std::string& name) {
       (std::filesystem::temp_directory_path() / name).string();
   WriteTraceFile(GoldenTrace(), path).ValueOrDie();
   return path;
-}
-
-void ExpectBitwiseIdenticalBehaviour(const SimulationOutcome& a,
-                                     const SimulationOutcome& b) {
-  ASSERT_EQ(a.accounts.size(), b.accounts.size());
-  for (size_t f = 0; f < a.accounts.size(); ++f) {
-    EXPECT_EQ(a.accounts[f].invocations, b.accounts[f].invocations) << f;
-    EXPECT_EQ(a.accounts[f].invoked_minutes, b.accounts[f].invoked_minutes)
-        << f;
-    EXPECT_EQ(a.accounts[f].cold_starts, b.accounts[f].cold_starts) << f;
-    EXPECT_EQ(a.accounts[f].loaded_minutes, b.accounts[f].loaded_minutes)
-        << f;
-    EXPECT_EQ(a.accounts[f].wasted_minutes, b.accounts[f].wasted_minutes)
-        << f;
-  }
-  EXPECT_EQ(a.memory_series, b.memory_series);
-  EXPECT_EQ(a.metrics.csr, b.metrics.csr);
-  EXPECT_EQ(a.metrics.q3_csr, b.metrics.q3_csr);
-  EXPECT_EQ(a.metrics.total_cold_starts, b.metrics.total_cold_starts);
-  EXPECT_EQ(a.metrics.total_invocations, b.metrics.total_invocations);
-  EXPECT_EQ(a.metrics.wasted_memory_minutes, b.metrics.wasted_memory_minutes);
-  EXPECT_EQ(a.metrics.loaded_instance_minutes,
-            b.metrics.loaded_instance_minutes);
-  EXPECT_EQ(a.metrics.max_memory, b.metrics.max_memory);
-  EXPECT_EQ(a.metrics.emcr, b.metrics.emcr);
 }
 
 // ---------------------------------------------------------------------
@@ -243,7 +219,7 @@ TEST(TraceFileGoldenTest, StreamedPlainRunMatchesBatchGoldens) {
 
   SpesPolicy batch;
   const Trace fleet = GoldenTrace();
-  ExpectBitwiseIdenticalBehaviour(
+  ExpectSameOutcome(
       Simulate(fleet, &batch, GoldenOptions()).ValueOrDie(), outcome);
   std::filesystem::remove(path);
 }
@@ -325,7 +301,7 @@ TEST(TraceFileGoldenTest, StreamedCheckpointRestoreMatchesBatchGoldens) {
   EXPECT_EQ(SeriesSum(resumed.memory_series), 212568u);
   SpesPolicy batch;
   const Trace fleet = GoldenTrace();
-  ExpectBitwiseIdenticalBehaviour(
+  ExpectSameOutcome(
       Simulate(fleet, &batch, GoldenOptions()).ValueOrDie(), resumed);
   std::filesystem::remove(path);
 }
@@ -344,11 +320,11 @@ TEST(TraceFileGoldenTest, OracleFromPackedFileMatchesInMemorySimulate) {
   ScenarioSpec spec;
   spec.policy = {"oracle", {}};
   spec.options = GoldenOptions();
-  ExpectBitwiseIdenticalBehaviour(
+  ExpectSameOutcome(
       expected, RunScenario(*source, spec).ValueOrDie().outcome);
 
   spec.cluster = ClusterSpec{};
-  ExpectBitwiseIdenticalBehaviour(
+  ExpectSameOutcome(
       expected, RunScenario(*source, spec).ValueOrDie().outcome);
   std::filesystem::remove(path);
 }
