@@ -145,12 +145,12 @@ int main(int argc, char** argv) {
   const int parallel_threads = probe.EffectiveThreads(specs.size());
 
   // Progress heartbeats (rate + ETA) ride the serial sweep only — one job
-  // at a time, so the lines never interleave. `enabled` silences them
-  // entirely under machine-readable output; the 2s wall throttle keeps
-  // fast cells from spamming, and stderr keeps stdout pipeable.
-  ProgressObserver progress(6 * 60, stderr, /*min_wall_seconds=*/2.0,
-                            /*enabled=*/!bench::MachineReadable(format));
-  const SweepRun serial = RunSweep(specs, 1, &progress);
+  // at a time, so the lines never interleave. Machine-readable output
+  // attaches no observer at all; the 2s wall throttle keeps fast cells
+  // from spamming, and stderr keeps stdout pipeable.
+  ProgressObserver progress(6 * 60, stderr, /*min_wall_seconds=*/2.0);
+  const SweepRun serial = RunSweep(
+      specs, 1, bench::MachineReadable(format) ? nullptr : &progress);
   const SweepRun parallel = RunSweep(specs, parallel_threads);
   if (!bench::MachineReadable(format)) {
     std::printf("sweep: %zu latency cells | serial %.2fs | %d threads %.2fs "

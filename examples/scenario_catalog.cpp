@@ -1,11 +1,11 @@
 // Scenario catalog: registry introspection. Lists every registered policy,
 // every registered trace transform, every registered cluster router and
 // every registered latency model (plus the `queue{...}` admission schema)
-// with its typed parameter schema and defaults — the complete vocabulary
-// available to ScenarioSpecs and spec strings — then runs one
-// default-parameter scenario per policy on a small generated fleet, and
-// finally one *transformed* scenario end-to-end (the same fleet under 2x
-// load with an injected burst).
+// with its typed parameter schema, defaults and declared value ranges —
+// the complete vocabulary available to ScenarioSpecs and spec strings —
+// then runs one default-parameter scenario per policy on a small
+// generated fleet, and finally one *transformed* scenario end-to-end (the
+// same fleet under 2x load with an injected burst).
 //
 // Build & run:
 //   cmake -B build && cmake --build build -j
@@ -35,10 +35,12 @@ void PrintSchema(const std::string& name, const std::string& summary,
     std::printf("  (no parameters)\n\n");
     return;
   }
-  Table table({"parameter", "type", "default", "description"});
+  Table table({"parameter", "type", "default", "range", "description"});
   for (const ParamSpec& param : params) {
+    const std::string domain = FormatParamDomain(param);
     table.AddRow({param.name, ParamTypeToString(param.type),
-                  FormatParamValue(param.default_value), param.description});
+                  FormatParamValue(param.default_value),
+                  domain.empty() ? "-" : domain, param.description});
   }
   table.Print();
   std::printf("\n");

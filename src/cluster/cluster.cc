@@ -21,24 +21,24 @@ namespace {
 constexpr char kClusterCheckpointMagic[] = "SPESCLCK";
 constexpr uint32_t kClusterCheckpointVersion = 1;
 
-/// Parameter schema of one node-event kind: `at` for every kind, plus
-/// `capacity` for add and `node` for drain/fail. `at` and `node` are
-/// required, so only capacity's default (-1, the cluster default) is
-/// ever used.
-const std::vector<ParamSpec>& NodeEventParamSchema(bool is_add) {
+}  // namespace
+
+const std::vector<ParamSpec>& NodeEventParamSchema(NodeEvent::Kind kind) {
   static const auto* add = new std::vector<ParamSpec>{
-      {"at", ParamType::kInt, ParamValue(0), "minute the node joins"},
+      {"at", ParamType::kInt, ParamValue(0), "minute the node joins", 0,
+       kIntParamMax},
       {"capacity", ParamType::kInt, ParamValue(-1),
-       "instance capacity; -1 = ClusterSpec.node_capacity"},
+       "instance capacity; omitted = ClusterSpec.node_capacity", 0,
+       kIntParamMax},
   };
   static const auto* targeted = new std::vector<ParamSpec>{
-      {"at", ParamType::kInt, ParamValue(0), "minute the event applies"},
-      {"node", ParamType::kInt, ParamValue(-1), "target node id"},
+      {"at", ParamType::kInt, ParamValue(0), "minute the event applies", 0,
+       kIntParamMax},
+      {"node", ParamType::kInt, ParamValue(0), "target node id", 0,
+       kIntParamMax},
   };
-  return is_add ? *add : *targeted;
+  return kind == NodeEvent::Kind::kAdd ? *add : *targeted;
 }
-
-}  // namespace
 
 const char* NodeEventKindToString(NodeEvent::Kind kind) {
   switch (kind) {
@@ -69,31 +69,21 @@ Result<NodeEvent> ParseNodeEvent(const std::string& text) {
   const bool is_add = event.kind == NodeEvent::Kind::kAdd;
   SPES_ASSIGN_OR_RETURN(
       const ParamMap params,
-      MergeSpecParams("node event", spec, NodeEventParamSchema(is_add)));
-  const std::string owner = "node event '" + spec.name + "'";
+      MergeSpecParams("node event", spec, NodeEventParamSchema(event.kind)));
   const auto require = [&](const std::string& name) -> Status {
     if (spec.params.count(name) > 0) return Status::OK();
-    return Status::InvalidArgument(owner + " is missing required parameter '" +
+    return Status::InvalidArgument("node event '" + spec.name +
+                                   "' is missing required parameter '" +
                                    name + "'");
   };
   SPES_RETURN_NOT_OK(require("at"));
   if (!is_add) SPES_RETURN_NOT_OK(require("node"));
-  // Values are bounded by INT_MAX, so the NodeEvent fields never
-  // truncate.
-  SPES_ASSIGN_OR_RETURN(const int64_t at,
-                        IntParamInRange(params, owner, "at", 0));
-  event.minute = static_cast<int>(at);
+  // Given values are bounded by INT_MAX, so the fields never truncate.
+  event.minute = static_cast<int>(params.GetInt("at"));
   if (is_add) {
-    // Only the omitted capacity may stay at its -1 default.
-    const int64_t min_capacity = spec.params.count("capacity") > 0 ? 0 : -1;
-    SPES_ASSIGN_OR_RETURN(
-        const int64_t capacity,
-        IntParamInRange(params, owner, "capacity", min_capacity));
-    event.capacity = static_cast<int>(capacity);
+    event.capacity = static_cast<int>(params.GetInt("capacity"));
   } else {
-    SPES_ASSIGN_OR_RETURN(const int64_t node,
-                          IntParamInRange(params, owner, "node", 0));
-    event.node = static_cast<int>(node);
+    event.node = static_cast<int>(params.GetInt("node"));
   }
   return event;
 }

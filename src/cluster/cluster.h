@@ -34,6 +34,7 @@
 
 #include "cluster/router.h"
 #include "common/status.h"
+#include "core/param_spec.h"
 #include "core/policy_registry.h"
 #include "sim/accounting.h"
 #include "sim/columnar.h"
@@ -73,12 +74,19 @@ struct NodeEvent {
 /// \brief Stable lowercase name of an event kind ("add", "drain", "fail").
 const char* NodeEventKindToString(NodeEvent::Kind kind);
 
+/// \brief Parameter schema of one event kind: `at` for every kind, plus
+/// `capacity` for add and `node` for drain/fail, each with its domain.
+/// `at` and `node` are required, so only capacity's default (-1, the
+/// cluster default) is ever used.
+const std::vector<ParamSpec>& NodeEventParamSchema(NodeEvent::Kind kind);
+
 /// \brief Parses one event in the registry spec grammar:
 ///   `fail{at=2980,node=1}` | `drain{at=2900,node=0}` |
 ///   `add{at=3000,capacity=40}`
 /// Each kind validates against its own ParamSpec schema: `at` is
 /// required; `node` is required for drain/fail and rejected for add;
-/// `capacity` is accepted only by add. Every value lies in [0, INT_MAX].
+/// `capacity` is accepted only by add. Every given value lies in
+/// [0, INT_MAX], the domain NodeEventParamSchema declares.
 /// Unknown names and parameters yield InvalidArgument naming the field.
 Result<NodeEvent> ParseNodeEvent(const std::string& text);
 

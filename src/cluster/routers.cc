@@ -155,14 +155,10 @@ void RegisterBuiltinRouters(RouterRegistry& registry) {
            "stable function->node assignment by name hash (mod-N rehash "
            "when the node set changes)",
            {{"seed", ParamType::kInt, ParamValue(0),
-             "hash seed; distinct seeds give distinct stable placements"}},
+             "hash seed; distinct seeds give distinct stable placements", 0}},
            [](const RouterParams& params) -> Result<std::unique_ptr<Router>> {
-             SPES_ASSIGN_OR_RETURN(
-                 const int64_t seed,
-                 IntParamInRange(params, "hash", "seed", 0,
-                                 std::numeric_limits<int64_t>::max()));
              return std::unique_ptr<Router>(
-                 new HashRouter(static_cast<uint64_t>(seed)));
+                 new HashRouter(static_cast<uint64_t>(params.GetInt("seed"))));
            }})
       .CheckOK();
   registry
@@ -181,20 +177,13 @@ void RegisterBuiltinRouters(RouterRegistry& registry) {
            "sticky while the home node has headroom; spills to the least "
            "loaded node under memory pressure",
            {{"pressure", ParamType::kDouble, ParamValue(1.0),
-             "spill threshold as a fraction of node capacity, in (0, 1]"},
+             "spill threshold as a fraction of node capacity", 1e-9, 1.0},
             {"seed", ParamType::kInt, ParamValue(0),
-             "hash seed for the initial spread of first arrivals"}},
+             "hash seed for the initial spread of first arrivals", 0}},
            [](const RouterParams& params) -> Result<std::unique_ptr<Router>> {
-             SPES_ASSIGN_OR_RETURN(
-                 const double pressure,
-                 DoubleParamInRange(params, "locality", "pressure", 1e-9,
-                                    1.0));
-             SPES_ASSIGN_OR_RETURN(
-                 const int64_t seed,
-                 IntParamInRange(params, "locality", "seed", 0,
-                                 std::numeric_limits<int64_t>::max()));
              return std::unique_ptr<Router>(new LocalityRouter(
-                 pressure, static_cast<uint64_t>(seed)));
+                 params.GetDouble("pressure"),
+                 static_cast<uint64_t>(params.GetInt("seed"))));
            }})
       .CheckOK();
 }

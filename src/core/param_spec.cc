@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 namespace spes {
@@ -40,6 +41,30 @@ ParamValue ParseValueToken(const std::string& token) {
   return ParamValue(token);
 }
 
+/// A declared bound, or the type's own limit when the bound is omitted.
+ParamValue BoundOrLimit(const std::optional<ParamValue>& bound, ParamType type,
+                        bool upper) {
+  if (bound) return *bound;
+  if (type == ParamType::kInt) {
+    return upper ? std::numeric_limits<int64_t>::max()
+                 : std::numeric_limits<int64_t>::min();
+  }
+  return upper ? std::numeric_limits<double>::infinity()
+               : -std::numeric_limits<double>::infinity();
+}
+
+/// True when `value` (already of the declared type) lies in the domain.
+bool InDomain(const ParamSpec& param, const ParamValue& value) {
+  const ParamValue lo = BoundOrLimit(param.min_value, param.type, false);
+  const ParamValue hi = BoundOrLimit(param.max_value, param.type, true);
+  if (param.type == ParamType::kInt) {
+    return value.AsInt() >= lo.AsInt() && value.AsInt() <= hi.AsInt();
+  }
+  // Spelled positively so that NaN, which fails every comparison, is out.
+  const double v = value.AsDouble();
+  return v >= lo.AsDouble() && v <= hi.AsDouble();
+}
+
 }  // namespace
 
 const char* ParamTypeToString(ParamType type) {
@@ -67,6 +92,15 @@ ParamType ParamValue::type() const {
     default:
       return ParamType::kString;
   }
+}
+
+std::string FormatParamDomain(const ParamSpec& param) {
+  if (!param.min_value && !param.max_value) return "";
+  std::string text = "[";
+  text += FormatParamValue(BoundOrLimit(param.min_value, param.type, false));
+  text += ", ";
+  text += FormatParamValue(BoundOrLimit(param.max_value, param.type, true));
+  return text + "]";
 }
 
 std::string FormatParamValue(const ParamValue& value) {
@@ -218,10 +252,27 @@ Status ValidateRegistryEntry(const std::string& kind, const std::string& name,
                                    "' registered without a factory");
   }
   for (size_t i = 0; i < params.size(); ++i) {
-    if (params[i].default_value.type() != params[i].type) {
+    const ParamSpec& param = params[i];
+    const std::string where =
+        kind + " '" + name + "' parameter '" + param.name + "'";
+    if (param.default_value.type() != param.type) {
       return Status::InvalidArgument(
-          kind + " '" + name + "' parameter '" + params[i].name +
-          "' default does not match its declared type");
+          where + " default does not match its declared type");
+    }
+    if (param.min_value || param.max_value) {
+      const auto mistyped = [&param](const std::optional<ParamValue>& bound) {
+        return bound && bound->type() != param.type;
+      };
+      if ((param.type != ParamType::kInt && param.type != ParamType::kDouble) ||
+          mistyped(param.min_value) || mistyped(param.max_value)) {
+        return Status::InvalidArgument(
+            where + " bounds must be numeric and match its declared type");
+      }
+      if (param.min_value && param.max_value &&
+          !InDomain(param, *param.min_value)) {
+        return Status::InvalidArgument(where + " has an empty domain " +
+                                       FormatParamDomain(param));
+      }
     }
     for (size_t j = i + 1; j < params.size(); ++j) {
       if (params[i].name == params[j].name) {
@@ -274,51 +325,25 @@ Result<ParamMap> MergeSpecParams(const std::string& kind,
           "'; accepted: " +
           (accepted.empty() ? "(none)" : JoinNames(accepted)));
     }
-    if (value.type() == match->type) {
-      merged[key] = value;
-    } else if (match->type == ParamType::kDouble &&
-               value.type() == ParamType::kInt) {
-      merged[key] = ParamValue(static_cast<double>(value.AsInt()));
-    } else {
+    const std::string where =
+        "parameter '" + key + "' of " + kind + " '" + spec.name + "'";
+    ParamValue typed = value;
+    if (match->type == ParamType::kDouble && value.type() == ParamType::kInt) {
+      typed = ParamValue(static_cast<double>(value.AsInt()));
+    } else if (value.type() != match->type) {
       return Status::InvalidArgument(
-          "parameter '" + key + "' of " + kind + " '" + spec.name +
-          "' expects " + ParamTypeToString(match->type) + ", got " +
+          where + " expects " + ParamTypeToString(match->type) + ", got " +
           ParamTypeToString(value.type()) + " (" + FormatParamValue(value) +
           ")");
     }
+    if ((match->min_value || match->max_value) && !InDomain(*match, typed)) {
+      return Status::InvalidArgument(where + " must be in " +
+                                     FormatParamDomain(*match) + ", got " +
+                                     FormatParamValue(typed));
+    }
+    merged[key] = std::move(typed);
   }
   return ParamMap(std::move(merged));
-}
-
-Result<int64_t> IntParamInRange(const ParamMap& params,
-                                const std::string& owner,
-                                const std::string& name, int64_t min_value,
-                                int64_t max_value) {
-  const int64_t value = params.GetInt(name);
-  if (value < min_value || value > max_value) {
-    return Status::InvalidArgument(
-        owner + " parameter '" + name + "' must be in [" +
-        std::to_string(min_value) + ", " + std::to_string(max_value) +
-        "], got " + std::to_string(value));
-  }
-  return value;
-}
-
-Result<double> DoubleParamInRange(const ParamMap& params,
-                                  const std::string& owner,
-                                  const std::string& name, double min_value,
-                                  double max_value) {
-  const double value = params.GetDouble(name);
-  // NaN fails both comparisons below only via negation, so spell the
-  // acceptance condition positively.
-  if (!(value >= min_value && value <= max_value)) {
-    return Status::InvalidArgument(
-        owner + " parameter '" + name + "' must be in [" +
-        FormatParamValue(ParamValue(min_value)) + ", " +
-        FormatParamValue(ParamValue(max_value)) + "], got " +
-        FormatParamValue(ParamValue(value)));
-  }
-  return value;
 }
 
 }  // namespace spes

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <variant>
@@ -75,12 +76,28 @@ class ParamValue {
 std::string FormatParamValue(const ParamValue& value);
 
 /// \brief Declaration of one parameter a registered component accepts.
+///
+/// A numeric parameter may declare its domain: inclusive bounds in its
+/// own type, an omitted bound meaning unbounded. MergeSpecParams rejects
+/// every override outside the domain, so factories read their parameters
+/// without re-checking them. Defaults are not checked.
 struct ParamSpec {
   std::string name;
   ParamType type = ParamType::kInt;
   ParamValue default_value;
   std::string description;
+  std::optional<ParamValue> min_value = std::nullopt;
+  std::optional<ParamValue> max_value = std::nullopt;
 };
+
+/// \brief INT_MAX, the upper bound of every int parameter a factory
+/// narrows to `int`, so the value never truncates.
+inline constexpr int64_t kIntParamMax = 2147483647;
+
+/// \brief The declared domain as "[lo, hi]" (an omitted int bound prints
+/// its int64 limit, an omitted double bound "-inf"/"inf"), or "" when the
+/// parameter declares no bound.
+std::string FormatParamDomain(const ParamSpec& param);
 
 /// \brief A registry-buildable component as data: canonical name plus
 /// parameter overrides. Parameters not listed take the registered
@@ -184,8 +201,10 @@ class ParamMap {
 
 /// \brief Registration-time check shared by the registries: the name must
 /// be an identifier, the entry must carry a factory, every declared
-/// default must match its declared type and no parameter may be declared
-/// twice. Errors are InvalidArgument and name the `kind` and `name`.
+/// default and bound must match its declared type, bounds may only be
+/// declared on int and double parameters with min <= max, and no
+/// parameter may be declared twice. Errors are InvalidArgument and name
+/// the `kind` and `name`.
 Status ValidateRegistryEntry(const std::string& kind, const std::string& name,
                              bool has_factory,
                              const std::vector<ParamSpec>& params);
@@ -195,30 +214,15 @@ Status ValidateRegistryEntry(const std::string& kind, const std::string& name,
 Status UnknownSpecName(const std::string& kind, const std::string& name,
                        const std::vector<std::string>& registered);
 
-/// \brief Build-time parameter resolution shared by the registries:
-/// overlays `spec.params` onto the declared defaults, rejecting unknown
-/// parameters and type mismatches (ints coerce to doubles, nothing else
-/// converts) with InvalidArgument naming the offending field.
+/// \brief Build-time parameter resolution shared by the registries, the
+/// latency `queue{...}` block and node events: overlays `spec.params` onto
+/// the declared defaults, rejecting unknown parameters, type mismatches
+/// (ints coerce to doubles, nothing else converts) and overrides outside
+/// the declared domain (NaN included) with InvalidArgument naming the
+/// `kind`, the spec and the offending field.
 Result<ParamMap> MergeSpecParams(const std::string& kind,
                                  const NamedSpec& spec,
                                  const std::vector<ParamSpec>& declared);
-
-/// \brief Factory helper: fetches int parameter `name` and checks it lies
-/// in [min_value, max_value] (the default ceiling is INT_MAX, so the value
-/// also fits an `int` without truncation). Out-of-range values yield
-/// InvalidArgument naming the owning component and parameter.
-Result<int64_t> IntParamInRange(const ParamMap& params,
-                                const std::string& owner,
-                                const std::string& name, int64_t min_value,
-                                int64_t max_value = 2147483647);
-
-/// \brief Factory helper: fetches double parameter `name` and checks it
-/// lies in [min_value, max_value]; out-of-range (or non-finite) values
-/// yield InvalidArgument naming the owning component and parameter.
-Result<double> DoubleParamInRange(const ParamMap& params,
-                                  const std::string& owner,
-                                  const std::string& name, double min_value,
-                                  double max_value);
 
 /// \brief Name -> (schema, factory) table that builds a `Product` from a
 /// NamedSpec. Every registry-built component is an alias of it, told
@@ -230,8 +234,9 @@ Result<double> DoubleParamInRange(const ParamMap& params,
 template <class Product>
 class Registry {
  public:
-  /// \brief Builds a product from validated parameters. May reject
-  /// out-of-domain values (e.g. a non-positive capacity) with a Status.
+  /// \brief Builds a product from validated parameters: every numeric
+  /// value already lies in its declared domain. May still reject what a
+  /// domain cannot express (e.g. an unknown string choice) with a Status.
   using Factory = std::function<Result<Product>(const ParamMap&)>;
 
   /// \brief One registered component.

@@ -22,20 +22,22 @@ void RegisterSpesPolicy(PolicyRegistry& registry) {
   // (Figs. 13-15); the Table I definitional constants stay code-level.
   entry.params = {
       {"theta_prewarm", ParamType::kInt, ParamValue(defaults.theta_prewarm),
-       "pre-load window around a predicted invocation (>= 0)"},
+       "pre-load window around a predicted invocation", 0, kIntParamMax},
       {"givenup_scaler", ParamType::kInt, ParamValue(defaults.givenup_scaler),
-       "multiplier on every theta_givenup (>= 1, the Fig. 13(b) scaler)"},
+       "multiplier on every theta_givenup (the Fig. 13(b) scaler)", 1,
+       kIntParamMax},
       {"theta_givenup_default", ParamType::kInt,
        ParamValue(defaults.theta_givenup_default),
-       "eviction threshold for most types (idle minutes)"},
+       "eviction threshold for most types (idle minutes)", 0, kIntParamMax},
       {"theta_givenup_dense", ParamType::kInt,
        ParamValue(defaults.theta_givenup_dense),
-       "eviction threshold for dense functions"},
+       "eviction threshold for dense functions", 0, kIntParamMax},
       {"theta_givenup_pulsed", ParamType::kInt,
        ParamValue(defaults.theta_givenup_pulsed),
-       "eviction threshold for pulsed functions"},
+       "eviction threshold for pulsed functions", 0, kIntParamMax},
+      // Any positive finite scaling is meaningful (the paper uses 0.5).
       {"alpha", ParamType::kDouble, ParamValue(defaults.alpha),
-       "rise-rate scaling in the indeterminate assignment"},
+       "rise-rate scaling in the indeterminate assignment", 1e-9, 1e9},
       {"enable_correlated", ParamType::kBool,
        ParamValue(defaults.enable_correlated),
        "training-time correlation links (Fig. 14 'w/o Corr' when false)"},
@@ -52,30 +54,15 @@ void RegisterSpesPolicy(PolicyRegistry& registry) {
   entry.factory =
       [](const PolicyParams& params) -> Result<std::unique_ptr<Policy>> {
     SpesConfig config;
-    SPES_ASSIGN_OR_RETURN(
-        const int64_t prewarm,
-        IntParamInRange(params, "spes", "theta_prewarm", 0));
-    config.theta_prewarm = static_cast<int>(prewarm);
-    SPES_ASSIGN_OR_RETURN(
-        const int64_t scaler,
-        IntParamInRange(params, "spes", "givenup_scaler", 1));
-    config.givenup_scaler = static_cast<int>(scaler);
-    SPES_ASSIGN_OR_RETURN(
-        const int64_t givenup_default,
-        IntParamInRange(params, "spes", "theta_givenup_default", 0));
-    config.theta_givenup_default = static_cast<int>(givenup_default);
-    SPES_ASSIGN_OR_RETURN(
-        const int64_t givenup_dense,
-        IntParamInRange(params, "spes", "theta_givenup_dense", 0));
-    config.theta_givenup_dense = static_cast<int>(givenup_dense);
-    SPES_ASSIGN_OR_RETURN(
-        const int64_t givenup_pulsed,
-        IntParamInRange(params, "spes", "theta_givenup_pulsed", 0));
-    config.theta_givenup_pulsed = static_cast<int>(givenup_pulsed);
-    // Any positive finite scaling is meaningful (the paper uses 0.5).
-    SPES_ASSIGN_OR_RETURN(
-        config.alpha,
-        DoubleParamInRange(params, "spes", "alpha", 1e-9, 1e9));
+    config.theta_prewarm = static_cast<int>(params.GetInt("theta_prewarm"));
+    config.givenup_scaler = static_cast<int>(params.GetInt("givenup_scaler"));
+    config.theta_givenup_default =
+        static_cast<int>(params.GetInt("theta_givenup_default"));
+    config.theta_givenup_dense =
+        static_cast<int>(params.GetInt("theta_givenup_dense"));
+    config.theta_givenup_pulsed =
+        static_cast<int>(params.GetInt("theta_givenup_pulsed"));
+    config.alpha = params.GetDouble("alpha");
     config.enable_correlated = params.GetBool("enable_correlated");
     config.enable_online_corr = params.GetBool("enable_online_corr");
     config.enable_forgetting = params.GetBool("enable_forgetting");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "common/binary_io.h"
@@ -35,13 +34,15 @@ constexpr double kMaxTimeoutMs = 1e9;
 const std::vector<ParamSpec>& LatencyQueueParamSchema() {
   static const std::vector<ParamSpec>* schema = new std::vector<ParamSpec>{
       {"concurrency", ParamType::kInt, ParamValue(0),
-       "concurrent execution slots per lane/node; 0 = unlimited"},
+       "concurrent execution slots per lane/node; 0 = unlimited", 0,
+       kIntParamMax},
       {"capacity", ParamType::kInt, ParamValue(0),
-       "queue slots before arrivals are shed; 0 = unbounded"},
+       "queue slots before arrivals are shed; 0 = unbounded", 0, kIntParamMax},
       {"timeout_ms", ParamType::kDouble, ParamValue(0.0),
-       "longest tolerated queue wait in milliseconds; 0 = wait forever"},
+       "longest tolerated queue wait in milliseconds; 0 = wait forever", 0.0,
+       kMaxTimeoutMs},
       {"seed", ParamType::kInt, ParamValue(0),
-       "seed of the per-request service-time sampling stream"},
+       "seed of the per-request service-time sampling stream", 0},
   };
   return *schema;
 }
@@ -76,20 +77,10 @@ Result<LatencySpec> ParseLatencySpec(const std::string& text) {
   SPES_ASSIGN_OR_RETURN(
       const ParamMap params,
       MergeSpecParams("latency queue", queue_spec, LatencyQueueParamSchema()));
-  SPES_ASSIGN_OR_RETURN(const int64_t concurrency,
-                        IntParamInRange(params, "queue", "concurrency", 0));
-  SPES_ASSIGN_OR_RETURN(const int64_t capacity,
-                        IntParamInRange(params, "queue", "capacity", 0));
-  SPES_ASSIGN_OR_RETURN(
-      spec.timeout_ms,
-      DoubleParamInRange(params, "queue", "timeout_ms", 0.0, kMaxTimeoutMs));
-  SPES_ASSIGN_OR_RETURN(
-      const int64_t seed,
-      IntParamInRange(params, "queue", "seed", 0,
-                      std::numeric_limits<int64_t>::max()));
-  spec.concurrency = static_cast<int>(concurrency);
-  spec.queue_capacity = static_cast<int>(capacity);
-  spec.seed = static_cast<uint64_t>(seed);
+  spec.concurrency = static_cast<int>(params.GetInt("concurrency"));
+  spec.queue_capacity = static_cast<int>(params.GetInt("capacity"));
+  spec.timeout_ms = params.GetDouble("timeout_ms");
+  spec.seed = static_cast<uint64_t>(params.GetInt("seed"));
   return spec;
 }
 

@@ -59,17 +59,10 @@ class LatencyModel {
   /// \brief Batched SampleMs(): out[i] = SampleMs(cold[i] != 0, keys[i])
   /// for i in [0, n), bit for bit. The latency lane calls it once per
   /// chunk of a minute's requests, so the model is dispatched once per
-  /// chunk instead of once per request.
-  void SampleMinute(const uint64_t* keys, const uint8_t* cold, size_t n,
-                    double* out) const {
-    SampleBatch(keys, cold, n, out);
-  }
-
- private:
-  /// The body of SampleMinute(): a loop over the chunk with no virtual
-  /// call per request.
-  virtual void SampleBatch(const uint64_t* keys, const uint8_t* cold,
-                           size_t n, double* out) const = 0;
+  /// chunk instead of once per request; implementations loop over the
+  /// chunk with no virtual call per request.
+  virtual void SampleMinute(const uint64_t* keys, const uint8_t* cold,
+                            size_t n, double* out) const = 0;
 };
 
 /// \brief Name -> (schema, factory) table for latency models.

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -43,12 +42,12 @@ class ConstantModel : public LatencyModel {
     return cold ? cold_ms_ : warm_ms_;
   }
 
- private:
-  void SampleBatch(const uint64_t* /*keys*/, const uint8_t* cold, size_t n,
-                   double* out) const override {
+  void SampleMinute(const uint64_t* /*keys*/, const uint8_t* cold, size_t n,
+                    double* out) const override {
     for (size_t i = 0; i < n; ++i) out[i] = cold[i] != 0 ? cold_ms_ : warm_ms_;
   }
 
+ private:
   double cold_ms_;
   double warm_ms_;
 };
@@ -75,14 +74,13 @@ class LognormalModel : public LatencyModel {
                 : warm_median_ms_ * std::exp(warm_sigma_ * z);
   }
 
- private:
   /// Three passes per block of requests — uniforms to polar form, the
   /// cosine, the exponential — each a tight loop around its libm calls,
   /// which runs markedly faster than one loop making all of them per
   /// request. Every sample is still a pure function of its key, and the
   /// arithmetic is SampleMs()'s, so the results match it bit for bit.
-  void SampleBatch(const uint64_t* keys, const uint8_t* cold, size_t n,
-                   double* out) const override {
+  void SampleMinute(const uint64_t* keys, const uint8_t* cold, size_t n,
+                    double* out) const override {
     constexpr size_t kBlock = 256;
     double theta[kBlock];
     for (size_t begin = 0; begin < n; begin += kBlock) {
@@ -107,6 +105,7 @@ class LognormalModel : public LatencyModel {
     }
   }
 
+ private:
   double cold_median_ms_;
   double cold_sigma_;
   double warm_median_ms_;
@@ -122,21 +121,15 @@ void RegisterBuiltinLatencyModels(LatencyModelRegistry& registry) {
            "fixed service times: cold requests take cold_ms, warm requests "
            "warm_ms",
            {{"cold_ms", ParamType::kDouble, ParamValue(1000.0),
-             "service time of a cold-start request, in milliseconds"},
+             "service time of a cold-start request, in milliseconds", 0.0,
+             kMaxServiceMs},
             {"warm_ms", ParamType::kDouble, ParamValue(10.0),
-             "service time of a warm request, in milliseconds"}},
+             "service time of a warm request, in milliseconds", 0.0,
+             kMaxServiceMs}},
            [](const LatencyModelParams& params)
                -> Result<std::unique_ptr<LatencyModel>> {
-             SPES_ASSIGN_OR_RETURN(
-                 const double cold_ms,
-                 DoubleParamInRange(params, "constant", "cold_ms", 0.0,
-                                    kMaxServiceMs));
-             SPES_ASSIGN_OR_RETURN(
-                 const double warm_ms,
-                 DoubleParamInRange(params, "constant", "warm_ms", 0.0,
-                                    kMaxServiceMs));
-             return std::unique_ptr<LatencyModel>(
-                 new ConstantModel(cold_ms, warm_ms));
+             return std::unique_ptr<LatencyModel>(new ConstantModel(
+                 params.GetDouble("cold_ms"), params.GetDouble("warm_ms")));
            }})
       .CheckOK();
   registry
@@ -145,33 +138,24 @@ void RegisterBuiltinLatencyModels(LatencyModelRegistry& registry) {
            "seeded lognormal service times: median_ms * exp(sigma * Z) per "
            "request, separate cold/warm streams",
            {{"cold_median_ms", ParamType::kDouble, ParamValue(800.0),
-             "median service time of a cold-start request, in milliseconds"},
+             "median service time of a cold-start request, in milliseconds",
+             0.0, kMaxServiceMs},
             {"cold_sigma", ParamType::kDouble, ParamValue(0.5),
-             "log-space spread of the cold distribution (0 = constant)"},
+             "log-space spread of the cold distribution (0 = constant)", 0.0,
+             8.0},
             {"warm_median_ms", ParamType::kDouble, ParamValue(8.0),
-             "median service time of a warm request, in milliseconds"},
+             "median service time of a warm request, in milliseconds", 0.0,
+             kMaxServiceMs},
             {"warm_sigma", ParamType::kDouble, ParamValue(0.3),
-             "log-space spread of the warm distribution (0 = constant)"}},
+             "log-space spread of the warm distribution (0 = constant)", 0.0,
+             8.0}},
            [](const LatencyModelParams& params)
                -> Result<std::unique_ptr<LatencyModel>> {
-             SPES_ASSIGN_OR_RETURN(
-                 const double cold_median_ms,
-                 DoubleParamInRange(params, "lognormal", "cold_median_ms", 0.0,
-                                    kMaxServiceMs));
-             SPES_ASSIGN_OR_RETURN(
-                 const double cold_sigma,
-                 DoubleParamInRange(params, "lognormal", "cold_sigma", 0.0,
-                                    8.0));
-             SPES_ASSIGN_OR_RETURN(
-                 const double warm_median_ms,
-                 DoubleParamInRange(params, "lognormal", "warm_median_ms", 0.0,
-                                    kMaxServiceMs));
-             SPES_ASSIGN_OR_RETURN(
-                 const double warm_sigma,
-                 DoubleParamInRange(params, "lognormal", "warm_sigma", 0.0,
-                                    8.0));
              return std::unique_ptr<LatencyModel>(new LognormalModel(
-                 cold_median_ms, cold_sigma, warm_median_ms, warm_sigma));
+                 params.GetDouble("cold_median_ms"),
+                 params.GetDouble("cold_sigma"),
+                 params.GetDouble("warm_median_ms"),
+                 params.GetDouble("warm_sigma")));
            }})
       .CheckOK();
 }

@@ -17,40 +17,32 @@ void RegisterDefusePolicy(PolicyRegistry& registry) {
   entry.params = {
       {"dependency_window", ParamType::kInt,
        ParamValue(defaults.dependency_window),
-       "max minutes between predecessor and dependent"},
+       "max minutes between predecessor and dependent", 1, kIntParamMax},
       {"min_confidence", ParamType::kDouble,
        ParamValue(defaults.min_confidence),
-       "min P(B within window | A) for a strong dependency"},
+       "min P(B within window | A) for a strong dependency", 0.0, 1.0},
       {"min_support", ParamType::kInt, ParamValue(defaults.min_support),
-       "min predecessor arrivals before confidence is trusted"},
+       "min predecessor arrivals before confidence is trusted", 0,
+       kIntParamMax},
       {"prewarm_hold_minutes", ParamType::kInt,
        ParamValue(defaults.prewarm_hold_minutes),
-       "minutes a dependency pre-warm keeps the target loaded"},
+       "minutes a dependency pre-warm keeps the target loaded", 0,
+       kIntParamMax},
       {"fallback_keepalive_minutes", ParamType::kInt,
        ParamValue(defaults.fallback_keepalive_minutes),
-       "fixed keep-alive for sparse-history functions"},
+       "fixed keep-alive for sparse-history functions", 1, kIntParamMax},
   };
   entry.factory =
       [](const PolicyParams& params) -> Result<std::unique_ptr<Policy>> {
     DefuseOptions options;
-    SPES_ASSIGN_OR_RETURN(
-        const int64_t window,
-        IntParamInRange(params, "defuse", "dependency_window", 1));
-    options.dependency_window = static_cast<int>(window);
-    SPES_ASSIGN_OR_RETURN(
-        options.min_confidence,
-        DoubleParamInRange(params, "defuse", "min_confidence", 0.0, 1.0));
-    SPES_ASSIGN_OR_RETURN(const int64_t support,
-                          IntParamInRange(params, "defuse", "min_support", 0));
-    options.min_support = static_cast<int>(support);
-    SPES_ASSIGN_OR_RETURN(
-        const int64_t hold,
-        IntParamInRange(params, "defuse", "prewarm_hold_minutes", 0));
-    options.prewarm_hold_minutes = static_cast<int>(hold);
-    SPES_ASSIGN_OR_RETURN(
-        const int64_t fallback,
-        IntParamInRange(params, "defuse", "fallback_keepalive_minutes", 1));
-    options.fallback_keepalive_minutes = static_cast<int>(fallback);
+    options.dependency_window =
+        static_cast<int>(params.GetInt("dependency_window"));
+    options.min_confidence = params.GetDouble("min_confidence");
+    options.min_support = static_cast<int>(params.GetInt("min_support"));
+    options.prewarm_hold_minutes =
+        static_cast<int>(params.GetInt("prewarm_hold_minutes"));
+    options.fallback_keepalive_minutes =
+        static_cast<int>(params.GetInt("fallback_keepalive_minutes"));
     return std::unique_ptr<Policy>(std::make_unique<DefusePolicy>(options));
   };
   registry.Register(std::move(entry)).CheckOK();

@@ -1,7 +1,6 @@
 #include "policies/faascache.h"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 
 #include "core/policy_registry.h"
@@ -13,18 +12,15 @@ void RegisterFaasCachePolicy(PolicyRegistry& registry) {
   entry.canonical_name = "faascache";
   entry.summary =
       "FaasCache: GDSF keep-alive caching under a fixed instance capacity";
+  // Capacity is a size_t, not an int: only the lower bound matters.
   entry.params = {{"capacity", ParamType::kInt, ParamValue(1024),
-                   "maximum resident instances (> 0); the paper provisions "
-                   "it with SPES's peak memory"}};
+                   "maximum resident instances; the paper provisions it "
+                   "with SPES's peak memory",
+                   1}};
   entry.factory =
       [](const PolicyParams& params) -> Result<std::unique_ptr<Policy>> {
-    // Capacity is a size_t, not an int: only the lower bound matters.
-    SPES_ASSIGN_OR_RETURN(
-        const int64_t capacity,
-        IntParamInRange(params, "faascache", "capacity", 1,
-                        std::numeric_limits<int64_t>::max()));
-    return std::unique_ptr<Policy>(
-        std::make_unique<FaasCachePolicy>(static_cast<size_t>(capacity)));
+    return std::unique_ptr<Policy>(std::make_unique<FaasCachePolicy>(
+        static_cast<size_t>(params.GetInt("capacity"))));
   };
   registry.Register(std::move(entry)).CheckOK();
 }

@@ -15,14 +15,12 @@ void RegisterFixedKeepAlivePolicy(PolicyRegistry& registry) {
       "Industry default: keep each instance warm for a fixed window after "
       "its last use";
   entry.params = {{"minutes", ParamType::kInt, ParamValue(10),
-                   "keep-alive window after the last arrival (>= 1)"}};
+                   "keep-alive window after the last arrival", 1,
+                   kIntParamMax}};
   entry.factory =
       [](const PolicyParams& params) -> Result<std::unique_ptr<Policy>> {
-    SPES_ASSIGN_OR_RETURN(
-        const int64_t minutes,
-        IntParamInRange(params, "fixed_keepalive", "minutes", 1));
-    return std::unique_ptr<Policy>(
-        std::make_unique<FixedKeepAlivePolicy>(static_cast<int>(minutes)));
+    return std::unique_ptr<Policy>(std::make_unique<FixedKeepAlivePolicy>(
+        static_cast<int>(params.GetInt("minutes"))));
   };
   registry.Register(std::move(entry)).CheckOK();
 }

@@ -21,22 +21,24 @@ void RegisterHybridHistogramPolicy(PolicyRegistry& registry) {
        "scheduling unit: 'function' (HF) or 'application' (HA)"},
       {"range_minutes", ParamType::kInt,
        ParamValue(defaults.histogram_range_minutes),
-       "IAT histogram span in minutes (>= 1)"},
+       "IAT histogram span in minutes", 1, kIntParamMax},
       {"head_percentile", ParamType::kDouble,
-       ParamValue(defaults.head_percentile), "pre-warm point percentile"},
+       ParamValue(defaults.head_percentile), "pre-warm point percentile", 0.0,
+       100.0},
       {"tail_percentile", ParamType::kDouble,
-       ParamValue(defaults.tail_percentile), "keep-alive horizon percentile"},
+       ParamValue(defaults.tail_percentile), "keep-alive horizon percentile",
+       0.0, 100.0},
       {"margin_fraction", ParamType::kDouble,
        ParamValue(defaults.margin_fraction),
-       "safety margin widening [head, tail]"},
+       "safety margin widening [head, tail]", 0.0, 1.0},
       {"min_samples", ParamType::kInt, ParamValue(defaults.min_samples),
-       "representativeness floor (samples)"},
+       "representativeness floor (samples)", 0, kIntParamMax},
       {"max_oob_fraction", ParamType::kDouble,
        ParamValue(defaults.max_oob_fraction),
-       "representativeness ceiling (out-of-bounds share)"},
+       "representativeness ceiling (out-of-bounds share)", 0.0, 1.0},
       {"fallback_keepalive_minutes", ParamType::kInt,
        ParamValue(defaults.fallback_keepalive_minutes),
-       "fixed keep-alive for non-representative units"},
+       "fixed keep-alive for non-representative units", 1, kIntParamMax},
   };
   entry.factory =
       [](const PolicyParams& params) -> Result<std::unique_ptr<Policy>> {
@@ -53,35 +55,15 @@ void RegisterHybridHistogramPolicy(PolicyRegistry& registry) {
           granularity + "'");
     }
     HybridOptions options;
-    SPES_ASSIGN_OR_RETURN(
-        const int64_t range,
-        IntParamInRange(params, "hybrid_histogram", "range_minutes", 1));
-    options.histogram_range_minutes = static_cast<int>(range);
-    SPES_ASSIGN_OR_RETURN(
-        options.head_percentile,
-        DoubleParamInRange(params, "hybrid_histogram", "head_percentile",
-                           0.0, 100.0));
-    SPES_ASSIGN_OR_RETURN(
-        options.tail_percentile,
-        DoubleParamInRange(params, "hybrid_histogram", "tail_percentile",
-                           0.0, 100.0));
-    SPES_ASSIGN_OR_RETURN(
-        options.margin_fraction,
-        DoubleParamInRange(params, "hybrid_histogram", "margin_fraction",
-                           0.0, 1.0));
-    SPES_ASSIGN_OR_RETURN(
-        const int64_t samples,
-        IntParamInRange(params, "hybrid_histogram", "min_samples", 0));
-    options.min_samples = static_cast<int>(samples);
-    SPES_ASSIGN_OR_RETURN(
-        options.max_oob_fraction,
-        DoubleParamInRange(params, "hybrid_histogram", "max_oob_fraction",
-                           0.0, 1.0));
-    SPES_ASSIGN_OR_RETURN(
-        const int64_t fallback,
-        IntParamInRange(params, "hybrid_histogram",
-                        "fallback_keepalive_minutes", 1));
-    options.fallback_keepalive_minutes = static_cast<int>(fallback);
+    options.histogram_range_minutes =
+        static_cast<int>(params.GetInt("range_minutes"));
+    options.head_percentile = params.GetDouble("head_percentile");
+    options.tail_percentile = params.GetDouble("tail_percentile");
+    options.margin_fraction = params.GetDouble("margin_fraction");
+    options.min_samples = static_cast<int>(params.GetInt("min_samples"));
+    options.max_oob_fraction = params.GetDouble("max_oob_fraction");
+    options.fallback_keepalive_minutes =
+        static_cast<int>(params.GetInt("fallback_keepalive_minutes"));
     return std::unique_ptr<Policy>(
         std::make_unique<HybridHistogramPolicy>(unit, options));
   };

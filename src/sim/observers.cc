@@ -41,12 +41,10 @@ std::string FormatEta(double seconds) {
 }  // namespace
 
 ProgressObserver::ProgressObserver(int every_minutes, std::FILE* out,
-                                   double min_wall_seconds, bool enabled,
-                                   ClockFn clock)
+                                   double min_wall_seconds, ClockFn clock)
     : every_minutes_(every_minutes < 1 ? 1 : every_minutes),
       out_(out),
       min_wall_seconds_(min_wall_seconds < 0.0 ? 0.0 : min_wall_seconds),
-      enabled_(enabled),
       clock_(clock != nullptr ? clock : &MonotonicSeconds) {}
 
 void ProgressObserver::OnStreamStart(const StreamInfo& info) {
@@ -56,7 +54,7 @@ void ProgressObserver::OnStreamStart(const StreamInfo& info) {
 }
 
 bool ProgressObserver::OnMinute(const MinuteView& view) {
-  if (!enabled_ || view.lane != 0) return true;
+  if (view.lane != 0) return true;
   const int simulated = view.minute - info_.start_minute + 1;
   const int window = info_.end_minute - info_.start_minute;
   const bool final_minute = view.minute + 1 == info_.end_minute;

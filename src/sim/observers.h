@@ -72,14 +72,10 @@ class TimeSeriesObserver : public SimObserver {
 /// second, from the obs/clock monotonic clock) and an ETA to the end of
 /// the window. Intended for long interactive runs and examples.
 ///
-/// Two quieting knobs:
-///   * `min_wall_seconds` — on top of the minute stride, skip reports
-///     closer than this many wall seconds to the previous one (the final
-///     minute always reports), so a fast run prints a handful of lines
-///     instead of hundreds;
-///   * `enabled = false` — emit nothing at all. Machine-readable bench
-///     runs pass `!bench::MachineReadable(format)` here so progress
-///     chatter never lands in JSON/CSV output.
+/// On top of the minute stride, `min_wall_seconds` skips reports closer
+/// than this many wall seconds to the previous one (the final minute
+/// always reports), so a fast run prints a handful of lines instead of
+/// hundreds. A run that wants no progress attaches no observer.
 class ProgressObserver : public SimObserver {
  public:
   /// Clock hook returning monotonic seconds; injectable for
@@ -89,7 +85,7 @@ class ProgressObserver : public SimObserver {
   explicit ProgressObserver(int every_minutes = kMinutesPerDay,
                             std::FILE* out = stdout,
                             double min_wall_seconds = 0.0,
-                            bool enabled = true, ClockFn clock = nullptr);
+                            ClockFn clock = nullptr);
 
   void OnStreamStart(const StreamInfo& info) override;
   bool OnMinute(const MinuteView& view) override;
@@ -98,7 +94,6 @@ class ProgressObserver : public SimObserver {
   int every_minutes_;
   std::FILE* out_;
   double min_wall_seconds_;
-  bool enabled_;
   ClockFn clock_;
   StreamInfo info_;
   double start_wall_ = 0.0;

@@ -83,9 +83,7 @@ Status HorizonError(const std::string& transform, const std::string& field,
 // ---------------------------------------------------------------------------
 
 Result<TransformFn> MakeTimeScale(const TransformParams& params) {
-  SPES_ASSIGN_OR_RETURN(
-      const double factor,
-      DoubleParamInRange(params, "time_scale", "factor", 0.001, 1000.0));
+  const double factor = params.GetDouble("factor");
   return TransformFn([factor](const Trace& trace) -> Result<Trace> {
     const int old_len = trace.num_minutes();
     if (old_len == 0) return trace;
@@ -108,9 +106,7 @@ Result<TransformFn> MakeTimeScale(const TransformParams& params) {
 }
 
 Result<TransformFn> MakeLoadScale(const TransformParams& params) {
-  SPES_ASSIGN_OR_RETURN(
-      const double factor,
-      DoubleParamInRange(params, "load_scale", "factor", 0.001, 1000.0));
+  const double factor = params.GetDouble("factor");
   return TransformFn([factor](const Trace& trace) -> Result<Trace> {
     return RebuildTrace(trace, trace.num_minutes(), [&](size_t i) {
       std::vector<uint32_t> counts = trace.function(i).counts;
@@ -128,10 +124,8 @@ Result<TransformFn> MakeLoadScale(const TransformParams& params) {
 }
 
 Result<TransformFn> MakeSlice(const TransformParams& params) {
-  SPES_ASSIGN_OR_RETURN(const int64_t start,
-                        IntParamInRange(params, "slice", "start_minute", 0));
-  SPES_ASSIGN_OR_RETURN(const int64_t end,
-                        IntParamInRange(params, "slice", "end_minute", 0));
+  const int64_t start = params.GetInt("start_minute");
+  const int64_t end = params.GetInt("end_minute");
   return TransformFn([start, end](const Trace& trace) -> Result<Trace> {
     const int horizon = trace.num_minutes();
     const int64_t resolved_end = end == 0 ? horizon : end;
@@ -186,12 +180,15 @@ Result<TransformFn> MakeFilterTrigger(const TransformParams& params) {
 }
 
 Result<TransformFn> MakeMerge(const TransformParams& params) {
-  SPES_ASSIGN_OR_RETURN(const int64_t copies,
-                        IntParamInRange(params, "merge", "copies", 1, 64));
+  const int64_t copies = params.GetInt("copies");
   return TransformFn([copies](const Trace& trace) -> Result<Trace> {
     Trace result(trace.num_minutes());
     for (int64_t k = 0; k < copies; ++k) {
-      const std::string suffix = k == 0 ? "" : "#" + std::to_string(k);
+      std::string suffix;
+      if (k > 0) {
+        suffix = "#";
+        suffix += std::to_string(k);
+      }
       for (const FunctionTrace& function : trace.functions()) {
         FunctionTrace clone = function;
         clone.meta.owner += suffix;
@@ -205,16 +202,10 @@ Result<TransformFn> MakeMerge(const TransformParams& params) {
 }
 
 Result<TransformFn> MakeInjectBurst(const TransformParams& params) {
-  SPES_ASSIGN_OR_RETURN(const int64_t at,
-                        IntParamInRange(params, "inject_burst", "at", 0));
-  SPES_ASSIGN_OR_RETURN(const int64_t width,
-                        IntParamInRange(params, "inject_burst", "width", 1));
-  SPES_ASSIGN_OR_RETURN(
-      const int64_t amplitude,
-      IntParamInRange(params, "inject_burst", "amplitude", 1, 1000000));
-  SPES_ASSIGN_OR_RETURN(
-      const double fraction,
-      DoubleParamInRange(params, "inject_burst", "fraction", 0.0, 1.0));
+  const int64_t at = params.GetInt("at");
+  const int64_t width = params.GetInt("width");
+  const int64_t amplitude = params.GetInt("amplitude");
+  const double fraction = params.GetDouble("fraction");
   const uint64_t seed = static_cast<uint64_t>(params.GetInt("seed"));
   return TransformFn([=](const Trace& trace) -> Result<Trace> {
     const int horizon = trace.num_minutes();
@@ -235,11 +226,8 @@ Result<TransformFn> MakeInjectBurst(const TransformParams& params) {
 }
 
 Result<TransformFn> MakeInjectDrift(const TransformParams& params) {
-  SPES_ASSIGN_OR_RETURN(const int64_t at,
-                        IntParamInRange(params, "inject_drift", "at", 0));
-  SPES_ASSIGN_OR_RETURN(
-      const double fraction,
-      DoubleParamInRange(params, "inject_drift", "fraction", 0.0, 1.0));
+  const int64_t at = params.GetInt("at");
+  const double fraction = params.GetDouble("fraction");
   const uint64_t seed = static_cast<uint64_t>(params.GetInt("seed"));
   return TransformFn([=](const Trace& trace) -> Result<Trace> {
     const int horizon = trace.num_minutes();
@@ -280,9 +268,7 @@ Result<TransformFn> MakeInjectDrift(const TransformParams& params) {
 }
 
 Result<TransformFn> MakeThin(const TransformParams& params) {
-  SPES_ASSIGN_OR_RETURN(
-      const double keep_prob,
-      DoubleParamInRange(params, "thin", "keep_prob", 0.0, 1.0));
+  const double keep_prob = params.GetDouble("keep_prob");
   const uint64_t seed = static_cast<uint64_t>(params.GetInt("seed"));
   return TransformFn([=](const Trace& trace) -> Result<Trace> {
     return RebuildTrace(trace, trace.num_minutes(), [&](size_t i) {
@@ -300,8 +286,7 @@ Result<TransformFn> MakeThin(const TransformParams& params) {
 }
 
 Result<TransformFn> MakeTopK(const TransformParams& params) {
-  SPES_ASSIGN_OR_RETURN(const int64_t k,
-                        IntParamInRange(params, "top_k", "k", 1));
+  const int64_t k = params.GetInt("k");
   const std::string& by = params.GetString("by");
   if (by != "invocations" && by != "invoked_minutes" && by != "peak") {
     return Status::InvalidArgument(
@@ -354,22 +339,24 @@ Status RegisterBuiltins(TransformRegistry& registry) {
        "resamples the time axis: factor>1 compresses (neighbouring minutes "
        "merge), factor<1 stretches; total invocations are conserved",
        {{"factor", ParamType::kDouble, ParamValue(1.0),
-         "time compression factor (new horizon = old / factor)"}},
+         "time compression factor (new horizon = old / factor)", 0.001,
+         1000.0}},
        MakeTimeScale}));
   SPES_RETURN_NOT_OK(reg(
       {"load_scale",
        "multiplies every per-minute count by a factor (half-up rounding; "
        "non-zero minutes stay non-zero)",
        {{"factor", ParamType::kDouble, ParamValue(1.0),
-         "load multiplier applied to every count"}},
+         "load multiplier applied to every count", 0.001, 1000.0}},
        MakeLoadScale}));
   SPES_RETURN_NOT_OK(reg(
       {"slice",
        "restricts the horizon to [start_minute, end_minute)",
        {{"start_minute", ParamType::kInt, ParamValue(0),
-         "first minute kept (inclusive)"},
+         "first minute kept (inclusive)", 0, kIntParamMax},
         {"end_minute", ParamType::kInt, ParamValue(0),
-         "one past the last minute kept; 0 means the trace horizon"}},
+         "one past the last minute kept; 0 means the trace horizon", 0,
+         kIntParamMax}},
        MakeSlice}));
   SPES_RETURN_NOT_OK(reg(
       {"filter_trigger",
@@ -382,19 +369,20 @@ Status RegisterBuiltins(TransformRegistry& registry) {
        "self-merges renamed copies of the fleet (k-times-larger workload "
        "with identical structure); use MergeTraces() for distinct fleets",
        {{"copies", ParamType::kInt, ParamValue(2),
-         "total copies of the fleet, including the original"}},
+         "total copies of the fleet, including the original", 1, 64}},
        MakeMerge}));
   SPES_RETURN_NOT_OK(reg(
       {"inject_burst",
        "adds a flash crowd: a fraction of functions gain `amplitude` extra "
        "invocations per minute over [at, at+width)",
-       {{"at", ParamType::kInt, ParamValue(0), "first minute of the burst"},
+       {{"at", ParamType::kInt, ParamValue(0), "first minute of the burst", 0,
+         kIntParamMax},
         {"width", ParamType::kInt, ParamValue(10),
-         "burst duration in minutes"},
+         "burst duration in minutes", 1, kIntParamMax},
         {"amplitude", ParamType::kInt, ParamValue(20),
-         "extra invocations per affected minute"},
+         "extra invocations per affected minute", 1, 1000000},
         {"fraction", ParamType::kDouble, ParamValue(0.1),
-         "fraction of functions hit by the burst"},
+         "fraction of functions hit by the burst", 0.0, 1.0},
         {"seed", ParamType::kInt, seed_default,
          "selection seed (functions are picked by name hash)"}},
        MakeInjectBurst}));
@@ -402,9 +390,10 @@ Status RegisterBuiltins(TransformRegistry& registry) {
       {"inject_drift",
        "concept drift at a point in time: selected function pairs swap "
        "their behaviour from minute `at` on (fleet totals conserved)",
-       {{"at", ParamType::kInt, ParamValue(0), "minute the drift occurs"},
+       {{"at", ParamType::kInt, ParamValue(0), "minute the drift occurs", 0,
+         kIntParamMax},
         {"fraction", ParamType::kDouble, ParamValue(0.5),
-         "fraction of functions that drift"},
+         "fraction of functions that drift", 0.0, 1.0},
         {"seed", ParamType::kInt, seed_default,
          "selection seed (functions are picked by name hash)"}},
        MakeInjectDrift}));
@@ -413,13 +402,14 @@ Status RegisterBuiltins(TransformRegistry& registry) {
        "keeps each invocation independently with probability keep_prob "
        "(per-function seeded streams; fully reproducible)",
        {{"keep_prob", ParamType::kDouble, ParamValue(0.5),
-         "per-invocation keep probability"},
+         "per-invocation keep probability", 0.0, 1.0},
         {"seed", ParamType::kInt, ParamValue(1), "thinning seed"}},
        MakeThin}));
   SPES_RETURN_NOT_OK(reg(
       {"top_k",
        "keeps the k busiest functions (original fleet order preserved)",
-       {{"k", ParamType::kInt, ParamValue(100), "functions to keep"},
+       {{"k", ParamType::kInt, ParamValue(100), "functions to keep", 1,
+         kIntParamMax},
         {"by", ParamType::kString, ParamValue("invocations"),
          "ranking metric: invocations, invoked_minutes, or peak"}},
        MakeTopK}));

@@ -6,23 +6,10 @@
 
 #include "policies/fixed_keepalive.h"
 #include "policies/oracle.h"
+#include "tests/make_trace.h"
 
 namespace spes {
 namespace {
-
-Trace MakeTrace(std::vector<std::vector<uint32_t>> rows) {
-  Trace trace(static_cast<int>(rows[0].size()));
-  int k = 0;
-  for (auto& row : rows) {
-    FunctionTrace f;
-    f.meta.name = "f" + std::to_string(k++);
-    f.meta.app = "a";
-    f.meta.owner = "o";
-    f.counts = std::move(row);
-    EXPECT_TRUE(trace.Add(std::move(f)).ok());
-  }
-  return trace;
-}
 
 /// Policy that never keeps anything loaded: every arrival is cold.
 class EvictAllPolicy : public Policy {

@@ -3,22 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "sim/engine.h"
+#include "tests/make_trace.h"
 
 namespace spes {
 namespace {
-
-Trace MakeTrace(std::vector<std::vector<uint32_t>> rows) {
-  Trace trace(static_cast<int>(rows[0].size()));
-  for (size_t k = 0; k < rows.size(); ++k) {
-    FunctionTrace f;
-    f.meta.name = "f" + std::to_string(k);
-    f.meta.app = "a";
-    f.meta.owner = "o";
-    f.counts = std::move(rows[k]);
-    EXPECT_TRUE(trace.Add(std::move(f)).ok());
-  }
-  return trace;
-}
 
 TEST(FaasCacheTest, CapacityClampedToOne) {
   EXPECT_EQ(FaasCachePolicy(0).capacity(), 1u);

@@ -3,20 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "sim/engine.h"
+#include "tests/make_trace.h"
 
 namespace spes {
 namespace {
-
-Trace OneFunction(std::vector<uint32_t> counts) {
-  Trace trace(static_cast<int>(counts.size()));
-  FunctionTrace f;
-  f.meta.name = "f0";
-  f.meta.app = "a";
-  f.meta.owner = "o";
-  f.counts = std::move(counts);
-  EXPECT_TRUE(trace.Add(std::move(f)).ok());
-  return trace;
-}
 
 TEST(FixedKeepAliveTest, NameIncludesWindow) {
   EXPECT_EQ(FixedKeepAlivePolicy(10).name(), "Fixed-10min");
@@ -32,7 +22,7 @@ TEST(FixedKeepAliveTest, ArrivalWithinWindowIsWarm) {
   // Arrivals 3 minutes apart with a 5-minute keep-alive: warm after first.
   std::vector<uint32_t> counts(30, 0);
   for (int t = 0; t < 30; t += 3) counts[static_cast<size_t>(t)] = 1;
-  Trace trace = OneFunction(std::move(counts));
+  Trace trace = MakeTrace({std::move(counts)});
   FixedKeepAlivePolicy policy(5);
   SimOptions options;
   options.train_minutes = 0;
@@ -45,7 +35,7 @@ TEST(FixedKeepAliveTest, ArrivalBeyondWindowIsCold) {
   // Arrivals 10 minutes apart with a 5-minute keep-alive: every one cold.
   std::vector<uint32_t> counts(60, 0);
   for (int t = 0; t < 60; t += 10) counts[static_cast<size_t>(t)] = 1;
-  Trace trace = OneFunction(std::move(counts));
+  Trace trace = MakeTrace({std::move(counts)});
   FixedKeepAlivePolicy policy(5);
   SimOptions options;
   options.train_minutes = 0;
@@ -59,7 +49,7 @@ TEST(FixedKeepAliveTest, WastedMinutesEqualKeepAliveTail) {
   // after its execution minute before eviction.
   std::vector<uint32_t> counts(30, 0);
   counts[2] = 1;
-  Trace trace = OneFunction(std::move(counts));
+  Trace trace = MakeTrace({std::move(counts)});
   FixedKeepAlivePolicy policy(7);
   SimOptions options;
   options.train_minutes = 0;
@@ -74,7 +64,7 @@ TEST(FixedKeepAliveTest, WastedMinutesEqualKeepAliveTail) {
 TEST(FixedKeepAliveTest, LargerWindowNeverIncreasesColdStarts) {
   std::vector<uint32_t> counts(500, 0);
   for (int t = 0; t < 500; t += 13) counts[static_cast<size_t>(t)] = 1;
-  Trace trace = OneFunction(std::move(counts));
+  Trace trace = MakeTrace({std::move(counts)});
   uint64_t prev_cold = UINT64_MAX;
   for (int window : {1, 5, 10, 20, 40}) {
     FixedKeepAlivePolicy policy(window);

@@ -3,23 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "sim/engine.h"
+#include "tests/make_trace.h"
 
 namespace spes {
 namespace {
-
-Trace MakeTrace(std::vector<std::vector<uint32_t>> rows,
-                std::vector<std::string> apps = {}) {
-  Trace trace(static_cast<int>(rows[0].size()));
-  for (size_t k = 0; k < rows.size(); ++k) {
-    FunctionTrace f;
-    f.meta.name = "f" + std::to_string(k);
-    f.meta.app = apps.empty() ? "a" + std::to_string(k) : apps[k];
-    f.meta.owner = "o";
-    f.counts = std::move(rows[k]);
-    EXPECT_TRUE(trace.Add(std::move(f)).ok());
-  }
-  return trace;
-}
 
 std::vector<uint32_t> PeriodicRow(int n, int period) {
   std::vector<uint32_t> counts(static_cast<size_t>(n), 0);
@@ -38,7 +25,7 @@ TEST(HybridHistogramTest, Names) {
 TEST(HybridHistogramTest, PeriodicFunctionGetsPrewarmedNotColdStarted) {
   // 30-minute period, 2 days training + replay.
   const int horizon = 3 * kMinutesPerDay;
-  Trace trace = MakeTrace({PeriodicRow(horizon, 30)});
+  Trace trace = MakeTrace({PeriodicRow(horizon, 30)}, {"a0"});
   HybridHistogramPolicy policy(HybridGranularity::kFunction);
   SimOptions options;
   options.train_minutes = 2 * kMinutesPerDay;
@@ -58,7 +45,7 @@ TEST(HybridHistogramTest, SparseFunctionFallsBackToFixedWindow) {
   std::vector<uint32_t> sparse(static_cast<size_t>(horizon), 0);
   sparse[100] = 1;                    // training
   sparse[kMinutesPerDay + 500] = 1;   // simulation
-  Trace trace = MakeTrace({std::move(sparse)});
+  Trace trace = MakeTrace({std::move(sparse)}, {"a0"});
   HybridHistogramPolicy policy(HybridGranularity::kFunction);
   SimOptions options;
   options.train_minutes = kMinutesPerDay;
@@ -82,7 +69,7 @@ TEST(HybridHistogramTest, ApplicationGranularitySharesWarmth) {
     a[static_cast<size_t>(t)] = 1;
     if (t + 10 < horizon) b[static_cast<size_t>(t + 10)] = 1;
   }
-  Trace trace = MakeTrace({std::move(a), std::move(b)}, {"app", "app"});
+  Trace trace = MakeTrace({std::move(a), std::move(b)}, {"app"});
   HybridHistogramPolicy policy(HybridGranularity::kApplication);
   SimOptions options;
   options.train_minutes = kMinutesPerDay;
@@ -106,12 +93,12 @@ TEST(HybridHistogramTest, ApplicationGranularityUsesMoreMemory) {
   options.train_minutes = kMinutesPerDay;
 
   Trace trace_ha =
-      MakeTrace({busy, silent}, {"app", "app"});
+      MakeTrace({busy, silent}, {"app"});
   HybridHistogramPolicy ha(HybridGranularity::kApplication);
   const auto out_ha = Simulate(trace_ha, &ha, options);
   ASSERT_TRUE(out_ha.ok());
 
-  Trace trace_hf = MakeTrace({busy, silent}, {"app", "app"});
+  Trace trace_hf = MakeTrace({busy, silent}, {"app"});
   HybridHistogramPolicy hf(HybridGranularity::kFunction);
   const auto out_hf = Simulate(trace_hf, &hf, options);
   ASSERT_TRUE(out_hf.ok());
@@ -129,7 +116,7 @@ TEST(HybridHistogramTest, OnlineUpdatesAdaptToNewPeriod) {
   for (int t = train; t < horizon; t += 15) {
     counts[static_cast<size_t>(t)] = 1;
   }
-  Trace trace = MakeTrace({std::move(counts)});
+  Trace trace = MakeTrace({std::move(counts)}, {"a0"});
   HybridHistogramPolicy policy(HybridGranularity::kFunction);
   SimOptions options;
   options.train_minutes = train;

@@ -3,46 +3,105 @@
 // checks that each built-in builds from its bare name and from its fully
 // explicit default spec, that the explicit spec round-trips through
 // FormatNamedSpec and the registry's Parse*Spec, that Names() agrees with
-// Find()/Contains(), and that an unknown name is NotFound listing the
-// alternatives. The registration-error cases run once, against the
-// template itself.
+// Find()/Contains(), that an unknown name is NotFound listing the
+// alternatives, and that every declared parameter domain holds its
+// default, accepts its bounds and rejects one step beyond them — for the
+// registry entries and for the schemas parsed outside a registry (the
+// latency `queue{...}` block and the node events). The registration-error
+// cases run once, against the template itself.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "cluster/router.h"
 #include "core/param_spec.h"
 #include "core/policy_registry.h"
+#include "latency/latency.h"
 #include "latency/latency_model.h"
 #include "trace/transform.h"
 
 namespace spes {
 namespace {
 
+/// A parameter schema checked by DeclaredDomainsHoldDefaultsAndBounds:
+/// `build` turns `base` plus one override into a product the way the
+/// schema's real caller does, and reports its status.
+struct DomainSubject {
+  std::string label;
+  const std::vector<ParamSpec>* params;
+  NamedSpec base;  ///< carries the schema's required parameters
+  std::function<Status(const NamedSpec&)> build;
+};
+
 struct PolicyKind {
   using Registry = PolicyRegistry;
   static constexpr auto Parse = &ParsePolicySpec;
   static constexpr const char* kNoun = "policy";
+  static std::vector<DomainSubject> ExtraSchemas() { return {}; }
 };
 struct RouterKind {
   using Registry = RouterRegistry;
   static constexpr auto Parse = &ParseRouterSpec;
   static constexpr const char* kNoun = "router";
+  // Node events belong to the cluster spec the routers serve.
+  static std::vector<DomainSubject> ExtraSchemas() {
+    const auto build = [](const NamedSpec& spec) {
+      return ParseNodeEvent(FormatNamedSpec(spec)).status();
+    };
+    return {{"node event add", &NodeEventParamSchema(NodeEvent::Kind::kAdd),
+             {"add", {{"at", 0}}}, build},
+            {"node event fail", &NodeEventParamSchema(NodeEvent::Kind::kFail),
+             {"fail", {{"at", 0}, {"node", 0}}}, build}};
+  }
 };
 struct LatencyModelKind {
   using Registry = LatencyModelRegistry;
   static constexpr auto Parse = &ParseLatencyModelSpec;
   static constexpr const char* kNoun = "latency model";
+  // The admission half of a latency block.
+  static std::vector<DomainSubject> ExtraSchemas() {
+    const auto build = [](const NamedSpec& spec) {
+      return ParseLatencySpec("constant @ " + FormatNamedSpec(spec)).status();
+    };
+    return {
+        {"latency queue", &LatencyQueueParamSchema(), {"queue", {}}, build}};
+  }
 };
 struct TransformKind {
   using Registry = TransformRegistry;
   static constexpr auto Parse = &ParseTransformSpec;
   static constexpr const char* kNoun = "transform";
+  static std::vector<DomainSubject> ExtraSchemas() { return {}; }
 };
+
+/// True when `value` lies in the domain `param` declares.
+bool WithinDomain(const ParamSpec& param, const ParamValue& value) {
+  if (param.type == ParamType::kInt) {
+    return (!param.min_value || value.AsInt() >= param.min_value->AsInt()) &&
+           (!param.max_value || value.AsInt() <= param.max_value->AsInt());
+  }
+  return (!param.min_value ||
+          value.AsDouble() >= param.min_value->AsDouble()) &&
+         (!param.max_value || value.AsDouble() <= param.max_value->AsDouble());
+}
+
+/// The nearest value of the parameter's type beyond `bound`.
+ParamValue StepBeyond(const ParamSpec& param, const ParamValue& bound,
+                      bool upper) {
+  if (param.type == ParamType::kInt) {
+    return bound.AsInt() + (upper ? 1 : -1);
+  }
+  const double infinity = std::numeric_limits<double>::infinity();
+  return std::nextafter(bound.AsDouble(), upper ? infinity : -infinity);
+}
 
 template <class Kind>
 class RegistryConformanceTest : public ::testing::Test {
@@ -115,6 +174,48 @@ TYPED_TEST(RegistryConformanceTest, UnknownNameIsNotFoundAndListsAlternatives) {
             result.status());
 }
 
+TYPED_TEST(RegistryConformanceTest, DeclaredDomainsHoldDefaultsAndBounds) {
+  const auto create = [](const NamedSpec& spec) {
+    return TypeParam::Registry::Global().Create(spec).status();
+  };
+  std::vector<DomainSubject> subjects = TypeParam::ExtraSchemas();
+  for (const std::string& name : this->registry().Names()) {
+    subjects.push_back(
+        {name, &this->registry().Find(name)->params, {name, {}}, create});
+  }
+  int bounds_checked = 0;
+  for (const DomainSubject& subject : subjects) {
+    for (const ParamSpec& param : *subject.params) {
+      const std::string where = subject.label + " " + param.name;
+      // -1 is add's "omitted" capacity, outside the domain of given ones.
+      if (subject.label != "node event add" || param.name != "capacity") {
+        EXPECT_TRUE(WithinDomain(param, param.default_value)) << where;
+      }
+      const auto build_with = [&](const ParamValue& value) {
+        NamedSpec spec = subject.base;
+        spec.params[param.name] = value;
+        return subject.build(spec);
+      };
+      for (const bool upper : {false, true}) {
+        const std::optional<ParamValue>& bound =
+            upper ? param.max_value : param.min_value;
+        if (!bound) continue;
+        ++bounds_checked;
+        const Status at_bound = build_with(*bound);
+        EXPECT_TRUE(at_bound.ok()) << where << ": " << at_bound.ToString();
+        const ParamValue beyond = StepBeyond(param, *bound, upper);
+        const Status outside = build_with(beyond);
+        EXPECT_EQ(outside.code(), StatusCode::kInvalidArgument)
+            << where << "=" << FormatParamValue(beyond);
+        EXPECT_NE(outside.message().find("'" + param.name + "'"),
+                  std::string::npos)
+            << outside.message();
+      }
+    }
+  }
+  EXPECT_GT(bounds_checked, 0);
+}
+
 TYPED_TEST(RegistryConformanceTest, EmptyNameIsInvalidArgument) {
   const auto result = this->registry().Create({"", {}});
   ASSERT_FALSE(result.ok());
@@ -176,8 +277,52 @@ TEST(RegistryTemplateTest, BadRegistrationsAreRejected) {
   mistyped_default.params = {{"x", ParamType::kInt, ParamValue(0.5), ""}};
   expect_invalid(std::move(mistyped_default), "parameter 'x' default");
 
+  WidgetRegistry::Entry mistyped_bound = WidgetEntry("mistyped_bound");
+  mistyped_bound.params = {{"x", ParamType::kDouble, ParamValue(0.5), "", 0}};
+  expect_invalid(std::move(mistyped_bound), "parameter 'x' bounds");
+
+  WidgetRegistry::Entry string_bound = WidgetEntry("string_bound");
+  string_bound.params = {{"x", ParamType::kString, ParamValue("a"), "", "a"}};
+  expect_invalid(std::move(string_bound), "parameter 'x' bounds");
+
+  WidgetRegistry::Entry empty_domain = WidgetEntry("empty_domain");
+  empty_domain.params = {{"x", ParamType::kInt, ParamValue(1), "", 2, 1}};
+  expect_invalid(std::move(empty_domain), "empty domain [2, 1]");
+
   // None of the rejected entries was added.
   EXPECT_TRUE(registry.Names().empty());
+}
+
+TEST(RegistryTemplateTest, OverridesOutsideTheDomainAreRejected) {
+  WidgetRegistry registry("widget");
+  WidgetRegistry::Entry entry = WidgetEntry("bounded");
+  entry.params = {
+      {"n", ParamType::kInt, ParamValue(1), "", 0, 10},
+      {"f", ParamType::kDouble, ParamValue(0.5), "", 0.0, 1.0},
+      {"seed", ParamType::kInt, ParamValue(0), "", 0},
+      {"free", ParamType::kDouble, ParamValue(0.0), ""},
+  };
+  ASSERT_TRUE(registry.Register(entry).ok());
+  const auto message = [&registry](const std::string& text) {
+    return registry.CreateFromString(text).status().message();
+  };
+  EXPECT_EQ(message("bounded{n=11}"),
+            "parameter 'n' of widget 'bounded' must be in [0, 10], got 11");
+  // Ints coerce to doubles before the check; NaN lies in no domain.
+  EXPECT_EQ(message("bounded{f=2}"),
+            "parameter 'f' of widget 'bounded' must be in [0.0, 1.0], got 2.0");
+  EXPECT_EQ(message("bounded{f=nan}"),
+            "parameter 'f' of widget 'bounded' must be in [0.0, 1.0], got nan");
+  // An omitted bound is unbounded; it prints as the type's limit.
+  EXPECT_EQ(message("bounded{seed=-1}"),
+            "parameter 'seed' of widget 'bounded' must be in "
+            "[0, 9223372036854775807], got -1");
+  EXPECT_TRUE(registry.CreateFromString("bounded{seed=9223372036854775807}")
+                  .ok());
+  EXPECT_TRUE(registry.CreateFromString("bounded{free=-1e300}").ok());
+  EXPECT_TRUE(registry.CreateFromString("bounded{n=0,f=1}").ok());
+  EXPECT_EQ(FormatParamDomain(entry.params[0]), "[0, 10]");
+  EXPECT_EQ(FormatParamDomain(entry.params[3]), "");
 }
 
 TEST(RegistryTemplateTest, UnknownNamePluralizesTheKind) {

@@ -62,7 +62,9 @@ inline void ExpectSameOutcome(const SimulationOutcome& a,
   EXPECT_EQ(x.emcr, y.emcr);
 
   ASSERT_EQ(a.latency == nullptr, b.latency == nullptr);
-  if (a.latency != nullptr) EXPECT_EQ(*a.latency, *b.latency);
+  if (a.latency != nullptr) {
+    EXPECT_EQ(*a.latency, *b.latency);
+  }
 }
 
 }  // namespace spes

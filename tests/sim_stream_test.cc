@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -15,23 +16,10 @@
 #include "policies/oracle.h"
 #include "sim/engine.h"
 #include "sim/observers.h"
+#include "tests/make_trace.h"
 
 namespace spes {
 namespace {
-
-Trace MakeTrace(std::vector<std::vector<uint32_t>> rows) {
-  Trace trace(static_cast<int>(rows[0].size()));
-  int k = 0;
-  for (auto& row : rows) {
-    FunctionTrace f;
-    f.meta.name = "f" + std::to_string(k++);
-    f.meta.app = "a";
-    f.meta.owner = "o";
-    f.counts = std::move(row);
-    EXPECT_TRUE(trace.Add(std::move(f)).ok());
-  }
-  return trace;
-}
 
 SimOptions Window(int train, int end = 0) {
   SimOptions options;
@@ -520,6 +508,69 @@ TEST(SimStreamTest, TimeSeriesObserverCapturesStridedSamples) {
   EXPECT_EQ(samples[1].minute, 5);
   EXPECT_EQ(samples[1].invocations, 4u);
   EXPECT_EQ(samples[0].loaded_instances, 1u);
+}
+
+// ProgressObserver reads wall time only through its injectable clock, so
+// the stride, the throttle and the final report are checked without
+// sleeping.
+double g_fake_seconds = 0.0;
+double FakeSeconds() { return g_fake_seconds; }
+
+/// Drives a ProgressObserver over a two-lane, 10-minute window whose wall
+/// clock advances 2 s per simulated minute, and returns the simulated
+/// minutes it reported, parsed from its output lines.
+std::vector<int> ReportedMinutes(int every_minutes, double min_wall_seconds) {
+  std::FILE* out = std::tmpfile();
+  if (out == nullptr) {
+    ADD_FAILURE() << "tmpfile failed";
+    return {};
+  }
+  ProgressObserver progress(every_minutes, out, min_wall_seconds,
+                            &FakeSeconds);
+  StreamInfo info;
+  info.start_minute = 10;
+  info.end_minute = 20;
+  info.num_lanes = 2;
+  g_fake_seconds = 100.0;
+  progress.OnStreamStart(info);
+  FixedKeepAlivePolicy policy(2);
+  MemSet mem(4);
+  for (int minute = 10; minute < 20; ++minute) {
+    g_fake_seconds += 2.0;
+    for (size_t lane = 0; lane < 2; ++lane) {
+      MinuteView view;
+      view.minute = minute;
+      view.lane = lane;
+      view.policy = &policy;
+      view.mem = &mem;
+      EXPECT_TRUE(progress.OnMinute(view));
+    }
+  }
+  std::rewind(out);
+  std::vector<int> reported;
+  char line[256];
+  while (std::fgets(line, sizeof(line), out) != nullptr) {
+    int simulated = 0;
+    int window = 0;
+    EXPECT_EQ(std::sscanf(line, "minute %d/%d", &simulated, &window), 2)
+        << line;
+    EXPECT_EQ(window, 10) << line;
+    reported.push_back(simulated);
+  }
+  std::fclose(out);
+  return reported;
+}
+
+TEST(ProgressObserverTest, ReportsLaneZeroOnTheStrideAndTheFinalMinute) {
+  // Lane 1 never reports; minute 10 is off the stride of 3 but final.
+  EXPECT_EQ(ReportedMinutes(3, 0.0), (std::vector<int>{3, 6, 9, 10}));
+}
+
+TEST(ProgressObserverTest, WallThrottleSkipsReportsButNeverTheFinalOne) {
+  // The stride proposes minutes 2, 4, 6, 8 and 10. At 2 s per minute a
+  // 5 s throttle keeps every other one; the final minute reports although
+  // only 4 s have passed since minute 8.
+  EXPECT_EQ(ReportedMinutes(2, 5.0), (std::vector<int>{4, 8, 10}));
 }
 
 }  // namespace

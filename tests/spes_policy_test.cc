@@ -5,26 +5,10 @@
 #include "policies/fixed_keepalive.h"
 #include "sim/engine.h"
 #include "trace/generator.h"
+#include "tests/make_trace.h"
 
 namespace spes {
 namespace {
-
-Trace MakeTrace(std::vector<std::vector<uint32_t>> rows,
-                std::vector<std::string> apps = {},
-                std::vector<TriggerType> triggers = {}) {
-  Trace trace(static_cast<int>(rows[0].size()));
-  for (size_t k = 0; k < rows.size(); ++k) {
-    FunctionTrace f;
-    f.meta.name = "f" + std::to_string(k);
-    f.meta.app = apps.empty() ? "a" + std::to_string(k) : apps[k];
-    f.meta.owner = "o";
-    f.meta.trigger =
-        triggers.empty() ? TriggerType::kHttp : triggers[k];
-    f.counts = std::move(rows[k]);
-    EXPECT_TRUE(trace.Add(std::move(f)).ok());
-  }
-  return trace;
-}
 
 std::vector<uint32_t> PeriodicRow(int n, int period, int phase = 0) {
   std::vector<uint32_t> counts(static_cast<size_t>(n), 0);
@@ -35,7 +19,8 @@ std::vector<uint32_t> PeriodicRow(int n, int period, int phase = 0) {
 TEST(SpesPolicyTest, CategorizesRegularAndServesItWarmCheaply) {
   const int horizon = 3 * kMinutesPerDay;
   const int train = 2 * kMinutesPerDay;
-  Trace trace = MakeTrace({PeriodicRow(horizon, 30)});
+  Trace trace =
+      MakeTrace({PeriodicRow(horizon, 30)}, {"a0"}, {TriggerType::kHttp});
   SpesPolicy policy;
   SimOptions options;
   options.train_minutes = train;
@@ -53,7 +38,8 @@ TEST(SpesPolicyTest, CategorizesRegularAndServesItWarmCheaply) {
 TEST(SpesPolicyTest, AlwaysWarmNeverEvicted) {
   const int horizon = 2 * kMinutesPerDay;
   std::vector<uint32_t> counts(static_cast<size_t>(horizon), 1);
-  Trace trace = MakeTrace({std::move(counts)});
+  Trace trace =
+      MakeTrace({std::move(counts)}, {"a0"}, {TriggerType::kHttp});
   SpesPolicy policy;
   SimOptions options;
   options.train_minutes = kMinutesPerDay;
@@ -77,7 +63,8 @@ TEST(SpesPolicyTest, DenseStaysLoadedThroughShortGaps) {
     counts[static_cast<size_t>(t)] = 1;
     t += (k++ % 12 == 11) ? 6 : 2;
   }
-  Trace trace = MakeTrace({std::move(counts)});
+  Trace trace =
+      MakeTrace({std::move(counts)}, {"a0"}, {TriggerType::kHttp});
   SpesPolicy policy;
   SimOptions options;
   options.train_minutes = 2 * kMinutesPerDay;
@@ -100,7 +87,8 @@ TEST(SpesPolicyTest, SuccessiveRidesWaves) {
     }
     start += spacings[k++ % 5];
   }
-  Trace trace = MakeTrace({std::move(counts)});
+  Trace trace =
+      MakeTrace({std::move(counts)}, {"a0"}, {TriggerType::kHttp});
   SpesPolicy policy;
   SimOptions options;
   options.train_minutes = 2 * kMinutesPerDay;
@@ -131,7 +119,8 @@ TEST(SpesPolicyTest, CorrelatedTargetPrewarmedByDriver) {
     ++k;
   }
   Trace trace =
-      MakeTrace({std::move(driver), std::move(target)}, {"app", "app"});
+      MakeTrace({std::move(driver), std::move(target)}, {"app"},
+                {TriggerType::kHttp});
   SpesPolicy policy;
   SimOptions options;
   options.train_minutes = 2 * kMinutesPerDay;
@@ -151,7 +140,8 @@ TEST(SpesPolicyTest, DisablingCorrelationRemovesLinks) {
     if (++k % 3 == 0) target[static_cast<size_t>(t + 3)] = 1;
   }
   Trace trace =
-      MakeTrace({std::move(driver), std::move(target)}, {"app", "app"});
+      MakeTrace({std::move(driver), std::move(target)}, {"app"},
+                {TriggerType::kHttp});
   SpesConfig config;
   config.enable_correlated = false;
   SpesPolicy policy(config);
@@ -180,7 +170,8 @@ TEST(SpesPolicyTest, PossibleFunctionPredictedFromRepeatedGaps) {
     }
     ++k;
   }
-  Trace trace = MakeTrace({std::move(counts)});
+  Trace trace =
+      MakeTrace({std::move(counts)}, {"a0"}, {TriggerType::kHttp});
   SpesPolicy policy;
   SimOptions options;
   options.train_minutes = 8 * kMinutesPerDay;
@@ -196,7 +187,8 @@ TEST(SpesPolicyTest, UnknownFunctionsAreNotPreloaded) {
   std::vector<uint32_t> counts(static_cast<size_t>(horizon), 0);
   counts[100] = 1;  // training: one arrival
   counts[kMinutesPerDay + 700] = 1;  // simulation: one arrival
-  Trace trace = MakeTrace({std::move(counts)});
+  Trace trace =
+      MakeTrace({std::move(counts)}, {"a0"}, {TriggerType::kHttp});
   SpesPolicy policy;
   SimOptions options;
   options.train_minutes = kMinutesPerDay;
@@ -218,7 +210,8 @@ TEST(SpesPolicyTest, AdjustingLateCategorizesUnknownToNewlyPossible) {
   for (int t = train; t < horizon; t += 100) {
     counts[static_cast<size_t>(t)] = 1;
   }
-  Trace trace = MakeTrace({std::move(counts)});
+  Trace trace =
+      MakeTrace({std::move(counts)}, {"a0"}, {TriggerType::kHttp});
   SpesPolicy policy;
   SimOptions options;
   options.train_minutes = train;
@@ -236,7 +229,8 @@ TEST(SpesPolicyTest, AdjustingDisabledKeepsUnknown) {
   for (int t = train; t < horizon; t += 100) {
     counts[static_cast<size_t>(t)] = 1;
   }
-  Trace trace = MakeTrace({std::move(counts)});
+  Trace trace =
+      MakeTrace({std::move(counts)}, {"a0"}, {TriggerType::kHttp});
   SpesConfig config;
   config.enable_adjusting = false;
   SpesPolicy policy(config);
@@ -256,7 +250,8 @@ TEST(SpesPolicyTest, AdjustingTracksDriftingPeriod) {
   for (int t = train; t < horizon; t += 40) {
     counts[static_cast<size_t>(t)] = 1;
   }
-  Trace trace = MakeTrace({std::move(counts)});
+  Trace trace =
+      MakeTrace({std::move(counts)}, {"a0"}, {TriggerType::kHttp});
 
   SpesConfig with;  // adjusting on
   SpesPolicy policy_with(with);
@@ -287,8 +282,7 @@ TEST(SpesPolicyTest, UnseenFunctionPrewarmedByOnlineCorrelation) {
     if (t >= train) target[static_cast<size_t>(t + 2)] = 1;
   }
   Trace trace = MakeTrace({std::move(candidate), std::move(target)},
-                          {"app", "app"},
-                          {TriggerType::kQueue, TriggerType::kQueue});
+                          {"app"}, {TriggerType::kQueue});
   SpesPolicy policy;
   SimOptions options;
   options.train_minutes = train;
@@ -348,7 +342,8 @@ class PrewarmSweepTest : public ::testing::TestWithParam<int> {};
 TEST_P(PrewarmSweepTest, RegularFunctionStaysWarmAcrossThetas) {
   const int theta = GetParam();
   const int horizon = 3 * kMinutesPerDay;
-  Trace trace = MakeTrace({PeriodicRow(horizon, 45)});
+  Trace trace =
+      MakeTrace({PeriodicRow(horizon, 45)}, {"a0"}, {TriggerType::kHttp});
   SpesConfig config;
   config.theta_prewarm = theta;
   SpesPolicy policy(config);

@@ -3,24 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "trace/generator.h"
+#include "tests/make_trace.h"
 
 namespace spes {
 namespace {
-
-Trace MakeTrace(std::vector<std::vector<uint32_t>> rows) {
-  Trace trace(static_cast<int>(rows[0].size()));
-  int k = 0;
-  for (auto& row : rows) {
-    FunctionTrace f;
-    f.meta.name = "f" + std::to_string(k++);
-    f.meta.app = "a";
-    f.meta.owner = "o";
-    f.meta.trigger = TriggerType::kHttp;
-    f.counts = std::move(row);
-    EXPECT_TRUE(trace.Add(std::move(f)).ok());
-  }
-  return trace;
-}
 
 TEST(InvocationHistogramTest, DecadeBuckets) {
   // Totals: 0, 5, 50, 500.
@@ -29,7 +15,7 @@ TEST(InvocationHistogramTest, DecadeBuckets) {
       [] { std::vector<uint32_t> v(1000, 0); for (int i = 0; i < 5; ++i) v[static_cast<size_t>(i * 7)] = 1; return v; }(),
       [] { std::vector<uint32_t> v(1000, 0); for (int i = 0; i < 50; ++i) v[static_cast<size_t>(i * 3)] = 1; return v; }(),
       [] { std::vector<uint32_t> v(1000, 0); for (int i = 0; i < 500; ++i) v[static_cast<size_t>(i)] = 1; return v; }(),
-  });
+  }, {"a"}, {TriggerType::kHttp});
   const InvocationHistogram hist = ComputeInvocationHistogram(trace);
   EXPECT_EQ(hist.zero_functions, 1);
   EXPECT_EQ(hist.total_functions, 4);
@@ -58,7 +44,7 @@ TEST(ConceptShiftExamplesTest, FindsInjectedShift) {
   std::vector<uint32_t> shifting(2000, 0);
   for (int t = 0; t < 1000; ++t) shifting[static_cast<size_t>(t)] = 1;
   std::vector<uint32_t> steady(2000, 1);
-  Trace trace = MakeTrace({shifting, steady});
+  Trace trace = MakeTrace({shifting, steady}, {"a"}, {TriggerType::kHttp});
   const auto examples = FindConceptShiftExamples(trace, 1);
   ASSERT_EQ(examples.size(), 1u);
   EXPECT_EQ(examples[0], 0u);
@@ -75,7 +61,7 @@ TEST(TemporalLocalityExamplesTest, PrefersConcentratedRuns) {
   // Spread: 30 singleton invocations far apart.
   std::vector<uint32_t> spread(10000, 0);
   for (int k = 0; k < 30; ++k) spread[static_cast<size_t>(k * 320)] = 1;
-  Trace trace = MakeTrace({bursty, spread});
+  Trace trace = MakeTrace({bursty, spread}, {"a"}, {TriggerType::kHttp});
   const auto examples = FindTemporalLocalityExamples(trace, 5, 10, 100);
   ASSERT_EQ(examples.size(), 1u);
   EXPECT_EQ(examples[0], 0u);
