@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for SPES's hot paths: WT extraction,
 // deterministic categorization, arrival decode, the per-minute provision
-// step and the IAT histogram update, plus the end-to-end simulation kernel
+// step (event-driven, and the scan reference it replaced) and the IAT
+// histogram update, plus the end-to-end simulation kernel
 // (columnar SimStream vs the kept naive reference loop), and the two
 // cluster hot paths: one latency-lane minute and capped-cluster capacity
 // eviction. These back the RQ2 overhead discussion — every per-invocation
@@ -31,6 +32,8 @@
 #include "common/rng.h"
 #include "core/categorizer.h"
 #include "core/policy_registry.h"
+#include "core/reference_spes.h"
+#include "core/spes_policy.h"
 #include "core/series_features.h"
 #include "latency/latency.h"
 #include "policies/fixed_keepalive.h"
@@ -237,17 +240,24 @@ void BM_TraceFileStreamDecode(benchmark::State& state) {
 BENCHMARK(BM_TraceFileStreamDecode)->Apply(FleetArgs);
 
 // --------------------------------------------------------------------------
-// SPES provision step. Arrivals are pre-decoded OUTSIDE the timed region —
-// the old version re-ran the O(n) decode inside the loop, so at large
-// fleets it measured decode, not the policy step.
+// SPES provision step: one engine minute of the policy — the minute's
+// arrivals are loaded into memory, as EngineLane::Admit does before
+// Policy::OnMinute, then the step runs. Arrivals are pre-decoded OUTSIDE
+// the timed region. Minutes only move forward: when the simulated day runs
+// out, timing pauses while the policy is restored from the blob saved
+// right after Train() and memory is emptied. BM_SpesProvisionMinute times
+// the event-driven step; BM_SpesProvisionMinuteScan times the per-minute
+// scan reference on the same setup, so the speed-up is a same-process
+// ratio (tools/check_bench_regression.py --min-spes-ratio).
 // --------------------------------------------------------------------------
 
-void BM_SpesProvisionMinute(benchmark::State& state) {
+template <typename SpesStep>
+void SpesProvisionMinute(benchmark::State& state) {
   const GeneratedTrace& fleet = SharedFleet(state.range(0));
-  const std::unique_ptr<Policy> policy =
-      PolicyRegistry::Global().Create({"spes", {}}).ValueOrDie();
+  SpesStep policy;
   const int train = TrainMinutes(fleet.trace);
-  policy->Train(fleet.trace, train);
+  policy.Train(fleet.trace, train);
+  const std::string trained = policy.SaveState().ValueOrDie();
   // Pre-decode every simulated minute once, outside the measurement.
   const int sim_minutes = fleet.trace.num_minutes() - train;
   std::vector<std::vector<Invocation>> decoded(
@@ -263,12 +273,31 @@ void BM_SpesProvisionMinute(benchmark::State& state) {
   MemSet mem(fleet.trace.num_functions());
   int m = 0;
   for (auto _ : state) {
-    policy->OnMinute(train + m, decoded[static_cast<size_t>(m)], &mem);
-    m = (m + 1) % sim_minutes;
+    if (m == sim_minutes) {
+      state.PauseTiming();
+      policy.RestoreState(trained).CheckOK();
+      mem = MemSet(fleet.trace.num_functions());
+      m = 0;
+      state.ResumeTiming();
+    }
+    const std::vector<Invocation>& arrivals = decoded[static_cast<size_t>(m)];
+    for (const Invocation& inv : arrivals) mem.Add(inv.function);
+    policy.OnMinute(train + m, arrivals, &mem);
+    benchmark::DoNotOptimize(mem.Count());
+    ++m;
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
+
+void BM_SpesProvisionMinute(benchmark::State& state) {
+  SpesProvisionMinute<SpesPolicy>(state);
+}
 BENCHMARK(BM_SpesProvisionMinute)->Apply(FleetArgs);
+
+void BM_SpesProvisionMinuteScan(benchmark::State& state) {
+  SpesProvisionMinute<ReferenceSpesPolicy>(state);
+}
+BENCHMARK(BM_SpesProvisionMinuteScan)->Apply(FleetArgs);
 
 // --------------------------------------------------------------------------
 // End-to-end simulation kernel over the last trace day: the columnar

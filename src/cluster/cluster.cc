@@ -139,9 +139,10 @@ Status ValidateClusterSpec(const ClusterSpec& spec) {
     const NodeEvent& event = spec.events[i];
     const std::string where = "ClusterSpec.events[" + std::to_string(i) +
                               "] (" + FormatNodeEvent(event) + ")";
-    if (event.minute < 0) {
-      return Status::InvalidArgument(where + ": minute must be >= 0");
-    }
+    const std::vector<ParamSpec>& schema = NodeEventParamSchema(event.kind);
+    SPES_RETURN_NOT_OK(CheckDeclaredDomain(schema, "at",
+                                           ParamValue(event.minute),
+                                           where + " minute"));
     if (i > 0 && event.minute < previous_minute) {
       return Status::InvalidArgument(
           where + ": events must be sorted by minute (previous event is at "
@@ -151,10 +152,11 @@ Status ValidateClusterSpec(const ClusterSpec& spec) {
     previous_minute = event.minute;
     switch (event.kind) {
       case NodeEvent::Kind::kAdd:
-        if (event.capacity < -1) {
-          return Status::InvalidArgument(
-              where + ": capacity must be >= 0, or -1 for the cluster "
-                      "default");
+        // -1, the declared default, stands for the cluster default.
+        if (event.capacity != -1) {
+          SPES_RETURN_NOT_OK(CheckDeclaredDomain(schema, "capacity",
+                                                 ParamValue(event.capacity),
+                                                 where + " capacity"));
         }
         state.push_back(0);
         ++total;
@@ -162,7 +164,9 @@ Status ValidateClusterSpec(const ClusterSpec& spec) {
         break;
       case NodeEvent::Kind::kDrain:
       case NodeEvent::Kind::kFail: {
-        if (event.node < 0 || event.node >= total) {
+        SPES_RETURN_NOT_OK(CheckDeclaredDomain(
+            schema, "node", ParamValue(event.node), where + " node"));
+        if (event.node >= total) {
           return Status::InvalidArgument(
               where + ": node is out of range (the cluster has " +
               std::to_string(total) + " nodes at that point)");
@@ -710,6 +714,48 @@ std::string SerializeClusterCheckpoint(const ClusterCheckpoint& checkpoint) {
     w.PutBytes(node.latency_state);
   }
   return w.Take();
+}
+
+Status CheckOutcomeInvariants(const ClusterOutcome& outcome) {
+  const SimulationOutcome& fleet = outcome.fleet;
+  SPES_RETURN_NOT_OK(CheckOutcomeInvariants(fleet));
+  std::vector<FunctionAccount> sum(fleet.accounts.size());
+  std::vector<uint64_t> series(fleet.memory_series.size(), 0);
+  for (const NodeOutcome& node : outcome.nodes) {
+    const std::string where = "node (=" + std::to_string(node.node) + "): ";
+    const Status status = CheckOutcomeInvariants(node.sim);
+    if (!status.ok()) return Status::Internal(where + status.message());
+    if (node.sim.accounts.size() != sum.size() ||
+        node.sim.memory_series.size() != series.size()) {
+      return Status::Internal(where + "outcome shape differs from the fleet's");
+    }
+    for (size_t f = 0; f < sum.size(); ++f) {
+      const FunctionAccount& a = node.sim.accounts[f];
+      sum[f].invocations += a.invocations;
+      sum[f].invoked_minutes += a.invoked_minutes;
+      sum[f].cold_starts += a.cold_starts;
+      sum[f].loaded_minutes += a.loaded_minutes;
+      sum[f].wasted_minutes += a.wasted_minutes;
+    }
+    for (size_t t = 0; t < series.size(); ++t) {
+      series[t] += node.sim.memory_series[t];
+    }
+  }
+  for (size_t f = 0; f < sum.size(); ++f) {
+    if (!(sum[f] == fleet.accounts[f])) {
+      return Status::Internal("per-node accounts of function (=" +
+                              std::to_string(f) +
+                              ") do not sum to the fleet account");
+    }
+  }
+  for (size_t t = 0; t < series.size(); ++t) {
+    if (series[t] != fleet.memory_series[t]) {
+      return Status::Internal("per-node memory at series index (=" +
+                              std::to_string(t) +
+                              ") does not sum to the fleet's");
+    }
+  }
+  return Status::OK();
 }
 
 Result<ClusterCheckpoint> ParseClusterCheckpoint(const std::string& bytes) {

@@ -153,6 +153,11 @@ struct ClusterOutcome {
   uint64_t reroutes = 0;
 };
 
+/// \brief CheckOutcomeInvariants() (sim/accounting.h) on the fleet and on
+/// every node, plus: the per-node accounts and memory series sum to the
+/// fleet's, function by function and minute by minute.
+Status CheckOutcomeInvariants(const ClusterOutcome& outcome);
+
 /// \brief A resumable snapshot of a ClusterSession: the cursor, the
 /// routing state (sticky assignments, consumed events, reroute counters)
 /// and, per node, every engine counter plus the policy's and latency

@@ -300,6 +300,40 @@ Status UnknownSpecName(const std::string& kind, const std::string& name,
                           JoinNames(registered));
 }
 
+namespace {
+
+/// Rejects `typed` (already of the declared type) outside `param`'s domain.
+Status CheckDomain(const ParamSpec& param, const ParamValue& typed,
+                   const std::string& where) {
+  if ((!param.min_value && !param.max_value) || InDomain(param, typed)) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(where + " must be in " +
+                                 FormatParamDomain(param) + ", got " +
+                                 FormatParamValue(typed));
+}
+
+}  // namespace
+
+Status CheckDeclaredDomain(const std::vector<ParamSpec>& schema,
+                           const std::string& name, const ParamValue& value,
+                           const std::string& where) {
+  for (const ParamSpec& param : schema) {
+    if (param.name != name) continue;
+    const ParamValue typed =
+        param.type == ParamType::kDouble && value.type() == ParamType::kInt
+            ? ParamValue(static_cast<double>(value.AsInt()))
+            : value;
+    if (typed.type() != param.type) {
+      return Status::Internal(where + " is checked against parameter '" +
+                              name + "' of another type");
+    }
+    return CheckDomain(param, typed, where);
+  }
+  return Status::Internal(where + " is checked against undeclared parameter '" +
+                          name + "'");
+}
+
 Result<ParamMap> MergeSpecParams(const std::string& kind,
                                  const NamedSpec& spec,
                                  const std::vector<ParamSpec>& declared) {
@@ -336,11 +370,7 @@ Result<ParamMap> MergeSpecParams(const std::string& kind,
           ParamTypeToString(value.type()) + " (" + FormatParamValue(value) +
           ")");
     }
-    if ((match->min_value || match->max_value) && !InDomain(*match, typed)) {
-      return Status::InvalidArgument(where + " must be in " +
-                                     FormatParamDomain(*match) + ", got " +
-                                     FormatParamValue(typed));
-    }
+    SPES_RETURN_NOT_OK(CheckDomain(*match, typed, where));
     merged[key] = std::move(typed);
   }
   return ParamMap(std::move(merged));

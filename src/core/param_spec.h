@@ -214,6 +214,15 @@ Status ValidateRegistryEntry(const std::string& kind, const std::string& name,
 Status UnknownSpecName(const std::string& kind, const std::string& name,
                        const std::vector<std::string>& registered);
 
+/// \brief Checks a value built in code against the domain `schema`
+/// declares for parameter `name` — the check MergeSpecParams applies to
+/// every parsed override, for structs filled without a spec string.
+/// InvalidArgument names `where` (e.g. "LatencySpec.timeout_ms") and the
+/// domain; Internal when `schema` declares no `name`.
+Status CheckDeclaredDomain(const std::vector<ParamSpec>& schema,
+                           const std::string& name, const ParamValue& value,
+                           const std::string& where);
+
 /// \brief Build-time parameter resolution shared by the registries, the
 /// latency `queue{...}` block and node events: overlays `spec.params` onto
 /// the declared defaults, rejecting unknown parameters, type mismatches

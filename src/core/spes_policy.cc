@@ -1,6 +1,7 @@
 #include "core/spes_policy.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -112,6 +113,9 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
   invoked_now_.assign(n, 0);
   forgetting_recategorized_ = 0;
   online_recategorized_ = 0;
+  steps_ = 0;
+  last_minute_ = kNoMinute;
+  rebuild_ = true;
 
   const int validation_begin =
       std::max(0, train_minutes - config_.validation_minutes);
@@ -126,7 +130,7 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
     st.seen_in_training = features.total_invocations > 0;
     if (features.last_invoked >= 0) {
       st.last_arrival = static_cast<int>(features.last_invoked);
-      st.current_wt = train_minutes - 1 - st.last_arrival;
+      st.idle_origin = -(train_minutes - 1 - st.last_arrival);
     }
     training_wts[f] = features.wts;
     if (!st.seen_in_training) continue;  // unseen: handled by online corr
@@ -418,73 +422,44 @@ void SpesPolicy::MaybeLateCategorize(FunctionState* state) {
   }
 }
 
-void SpesPolicy::UpdateOnlineCorrelations(int t, MemSet* mem) {
-  for (OnlineCorrState& corr : online_corr_) {
-    FunctionState& target_state = states_[corr.target];
-    const bool target_fired = invoked_now_[corr.target] != 0;
-    if (target_fired) {
-      ++corr.target_arrivals;
-      corr.grants_since_arrival = 0;
-    }
-
-    double max_cor = 0.0;
-    for (size_t k = 0; k < corr.candidates.size(); ++k) {
-      const FunctionState& cand = states_[corr.candidates[k]];
-      const bool cand_recent =
-          cand.last_arrival >= 0 &&
-          t - cand.last_arrival <= config_.tcor_max_lag;
-      if (target_fired && cand_recent) ++corr.co_count[k];
-      if (corr.target_arrivals > 0) {
-        max_cor = std::max(
-            max_cor, static_cast<double>(corr.co_count[k]) /
-                         static_cast<double>(corr.target_arrivals));
-      }
-    }
-    // Keep/expel candidates relative to the running maximum (§IV-C2): a
-    // candidate far below the best is dropped, and readmitted if its COR
-    // climbs back near the maximum.
-    if (corr.target_arrivals >= 3) {
-      for (size_t k = 0; k < corr.candidates.size(); ++k) {
-        const double cor = static_cast<double>(corr.co_count[k]) /
-                           static_cast<double>(corr.target_arrivals);
-        if (max_cor - cor > config_.online_corr_drop_gap) {
-          corr.active[k] = 0;
-        } else if (max_cor - cor < config_.online_corr_drop_gap / 3.0) {
-          corr.active[k] = 1;
-        }
-      }
-    }
-    // Pre-warm the target whenever an active candidate fires (the paper's
-    // aggressive initial phase; candidates are pruned by COR over time).
-    for (size_t k = 0; k < corr.candidates.size(); ++k) {
-      if (!corr.active[k] || !invoked_now_[corr.candidates[k]]) continue;
-      mem->Add(corr.target);
-      const int new_hold = t + config_.corr_prewarm_hold;
-      if (new_hold > target_state.corr_hold_until) {
-        target_state.corr_hold_until = new_hold;
-        ++corr.grants_since_arrival;
-      }
-      break;
-    }
+int64_t SpesPolicy::AdvancedPrediction(const FunctionState& state,
+                                       int t) const {
+  const PredictiveModel& model = state.model;
+  if (model.type != FunctionType::kRegular || model.values.empty() ||
+      model.values[0] <= 0 || state.last_arrival < 0) {
+    return state.next_predicted;
   }
+  // A prediction that passed without an arrival was a dropped event: keep
+  // the phase and predict whole periods later, the first one whose window
+  // has not closed by `t`.
+  const int64_t period = model.values[0];
+  int64_t predicted = state.next_predicted >= 0
+                          ? state.next_predicted
+                          : state.last_arrival + period;
+  const int64_t behind = static_cast<int64_t>(t) - config_.theta_prewarm -
+                         predicted;
+  if (behind > 0) predicted += (behind + period - 1) / period * period;
+  return predicted;
 }
 
-void SpesPolicy::OnMinute(int t, const std::vector<Invocation>& arrivals,
-                          MemSet* mem) {
-  std::fill(invoked_now_.begin(), invoked_now_.end(), 0);
-
-  // --- Arrival handling (Algorithm 1 lines 3-12). ---------------------------
+void SpesPolicy::StartMinute(int t, const std::vector<Invocation>& arrivals,
+                             MemSet* mem) {
+  ++steps_;
+  last_minute_ = t;
   for (const Invocation& inv : arrivals) {
     const size_t f = inv.function;
     invoked_now_[f] = 1;
     FunctionState& st = states_[f];
-    if (st.last_arrival >= 0 && st.current_wt > 0) {
-      st.online_wts.push_back(st.current_wt);  // a completed WT (S1)
-      MaybeAdjustPredictiveValues(&st);
-      MaybeLateCategorize(&st);
+    if (st.last_arrival >= 0) {
+      const int64_t completed_wt = steps_ - 1 - st.idle_origin;
+      if (completed_wt > 0) {
+        st.online_wts.push_back(completed_wt);  // a completed WT (S1)
+        MaybeAdjustPredictiveValues(&st);
+        MaybeLateCategorize(&st);
+      }
     }
     st.last_arrival = t;
-    st.current_wt = 0;
+    st.idle_origin = steps_;
     if (st.model.type == FunctionType::kRegular && !st.model.values.empty() &&
         st.model.values[0] > 0) {
       st.next_predicted = t + st.model.values[0];
@@ -498,51 +473,250 @@ void SpesPolicy::OnMinute(int t, const std::vector<Invocation>& arrivals,
                    t + link.lag + config_.theta_prewarm);
     }
   }
+}
 
-  // --- Adaptive handling of unseen functions (§IV-C2). ---------------------
-  UpdateOnlineCorrelations(t, mem);
+void SpesPolicy::EndMinute(const std::vector<Invocation>& arrivals) {
+  for (const Invocation& inv : arrivals) invoked_now_[inv.function] = 0;
+}
 
-  // --- Idle handling: pre-load or give up (Algorithm 1 lines 13-20). -------
-  for (size_t f = 0; f < states_.size(); ++f) {
-    if (invoked_now_[f]) continue;
-    FunctionState& st = states_[f];
-    if (st.last_arrival >= 0) ++st.current_wt;
+void SpesPolicy::RebuildEventState(int t) {
+  const size_t n = states_.size();
+  wheel_.assign(kWheelSlots, {});
+  next_event_.assign(n, kNoMinute);
+  window_.clear();
+  in_window_.assign(n, 0);
+  cursor_ = t;
+  // The first step evaluates every function, exactly as the scan does.
+  due_.resize(n);
+  for (size_t f = 0; f < n; ++f) due_[f] = static_cast<uint32_t>(f);
 
-    // Lattice advance for regular functions: a prediction that passed
-    // without an arrival was a dropped event; keep the phase and predict
-    // one period later.
-    if (st.model.type == FunctionType::kRegular && !st.model.values.empty() &&
-        st.model.values[0] > 0 && st.last_arrival >= 0) {
-      if (st.next_predicted < 0) {
-        st.next_predicted = st.last_arrival + st.model.values[0];
-      }
-      while (st.next_predicted + config_.theta_prewarm <
-             static_cast<int64_t>(t)) {
-        st.next_predicted += st.model.values[0];
+  tracker_of_target_.assign(n, -1);
+  granted_minute_.assign(online_corr_.size(), kNoMinute);
+  tracked_offsets_.assign(n + 1, 0);
+  for (const OnlineCorrState& corr : online_corr_) {
+    for (const uint32_t c : corr.candidates) ++tracked_offsets_[c + 1];
+  }
+  for (size_t c = 0; c < n; ++c) tracked_offsets_[c + 1] += tracked_offsets_[c];
+  tracked_by_.resize(tracked_offsets_[n]);
+  std::vector<uint32_t> fill(tracked_offsets_.begin(),
+                             tracked_offsets_.end() - 1);
+  for (size_t e = 0; e < online_corr_.size(); ++e) {
+    const OnlineCorrState& corr = online_corr_[e];
+    tracker_of_target_[corr.target] = static_cast<int32_t>(e);
+    for (size_t k = 0; k < corr.candidates.size(); ++k) {
+      tracked_by_[fill[corr.candidates[k]]++] = {static_cast<uint32_t>(e),
+                                                static_cast<uint32_t>(k)};
+    }
+  }
+  rebuild_ = false;
+}
+
+void SpesPolicy::Schedule(uint32_t f, int64_t minute) {
+  const int at = static_cast<int>(
+      std::min<int64_t>(minute, int64_t{cursor_} + kWheelSlots - 1));
+  if (next_event_[f] == at) return;
+  next_event_[f] = at;
+  wheel_[static_cast<size_t>(at) & (kWheelSlots - 1)].push_back(f);
+}
+
+void SpesPolicy::EnterWindow(uint32_t f) {
+  if (in_window_[f]) return;
+  in_window_[f] = 1;
+  window_.push_back(f);
+}
+
+bool SpesPolicy::Evaluate(uint32_t f, int t, MemSet* mem) {
+  FunctionState& st = states_[f];
+  if (t <= st.corr_hold_until) {
+    mem->Add(f);
+    return true;
+  }
+  st.next_predicted = AdvancedPrediction(st, t);
+  if (PredictNearInvocation(st, t)) {
+    mem->Add(f);
+    return true;
+  }
+  // Outside every window: the next minute a window can open. The hold
+  // only moves on a grant, which puts the function on the window list.
+  constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
+  int64_t next = kNever;
+  const PredictiveModel& model = st.model;
+  const int theta = config_.theta_prewarm;
+  if (st.last_arrival >= 0) {
+    if (model.type == FunctionType::kRegular && st.next_predicted >= 0) {
+      if (st.next_predicted - theta > t) next = st.next_predicted - theta;
+    } else if (model.continuous) {
+      const int64_t opens = st.last_arrival + model.range_lo - theta;
+      if (opens > t) next = opens;
+    } else {
+      for (const int64_t v : model.values) {
+        const int64_t opens = st.last_arrival + v - theta;
+        if (opens > t) next = std::min(next, opens);
       }
     }
-
-    const bool held = t <= st.corr_hold_until;
-    const bool preload = held || PredictNearInvocation(st, t);
-    if (preload) {
-      mem->Add(f);
-      continue;
-    }
-    if (!mem->Contains(f)) continue;
+  }
+  // Give up (Algorithm 1 lines 17-19). Only a resident function needs a
+  // give-up deadline: it becomes resident again only by an arrival or a
+  // grant, and both reschedule it.
+  if (mem->Contains(f)) {
     if (st.last_arrival < 0) {
       // Pre-warmed by correlation but never invoked: drop once the hold
       // expires.
       mem->Remove(f);
-      continue;
+    } else {
+      const int64_t wt = CurrentWt(st);
+      const int threshold = GivenUpThreshold(model.type);
+      if (wt >= threshold) {
+        mem->Remove(f);
+      } else {
+        // The WT grows by at most one per minute.
+        next = std::min(next, t + (threshold - wt));
+      }
     }
-    if (st.current_wt >= GivenUpThreshold(st.model.type)) mem->Remove(f);
   }
+  if (next != kNever) Schedule(f, next);
+  return false;
+}
+
+void SpesPolicy::OnTrackedTargetFired(OnlineCorrState* corr, int t) {
+  ++corr->target_arrivals;
+  corr->grants_since_arrival = 0;
+  for (size_t k = 0; k < corr->candidates.size(); ++k) {
+    const FunctionState& cand = states_[corr->candidates[k]];
+    if (cand.last_arrival >= 0 &&
+        t - cand.last_arrival <= config_.tcor_max_lag) {
+      ++corr->co_count[k];
+    }
+  }
+  KeepOrExpel(corr);
+}
+
+void SpesPolicy::KeepOrExpel(OnlineCorrState* corr) {
+  // Keep/expel candidates relative to the running maximum (§IV-C2): a
+  // candidate far below the best is dropped, and readmitted if its COR
+  // climbs back near the maximum. The pass is idempotent and the CORs
+  // only move when the target fires, so it runs only then.
+  if (corr->target_arrivals < 3) return;
+  const double arrivals = static_cast<double>(corr->target_arrivals);
+  double max_cor = 0.0;
+  for (const int32_t co : corr->co_count) {
+    max_cor = std::max(max_cor, static_cast<double>(co) / arrivals);
+  }
+  for (size_t k = 0; k < corr->candidates.size(); ++k) {
+    const double cor = static_cast<double>(corr->co_count[k]) / arrivals;
+    if (max_cor - cor > config_.online_corr_drop_gap) {
+      corr->active[k] = 0;
+    } else if (max_cor - cor < config_.online_corr_drop_gap / 3.0) {
+      corr->active[k] = 1;
+    }
+  }
+}
+
+void SpesPolicy::GrantTracked(OnlineCorrState* corr, int t, MemSet* mem) {
+  // Pre-warm the target whenever an active candidate fires (the paper's
+  // aggressive initial phase; candidates are pruned by COR over time).
+  FunctionState& target_state = states_[corr->target];
+  mem->Add(corr->target);
+  const int new_hold = t + config_.corr_prewarm_hold;
+  if (new_hold > target_state.corr_hold_until) {
+    target_state.corr_hold_until = new_hold;
+    ++corr->grants_since_arrival;
+  }
+  EnterWindow(corr->target);
+}
+
+void SpesPolicy::OnMinute(int t, const std::vector<Invocation>& arrivals,
+                          MemSet* mem) {
+  const bool first_step = rebuild_;
+  if (first_step) {
+    RebuildEventState(t);
+  } else {
+    // Collect the functions due in (cursor_, t]; every queued minute is
+    // below cursor_ + kWheelSlots, so one lap of the wheel covers a skip.
+    due_.clear();
+    const int last = static_cast<int>(
+        std::min<int64_t>(t, int64_t{cursor_} + kWheelSlots - 1));
+    for (int m = cursor_ + 1; m <= last; ++m) {
+      std::vector<uint32_t>& bucket =
+          wheel_[static_cast<size_t>(m) & (kWheelSlots - 1)];
+      for (const uint32_t f : bucket) {
+        if (next_event_[f] != m) continue;  // rescheduled since
+        next_event_[f] = kNoMinute;
+        due_.push_back(f);
+      }
+      bucket.clear();
+    }
+    cursor_ = t;
+  }
+
+  // --- Arrival handling (Algorithm 1 lines 3-12). ---------------------------
+  StartMinute(t, arrivals, mem);
+  for (const Invocation& inv : arrivals) {
+    // A window function is evaluated next minute anyway.
+    if (!in_window_[inv.function]) Schedule(inv.function, int64_t{t} + 1);
+    for (const CorrelationLink& link : links_by_candidate_[inv.function]) {
+      EnterWindow(link.target);
+    }
+  }
+
+  // --- Adaptive handling of unseen functions (§IV-C2). ---------------------
+  // Within a tracker the target's update precedes its grants, as in the
+  // scan; trackers are independent (one per target), so doing every
+  // update before any grant keeps each tracker's order.
+  if (!online_corr_.empty()) {
+    if (first_step) {
+      // A restored blob need not have had the pass applied; the scan
+      // applies it to every tracker each minute, so apply it once here to
+      // the trackers whose target stays quiet this minute.
+      for (OnlineCorrState& corr : online_corr_) {
+        if (!invoked_now_[corr.target]) KeepOrExpel(&corr);
+      }
+    }
+    for (const Invocation& inv : arrivals) {
+      const int32_t e = tracker_of_target_[inv.function];
+      if (e >= 0) OnTrackedTargetFired(&online_corr_[static_cast<size_t>(e)], t);
+    }
+    // A second grant to a tracker in the same minute would find the hold
+    // already extended: skip it.
+    for (const Invocation& inv : arrivals) {
+      const uint32_t c = inv.function;
+      for (uint32_t i = tracked_offsets_[c]; i < tracked_offsets_[c + 1]; ++i) {
+        const auto [e, k] = tracked_by_[i];
+        if (granted_minute_[e] == t || !online_corr_[e].active[k]) continue;
+        granted_minute_[e] = t;
+        GrantTracked(&online_corr_[e], t, mem);
+      }
+    }
+  }
+
+  // --- Idle handling: pre-load or give up (Algorithm 1 lines 13-20). -------
+  // Window functions are re-added every minute: capacity eviction on a
+  // cluster node may have dropped them since.
+  size_t kept = 0;
+  for (const uint32_t f : window_) {
+    if (invoked_now_[f] || Evaluate(f, t, mem)) {
+      window_[kept++] = f;
+    } else {
+      in_window_[f] = 0;
+    }
+  }
+  window_.resize(kept);
+  for (const uint32_t f : due_) {
+    if (invoked_now_[f] || in_window_[f]) continue;
+    if (Evaluate(f, t, mem)) EnterWindow(f);
+  }
+  EndMinute(arrivals);
 }
 
 Result<std::string> SpesPolicy::SaveState() const {
   BinaryWriter w;
   w.PutU64(states_.size());
   for (const FunctionState& st : states_) {
+    // The WT and the lattice prediction are stored as the per-minute scan
+    // would have left them after the last step.
+    const int64_t next_predicted =
+        last_minute_ == kNoMinute ? st.next_predicted
+                                  : AdvancedPrediction(st, last_minute_);
     w.PutU8(static_cast<uint8_t>(st.model.type));
     w.PutVector(st.model.values);
     w.PutI64(st.model.range_lo);
@@ -551,10 +725,10 @@ Result<std::string> SpesPolicy::SaveState() const {
     w.PutDouble(st.model.offline_wt_stddev);
     w.PutI32(st.model.forgotten_prefix_minutes);
     w.PutI32(st.last_arrival);
-    w.PutI32(st.current_wt);
+    w.PutI32(static_cast<int32_t>(CurrentWt(st)));
     w.PutBool(st.seen_in_training);
     w.PutI32(st.corr_hold_until);
-    w.PutI64(st.next_predicted);
+    w.PutI64(next_predicted);
     w.PutVector(st.online_wts);
     w.PutI32(st.adjust_cursor);
   }
@@ -617,7 +791,8 @@ Status SpesPolicy::RestoreState(const std::string& blob) {
     SPES_ASSIGN_OR_RETURN(st.model.offline_wt_stddev, r.Double());
     SPES_ASSIGN_OR_RETURN(st.model.forgotten_prefix_minutes, r.I32());
     SPES_ASSIGN_OR_RETURN(st.last_arrival, r.I32());
-    SPES_ASSIGN_OR_RETURN(st.current_wt, r.I32());
+    SPES_ASSIGN_OR_RETURN(const int32_t current_wt, r.I32());
+    st.idle_origin = -int64_t{current_wt};  // the step clock restarts at 0
     SPES_ASSIGN_OR_RETURN(st.seen_in_training, r.Bool());
     SPES_ASSIGN_OR_RETURN(st.corr_hold_until, r.I32());
     SPES_ASSIGN_OR_RETURN(st.next_predicted, r.I64());
@@ -655,6 +830,7 @@ Status SpesPolicy::RestoreState(const std::string& blob) {
   SPES_ASSIGN_OR_RETURN(const uint64_t num_corr, r.Length(20));
   std::vector<OnlineCorrState> online_corr;
   online_corr.reserve(num_corr);
+  std::vector<uint8_t> tracked(n, 0);
   for (uint64_t i = 0; i < num_corr; ++i) {
     OnlineCorrState corr;
     SPES_ASSIGN_OR_RETURN(corr.target, r.U32());
@@ -664,6 +840,14 @@ Status SpesPolicy::RestoreState(const std::string& blob) {
           std::to_string(corr.target) + ") outside the fleet (=" +
           std::to_string(n) + " functions)");
     }
+    // Training tracks each unseen function once; the target index relies
+    // on it.
+    if (tracked[corr.target]) {
+      return Status::InvalidArgument(
+          "spes state blob tracks online-correlation target (=" +
+          std::to_string(corr.target) + ") twice");
+    }
+    tracked[corr.target] = 1;
     // Each candidate takes 9 bytes: its id, its active flag and its
     // co-arrival count, stored as three parallel arrays.
     SPES_ASSIGN_OR_RETURN(const uint64_t num_cand, r.Length(9));
@@ -695,6 +879,9 @@ Status SpesPolicy::RestoreState(const std::string& blob) {
   invoked_now_.assign(states_.size(), 0);
   forgetting_recategorized_ = forgetting;
   online_recategorized_ = online;
+  steps_ = 0;
+  last_minute_ = kNoMinute;
+  rebuild_ = true;
   return Status::OK();
 }
 

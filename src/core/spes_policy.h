@@ -13,6 +13,17 @@
 // online correlation. Provision follows Algorithm 1: a function is
 // pre-loaded when a predicted invocation falls within +/-theta_prewarm of
 // now, and evicted once its current WT reaches its type's theta_givenup.
+//
+// The step is event-driven: every one of those decisions is a deadline
+// that only moves when the function (or a correlation candidate) fires.
+// Each function keeps one lower bound on the next minute its decision can
+// change, held in a minute-bucketed wheel; functions inside a pre-load
+// window sit on a list that is re-added every minute; a candidate->tracker
+// index turns online correlation into O(fan-out) work per arrival. The
+// wheel, the list and the index are derived state, rebuilt on the first
+// step after Train() or RestoreState(). ReferenceSpesPolicy
+// (core/reference_spes.h) keeps the per-minute scan as the differential
+// oracle.
 
 #ifndef SPES_CORE_SPES_POLICY_H_
 #define SPES_CORE_SPES_POLICY_H_
@@ -20,6 +31,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/categorizer.h"
@@ -44,7 +56,8 @@ class SpesPolicy : public Policy {
   /// states (including the predictive models, which drift under S2/S3),
   /// correlation links, online-correlation trackers and the adaptive
   /// counters. The config is NOT serialized; restore into a policy
-  /// constructed with the same SpesConfig.
+  /// constructed with the same SpesConfig. The event-driven step's wheel,
+  /// window list and indexes are derived, rebuilt at the next OnMinute().
   /// @{
   [[nodiscard]] bool SupportsCheckpoint() const override { return true; }
   [[nodiscard]] Result<std::string> SaveState() const override;
@@ -72,16 +85,22 @@ class SpesPolicy : public Policy {
   [[nodiscard]] int64_t online_recategorized() const { return online_recategorized_; }
 
  private:
+  friend class ReferenceSpesPolicy;
+
   struct FunctionState {
     PredictiveModel model;
     int last_arrival = -1;  ///< absolute minute of the most recent arrival
-    int current_wt = 0;     ///< idle minutes since last arrival
+    /// The step count at which the current WT was 0; the WT itself is
+    /// derived (CurrentWt()), so an idle function costs nothing per step.
+    int64_t idle_origin = 0;
     bool seen_in_training = false;
     /// Correlation-triggered pre-warm hold (absolute minute, inclusive).
     int corr_hold_until = -1;
     /// Regular functions predict on a phase lattice: when a predicted
     /// invocation passes unfulfilled (a dropped timer event), the next
     /// prediction advances by the period instead of losing the phase.
+    /// Advanced lazily (AdvancedPrediction()) and materialized by
+    /// SaveState().
     int64_t next_predicted = -1;
     std::vector<int64_t> online_wts;  ///< S1: WTs observed online
     int adjust_cursor = 0;            ///< online WTs consumed by last S2 run
@@ -103,16 +122,75 @@ class SpesPolicy : public Policy {
   [[nodiscard]] bool PredictNearInvocation(const FunctionState& state, int t) const;
   void MaybeAdjustPredictiveValues(FunctionState* state);
   void MaybeLateCategorize(FunctionState* state);
-  void UpdateOnlineCorrelations(int t, MemSet* mem);
+
+  /// \brief The current WT of `state`. It counts OnMinute() calls, not
+  /// minutes: a cluster node steps only while it is live, so a pending
+  /// node's first step adds one idle step whatever minute it starts at.
+  /// A function that never arrived keeps the WT it was trained or
+  /// restored with.
+  [[nodiscard]] int64_t CurrentWt(const FunctionState& state) const {
+    return (state.last_arrival >= 0 ? steps_ : 0) - state.idle_origin;
+  }
+  /// \brief `state.next_predicted` as the per-minute lattice advance would
+  /// have left it after a step at minute `t`.
+  [[nodiscard]] int64_t AdvancedPrediction(const FunctionState& state,
+                                           int t) const;
+
+  /// \brief Shared by both steps: the step clock, then Algorithm 1 lines
+  /// 3-12 — each arrival closes a WT, refreshes its function's state and
+  /// pre-warms its trained correlation targets. Marks `invoked_now_`.
+  void StartMinute(int t, const std::vector<Invocation>& arrivals,
+                   MemSet* mem);
+  /// \brief Clears the `invoked_now_` marks StartMinute() set.
+  void EndMinute(const std::vector<Invocation>& arrivals);
+
+  /// \name Event-driven step (derived state; see the file comment).
+  /// @{
+  void RebuildEventState(int t);
+  /// Queues `f` for evaluation at minute `minute` (> the wheel cursor);
+  /// far minutes are clamped to the wheel horizon, which only adds an
+  /// early, no-op evaluation.
+  void Schedule(uint32_t f, int64_t minute);
+  void EnterWindow(uint32_t f);
+  /// The scan's decision for one idle function at minute `t`: pre-load
+  /// (returns true; the caller keeps it on the window list) or give up,
+  /// then schedule the next minute the decision can change.
+  bool Evaluate(uint32_t f, int t, MemSet* mem);
+  void OnTrackedTargetFired(OnlineCorrState* corr, int t);
+  void KeepOrExpel(OnlineCorrState* corr);
+  void GrantTracked(OnlineCorrState* corr, int t, MemSet* mem);
+  /// @}
 
   SpesConfig config_;
   std::vector<FunctionState> states_;
   /// links_by_candidate_[c] = correlated targets pre-warmed when c fires.
   std::vector<std::vector<CorrelationLink>> links_by_candidate_;
   std::vector<OnlineCorrState> online_corr_;
-  std::vector<uint8_t> invoked_now_;  // scratch
+  std::vector<uint8_t> invoked_now_;  // set by StartMinute, cleared by EndMinute
   int64_t forgetting_recategorized_ = 0;
   int64_t online_recategorized_ = 0;
+
+  /// OnMinute() calls since Train()/RestoreState(), and the last one's
+  /// minute (kNoMinute before the first).
+  static constexpr int kNoMinute = -1;
+  int64_t steps_ = 0;
+  int last_minute_ = kNoMinute;
+
+  /// Derived event state, rebuilt while `rebuild_` is set.
+  static constexpr int kWheelSlots = 2048;  // power of two
+  bool rebuild_ = true;
+  int cursor_ = 0;                    ///< wheel buckets <= cursor_ drained
+  std::vector<std::vector<uint32_t>> wheel_;
+  std::vector<int> next_event_;       ///< kNoMinute = not scheduled
+  std::vector<uint32_t> due_;         // scratch
+  std::vector<uint32_t> window_;      ///< functions pre-loaded last minute
+  std::vector<uint8_t> in_window_;
+  std::vector<int32_t> tracker_of_target_;  ///< online_corr_ index or -1
+  std::vector<int> granted_minute_;         ///< per tracker; kNoMinute
+  /// CSR: candidate c's (tracker, k) pairs are
+  /// tracked_by_[tracked_offsets_[c] .. tracked_offsets_[c + 1]).
+  std::vector<uint32_t> tracked_offsets_;
+  std::vector<std::pair<uint32_t, uint32_t>> tracked_by_;
 };
 
 }  // namespace spes

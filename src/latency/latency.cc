@@ -1,7 +1,6 @@
 #include "latency/latency.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/binary_io.h"
@@ -107,19 +106,16 @@ Status ValidateLatencySpec(const LatencySpec& spec) {
   SPES_ASSIGN_OR_RETURN(const std::unique_ptr<LatencyModel> model,
                         LatencyModelRegistry::Global().Create(spec.model));
   (void)model;
-  if (spec.concurrency < 0) {
-    return Status::InvalidArgument(
-        "LatencySpec.concurrency must be >= 0 (0 = unlimited)");
-  }
-  if (spec.queue_capacity < 0) {
-    return Status::InvalidArgument(
-        "LatencySpec.queue_capacity must be >= 0 (0 = unbounded)");
-  }
-  if (!std::isfinite(spec.timeout_ms) || spec.timeout_ms < 0.0 ||
-      spec.timeout_ms > kMaxTimeoutMs) {
-    return Status::InvalidArgument(
-        "LatencySpec.timeout_ms must be a finite value in [0, 1e9]");
-  }
+  const std::vector<ParamSpec>& schema = LatencyQueueParamSchema();
+  SPES_RETURN_NOT_OK(CheckDeclaredDomain(schema, "concurrency",
+                                         ParamValue(spec.concurrency),
+                                         "LatencySpec.concurrency"));
+  SPES_RETURN_NOT_OK(CheckDeclaredDomain(schema, "capacity",
+                                         ParamValue(spec.queue_capacity),
+                                         "LatencySpec.queue_capacity"));
+  SPES_RETURN_NOT_OK(CheckDeclaredDomain(schema, "timeout_ms",
+                                         ParamValue(spec.timeout_ms),
+                                         "LatencySpec.timeout_ms"));
   if (spec.concurrency == 0 &&
       (spec.queue_capacity > 0 || spec.timeout_ms > 0.0)) {
     return Status::InvalidArgument(

@@ -1,10 +1,55 @@
 #include "sim/accounting.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/stats.h"
+#include "latency/latency.h"
 
 namespace spes {
+
+Status CheckOutcomeInvariants(const SimulationOutcome& outcome) {
+  uint64_t cold_starts = 0, wasted = 0, loaded = 0, invocations = 0;
+  for (size_t f = 0; f < outcome.accounts.size(); ++f) {
+    const FunctionAccount& a = outcome.accounts[f];
+    if (a.cold_starts > a.invoked_minutes) {
+      return Status::Internal("function (=" + std::to_string(f) +
+                              ") has more cold starts than invoked minutes");
+    }
+    if (a.wasted_minutes > a.loaded_minutes) {
+      return Status::Internal("function (=" + std::to_string(f) +
+                              ") has more wasted than loaded minutes");
+    }
+    cold_starts += a.cold_starts;
+    wasted += a.wasted_minutes;
+    loaded += a.loaded_minutes;
+    invocations += a.invocations;
+  }
+  uint64_t series = 0;
+  for (const uint32_t live : outcome.memory_series) series += live;
+  const FleetMetrics& m = outcome.metrics;
+  if (series != m.loaded_instance_minutes || loaded != series) {
+    return Status::Internal(
+        "memory series sums to (=" + std::to_string(series) +
+        ") instance-minutes, the metrics say (=" +
+        std::to_string(m.loaded_instance_minutes) +
+        ") and the accounts (=" + std::to_string(loaded) + ")");
+  }
+  if (cold_starts != m.total_cold_starts || wasted != m.wasted_memory_minutes ||
+      invocations != m.total_invocations) {
+    return Status::Internal(
+        "per-function cold starts, wasted minutes or invocations do not sum "
+        "to the fleet metrics");
+  }
+  if (outcome.latency != nullptr &&
+      outcome.latency->offered() != m.total_invocations) {
+    return Status::Internal(
+        "latency lane was offered (=" +
+        std::to_string(outcome.latency->offered()) + ") requests for (=" +
+        std::to_string(m.total_invocations) + ") invocations");
+  }
+  return Status::OK();
+}
 
 FleetMetrics ComputeFleetMetrics(const std::string& policy_name,
                                  const std::vector<FunctionAccount>& accounts,

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+
 namespace spes {
 
 struct LatencyOutcome;  // latency/latency.h
@@ -101,6 +103,19 @@ struct SimulationOutcome {
   /// for the run; null otherwise. Shared so outcomes stay cheap to copy.
   std::shared_ptr<const LatencyOutcome> latency;
 };
+
+/// \brief Checks the accounting identities every run must satisfy, on any
+/// engine path and under any policy:
+///  - per function, cold starts <= invoked minutes and wasted minutes <=
+///    loaded minutes;
+///  - the memory series sums to the loaded instance-minutes, which equal
+///    the sum of the per-function loaded minutes;
+///  - the per-function cold starts, wasted minutes and invocations sum to
+///    the fleet metrics;
+///  - with a latency outcome, every invocation was offered to the lane
+///    (offered = served + shed + timeouts = invocations).
+/// Returns Internal naming the first identity that fails.
+Status CheckOutcomeInvariants(const SimulationOutcome& outcome);
 
 /// \brief Derives FleetMetrics from raw accounts and the memory series.
 FleetMetrics ComputeFleetMetrics(const std::string& policy_name,

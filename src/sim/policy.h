@@ -44,7 +44,13 @@ class Policy {
   /// The engine has already loaded every arriving function into `mem`
   /// (executions occupy memory regardless of policy); the policy applies
   /// its keep-alive / pre-warm / eviction logic. `arrivals` lists this
-  /// minute's invoked functions with counts.
+  /// minute's invoked functions with counts, one entry per function.
+  ///
+  /// Successive calls have strictly increasing `t`, but minutes may be
+  /// skipped: a cluster node is not stepped while it is pending or failed,
+  /// so an added node's first call comes at its `add{}` minute. Between
+  /// calls `mem` may lose instances the policy did not remove (capacity
+  /// eviction on a cluster node).
   virtual void OnMinute(int t, const std::vector<Invocation>& arrivals,
                         MemSet* mem) = 0;
 
@@ -56,7 +62,11 @@ class Policy {
   /// RestoreState() is called on a policy that was constructed with the
   /// same parameters and Train()ed on the same trace and window as the one
   /// that produced the blob; it only needs to reinstate online-mutable
-  /// state. The default implementation opts out.
+  /// state. A policy may also keep derived state that the blob does not
+  /// hold (an index, a deadline queue): it rebuilds that state after
+  /// Train() and RestoreState(), and a RestoreState() followed by
+  /// SaveState() returns the input bytes. The default implementation
+  /// opts out.
   /// @{
   [[nodiscard]] virtual bool SupportsCheckpoint() const { return false; }
   [[nodiscard]] virtual Result<std::string> SaveState() const {

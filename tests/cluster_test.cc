@@ -220,6 +220,37 @@ TEST(ClusterSpecTest, ValidatesStructure) {
             std::string::npos);
 }
 
+TEST(ClusterSpecTest, ValidatesCodeBuiltEventsAgainstTheEventSchemas) {
+  // Events built in code get the domains the timeline parser enforces.
+  ClusterSpec spec;
+  spec.nodes = 2;
+  NodeEvent event;
+  event.kind = NodeEvent::Kind::kFail;
+  event.minute = -1;
+  spec.events = {event};
+  Status status = ValidateClusterSpec(spec);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("minute must be in [0, 2147483647]"),
+            std::string::npos)
+      << status.message();
+  spec.events[0].minute = 10;
+  spec.events[0].node = -1;
+  status = ValidateClusterSpec(spec);
+  EXPECT_NE(status.message().find("node must be in [0, 2147483647]"),
+            std::string::npos)
+      << status.message();
+  event.kind = NodeEvent::Kind::kAdd;
+  event.minute = 10;
+  event.capacity = -2;
+  spec.events = {event};
+  status = ValidateClusterSpec(spec);
+  EXPECT_NE(status.message().find("capacity must be in [0, 2147483647]"),
+            std::string::npos)
+      << status.message();
+  spec.events[0].capacity = -1;  // the cluster default
+  EXPECT_TRUE(ValidateClusterSpec(spec).ok());
+}
+
 TEST(ClusterSpecTest, ValidatesEventTimelineAgainstEvolvingNodeSet) {
   ClusterSpec spec;
   spec.nodes = 2;

@@ -52,9 +52,24 @@ SimOptions GoldenOptions() {
   return options;
 }
 
+/// The accounting identities of sim/accounting.h hold on every golden
+/// run, single lane or cluster.
+void ExpectOutcomeInvariants(const ScenarioOutcome& run) {
+  const Status lane = CheckOutcomeInvariants(run.outcome);
+  EXPECT_TRUE(lane.ok()) << lane.message();
+  if (run.cluster != nullptr) {
+    const Status cluster = CheckOutcomeInvariants(*run.cluster);
+    EXPECT_TRUE(cluster.ok()) << cluster.message();
+  }
+}
+
 SimulationOutcome RunGoldenFleet(Policy* policy) {
   const Trace fleet = GoldenTrace();
-  return Simulate(fleet, policy, GoldenOptions()).ValueOrDie();
+  SimulationOutcome outcome =
+      Simulate(fleet, policy, GoldenOptions()).ValueOrDie();
+  const Status invariants = CheckOutcomeInvariants(outcome);
+  EXPECT_TRUE(invariants.ok()) << invariants.message();
+  return outcome;
 }
 
 uint64_t SeriesSum(const std::vector<uint32_t>& series) {
@@ -383,6 +398,7 @@ TEST(GoldenMetricsTest, FourNodeHashClusterReproducesGoldenValues) {
   const Trace fleet = GoldenTrace();
   const ScenarioOutcome run =
       RunScenario(fleet, GoldenClusterSpec(4)).ValueOrDie();
+  ExpectOutcomeInvariants(run);
   const FleetMetrics& m = run.outcome.metrics;
 
   // Sharding splits each node's arrival stream, so per-node SPES models
@@ -423,6 +439,7 @@ TEST(GoldenMetricsTest, NodeFailEventReroutesWithColdStartConsequences) {
   spec.cluster->events =
       ParseNodeEventTimeline("fail{at=3360,node=1}").ValueOrDie();
   const ScenarioOutcome run = RunScenario(fleet, spec).ValueOrDie();
+  ExpectOutcomeInvariants(run);
 
   ASSERT_NE(run.cluster, nullptr);
   // Every function node 1 served re-routes (mod-3 rehash) and pays a
@@ -526,6 +543,7 @@ ScenarioSpec LatencyClusterSpec() {
 
 TEST(GoldenMetricsTest, LatencyEnabledChainReproducesGoldenValues) {
   const ScenarioOutcome run = RunScenario(LatencyChainSpec()).ValueOrDie();
+  ExpectOutcomeInvariants(run);
 
   // Engine-side counters match TransformedChainReproducesGoldenValues
   // bit for bit: enabling the latency block perturbs nothing.
@@ -554,6 +572,7 @@ TEST(GoldenMetricsTest, LatencyEnabledChainReproducesGoldenValues) {
 
 TEST(GoldenMetricsTest, LatencyEnabledFourNodeClusterReproducesGoldenValues) {
   const ScenarioOutcome run = RunScenario(LatencyClusterSpec()).ValueOrDie();
+  ExpectOutcomeInvariants(run);
   EXPECT_EQ(run.outcome.metrics.total_invocations, 1031468u);
   EXPECT_EQ(run.outcome.metrics.total_cold_starts, 1556u);
   ASSERT_NE(run.cluster, nullptr);

@@ -216,6 +216,35 @@ TEST(LatencySpecTest, ValidateRejectsQueueKnobsWithoutConcurrency) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(LatencySpecTest, ValidateChecksCodeBuiltValuesAgainstTheQueueSchema) {
+  // A spec built in code gets the domains the queue{...} parser enforces,
+  // from the same declarations, and the message names the field.
+  LatencySpec spec;
+  spec.concurrency = 4;
+  spec.timeout_ms = 2e9;
+  Status status = ValidateLatencySpec(spec);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(
+                "LatencySpec.timeout_ms must be in [0.0, 1e+09], got 2e+09"),
+            std::string::npos)
+      << status.message();
+  spec.timeout_ms = std::nan("");
+  EXPECT_EQ(ValidateLatencySpec(spec).code(), StatusCode::kInvalidArgument);
+  spec.timeout_ms = 1e9;
+  EXPECT_TRUE(ValidateLatencySpec(spec).ok());
+  spec.queue_capacity = -1;
+  status = ValidateLatencySpec(spec);
+  EXPECT_NE(status.message().find("LatencySpec.queue_capacity must be in"),
+            std::string::npos)
+      << status.message();
+  spec.queue_capacity = 0;
+  spec.concurrency = -1;
+  status = ValidateLatencySpec(spec);
+  EXPECT_NE(status.message().find("LatencySpec.concurrency must be in"),
+            std::string::npos)
+      << status.message();
+}
+
 TEST(LatencySpecTest, ValidateRejectsUnknownModel) {
   LatencySpec spec;
   spec.model.name = "pareto";

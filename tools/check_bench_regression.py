@@ -6,7 +6,7 @@ Reads two google-benchmark JSON files — the committed trajectory artifact
 items_per_second of any gated benchmark drops more than --tolerance
 (default 20%) below the committed value.
 
-Also enforces two machine-independent invariants inside the fresh run
+Also enforces three machine-independent invariants inside the fresh run
 itself (each compares two measurements from the same process on the same
 machine, so they hold on any runner class):
 
@@ -16,11 +16,18 @@ machine, so they hold on any runner class):
     streaming decode) may be at most F times slower than BM_InMemoryDecode
     at every common fleet size — the out-of-core path must stay within a
     bounded factor of reading RAM.
+  * --min-spes-ratio R: BM_SpesProvisionMinute (SPES's event-driven minute
+    step) must be at least R times faster (items/sec) than
+    BM_SpesProvisionMinuteScan (the per-minute scan reference) at every
+    common fleet size.
+
+A BASELINE of "-" skips the baseline comparison and checks only the
+in-run invariants (for a fresh run made at a scale no baseline covers).
 
 Usage:
   tools/check_bench_regression.py BASELINE.json FRESH.json \
       [--tolerance 0.20] [--min-ratio 10] [--max-stream-overhead 6] \
-      [--gate BM_SimKernelColumnar]
+      [--min-spes-ratio 2] [--gate BM_SimKernelColumnar]
 """
 
 import argparse
@@ -47,9 +54,17 @@ def fleet_size(name):
     return name.rsplit("/", 1)[1] if "/" in name else ""
 
 
+def by_size(fresh, family):
+    """{fleet size: items/sec} of one benchmark family ('BM_X' matches
+    'BM_X/4000' but not 'BM_XScan/4000')."""
+    return {fleet_size(n): v for n, v in fresh.items()
+            if n == family or n.startswith(family + "/")}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline", help="committed BENCH_*.json artifact")
+    parser.add_argument("baseline", help="committed BENCH_*.json artifact, "
+                                         "or - for none")
     parser.add_argument("fresh", help="freshly produced benchmark JSON")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="max allowed fractional drop vs the baseline")
@@ -59,13 +74,17 @@ def main():
     parser.add_argument("--max-stream-overhead", type=float, default=None,
                         help="max allowed in-memory/streamed decode "
                              "items/sec ratio within the fresh run")
+    parser.add_argument("--min-spes-ratio", type=float, default=None,
+                        help="required event-driven/scan SPES minute-step "
+                             "items/sec ratio within the fresh run")
     parser.add_argument("--gate", action="append", default=None,
                         help="benchmark name prefix to gate vs the baseline "
                              "(repeatable; default: BM_SimKernelColumnar)")
     args = parser.parse_args()
     gates = args.gate or ["BM_SimKernelColumnar"]
 
-    baseline = load_items_per_second(args.baseline)
+    baseline = ({} if args.baseline == "-"
+                else load_items_per_second(args.baseline))
     fresh = load_items_per_second(args.fresh)
     failures = []
 
@@ -127,6 +146,24 @@ def main():
                     f"streamed decode {overhead:.2f}x slower than in-memory "
                     f"at {size or 'default'} functions "
                     f"(allows <= {args.max_stream_overhead:g}x)")
+
+    if args.min_spes_ratio is not None:
+        event = by_size(fresh, "BM_SpesProvisionMinute")
+        scan = by_size(fresh, "BM_SpesProvisionMinuteScan")
+        common = sorted(set(event) & set(scan))
+        if not common:
+            failures.append("--min-spes-ratio given but the fresh run has no "
+                            "common SpesProvisionMinute event/scan sizes")
+        for size in common:
+            ratio = event[size] / scan[size]
+            status = "ok" if ratio >= args.min_spes_ratio else "TOO SLOW"
+            print(f"SPES minute step event/scan @ {size or 'default'} "
+                  f"functions: {ratio:.2f}x [{status}]")
+            if ratio < args.min_spes_ratio:
+                failures.append(
+                    f"event-driven SPES step only {ratio:.2f}x the scan at "
+                    f"{size or 'default'} functions "
+                    f"(requires >= {args.min_spes_ratio:g}x)")
 
     if failures:
         print("\nBENCH REGRESSION CHECK FAILED:", file=sys.stderr)
