@@ -155,7 +155,7 @@ void BM_ArrivalDecodeColumnar(benchmark::State& state) {
   // One iteration = one full block of minutes, cycling through distinct
   // blocks so every iteration pays (and amortizes) a real block transpose.
   // Items/sec stays in function-minutes, comparable with the naive scan.
-  constexpr int kBlock = ArrivalDecoder::kDefaultBlockMinutes;
+  constexpr int kBlock = ArrivalDecoder::kBlockMinutes;
   const int num_blocks = fleet.trace.num_minutes() / kBlock;
   int block = 0;
   for (auto _ : state) {
@@ -204,7 +204,7 @@ template <typename MakeDecoder>
 void DecodeBlocksLoop(benchmark::State& state, int num_minutes,
                       MakeDecoder make_decoder) {
   ArrivalDecoder decoder = make_decoder();
-  constexpr int kBlock = ArrivalDecoder::kDefaultBlockMinutes;
+  constexpr int kBlock = ArrivalDecoder::kBlockMinutes;
   const int num_blocks = num_minutes / kBlock;
   int block = 0;
   for (auto _ : state) {
@@ -449,4 +449,15 @@ BENCHMARK(BM_ClusterEnforceCapacity)
 }  // namespace
 }  // namespace spes
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN() plus one context entry: Google Benchmark's own
+// "library_build_type" describes how the benchmark library was compiled,
+// so the JSON also records this project's CMAKE_BUILD_TYPE
+// (tools/check_bench_regression.py requires "Release").
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("spes_build_type", SPES_BUILD_TYPE);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

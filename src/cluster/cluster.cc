@@ -328,7 +328,7 @@ void ClusterSession::LruIndex::PopLate() {
 
 size_t ClusterSession::LruIndex::Evict(MemSet* mem,
                                        const std::vector<int32_t>& last_used,
-                                       int t, bool pin, size_t excess) {
+                                       int t, size_t excess) {
   // Instances loaded since the last sync without an arrival stamped after
   // it (policy prewarms, reloads of evicted instances) have no entry with
   // their current key yet. Stamps after the sync were touched already.
@@ -356,9 +356,9 @@ size_t ClusterSession::LruIndex::Evict(MemSet* mem,
     const bool from_fifo =
         have_fifo && (late_.empty() || Before(fifo_[head_], late_.front()));
     const Entry victim = from_fifo ? fifo_[head_] : late_.front();
-    // Every remaining live key is at least this one, so with pinning on
-    // everything left arrived this minute and is executing.
-    if (pin && victim.used == t) break;
+    // Every remaining live key is at least this one, so everything left
+    // arrived this minute and is executing.
+    if (victim.used == t) break;
     mem->Remove(victim.f);
     ++evicted;
     if (from_fifo) {
@@ -402,14 +402,11 @@ void ClusterSession::EnforceCapacity(Node* node, int t) {
   }
   const size_t capacity = static_cast<size_t>(node->capacity);
   if (mem.Count() <= capacity) return;
-  // Idle instances (not executing this minute, unless pinning is off) go
-  // in LRU order by last arrival on this node; ties evict the lowest id.
-  // Executing instances may keep the node above capacity for this minute
-  // (executions occupy memory).
+  // Idle instances (not executing this minute) go in LRU order by last
+  // arrival on this node; ties evict the lowest id. Executing instances
+  // may keep the node above capacity for this minute (executions pin).
   node->pressure_evictions +=
-      node->lru.Evict(&mem, node->last_used, t,
-                      options_.pin_executing_functions,
-                      mem.Count() - capacity);
+      node->lru.Evict(&mem, node->last_used, t, mem.Count() - capacity);
 }
 
 Status ClusterSession::StepLocked() {
@@ -532,15 +529,7 @@ Result<ClusterOutcome> ClusterSession::Finish() {
     NodeOutcome out;
     out.node = static_cast<int>(k);
     out.sim = node.lane.TakeOutcome(cursor_);
-    for (size_t f = 0; f < n; ++f) {
-      const FunctionAccount& acc = out.sim.accounts[f];
-      FunctionAccount& agg = fleet_accounts[f];
-      agg.invocations += acc.invocations;
-      agg.invoked_minutes += acc.invoked_minutes;
-      agg.cold_starts += acc.cold_starts;
-      agg.loaded_minutes += acc.loaded_minutes;
-      agg.wasted_minutes += acc.wasted_minutes;
-    }
+    for (size_t f = 0; f < n; ++f) fleet_accounts[f] += out.sim.accounts[f];
     const std::vector<uint32_t>& series = out.sim.memory_series;
     if (fleet_series.size() < series.size()) {
       fleet_series.resize(series.size(), 0);
@@ -729,14 +718,7 @@ Status CheckOutcomeInvariants(const ClusterOutcome& outcome) {
         node.sim.memory_series.size() != series.size()) {
       return Status::Internal(where + "outcome shape differs from the fleet's");
     }
-    for (size_t f = 0; f < sum.size(); ++f) {
-      const FunctionAccount& a = node.sim.accounts[f];
-      sum[f].invocations += a.invocations;
-      sum[f].invoked_minutes += a.invoked_minutes;
-      sum[f].cold_starts += a.cold_starts;
-      sum[f].loaded_minutes += a.loaded_minutes;
-      sum[f].wasted_minutes += a.wasted_minutes;
-    }
+    for (size_t f = 0; f < sum.size(); ++f) sum[f] += node.sim.accounts[f];
     for (size_t t = 0; t < series.size(); ++t) {
       series[t] += node.sim.memory_series[t];
     }

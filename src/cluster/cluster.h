@@ -15,8 +15,8 @@
 // Two cluster-only mechanisms sit on top of the lane semantics:
 //   * per-node memory pressure: when a node ends its minute above its
 //     instance capacity, idle instances are evicted cross-function in
-//     LRU order (executing instances are never evicted while pinning is
-//     on) and counted as pressure evictions;
+//     LRU order (executing instances are pinned and never evicted) and
+//     counted as pressure evictions;
 //   * a node-event timeline — `add{at=}`, `drain{at=,node=}` and
 //     `fail{at=,node=}` — that changes the node set mid-window: failed
 //     nodes lose their memory instantly, drained nodes keep serving the
@@ -265,12 +265,12 @@ class ClusterSession : public SessionCore {
     void Touch(int32_t t, uint32_t f);
 
     /// Evicts up to `excess` instances of `mem` at minute `t`, lowest
-    /// (last_used, id) first; with `pin`, instances that arrived at `t`
-    /// are skipped. First picks up instances loaded since the last call
-    /// without a routed arrival (policy prewarms, reloads) by diffing
-    /// the membership words. Returns the number evicted.
+    /// (last_used, id) first; instances that arrived at `t` are executing
+    /// and never evicted. First picks up instances loaded since the last
+    /// call without a routed arrival (policy prewarms, reloads) by
+    /// diffing the membership words. Returns the number evicted.
     size_t Evict(MemSet* mem, const std::vector<int32_t>& last_used, int t,
-                 bool pin, size_t excess);
+                 size_t excess);
 
     /// Recreates the index from the loaded set, as of minute `t` (every
     /// last_used stamp is <= t).

@@ -7,11 +7,11 @@ namespace spes {
 
 std::vector<uint32_t> ReferenceCapacityVictims(
     const MemSet& mem, const std::vector<int32_t>& last_used, int t,
-    bool pin, size_t capacity) {
+    size_t capacity) {
   if (mem.Count() <= capacity) return {};
   std::vector<std::pair<int32_t, uint32_t>> candidates;
   mem.ForEachLoaded([&](size_t f) {
-    if (pin && last_used[f] == t) return;
+    if (last_used[f] == t) return;
     candidates.emplace_back(last_used[f], static_cast<uint32_t>(f));
   });
   const size_t excess = mem.Count() - capacity;

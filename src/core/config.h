@@ -5,6 +5,10 @@
 #ifndef SPES_CORE_CONFIG_H_
 #define SPES_CORE_CONFIG_H_
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+
 namespace spes {
 
 /// \brief Configuration for SPES categorization, prediction and provision.
@@ -77,6 +81,15 @@ struct SpesConfig {
   int theta_givenup_pulsed = 5;
   /// Multiplier applied to every theta_givenup (the Fig. 13(b) scaler).
   int givenup_scaler = 1;
+
+  /// \brief `theta_givenup` x max(1, givenup_scaler), clamped to INT_MAX
+  /// (both factors may be INT_MAX; any such threshold means "never").
+  [[nodiscard]] int ScaledGivenUp(int theta_givenup) const {
+    const int64_t scaled = int64_t{theta_givenup} *
+                           std::max<int64_t>(1, givenup_scaler);
+    return static_cast<int>(
+        std::min<int64_t>(scaled, std::numeric_limits<int>::max()));
+  }
 
   // --- Adaptive strategies (§IV-C) ------------------------------------------
 

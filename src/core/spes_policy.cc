@@ -79,7 +79,7 @@ int SpesPolicy::GivenUpThreshold(FunctionType type) const {
   int base = config_.theta_givenup_default;
   if (type == FunctionType::kDense) base = config_.theta_givenup_dense;
   if (type == FunctionType::kPulsed) base = config_.theta_givenup_pulsed;
-  return base * std::max(1, config_.givenup_scaler);
+  return config_.ScaledGivenUp(base);
 }
 
 bool SpesPolicy::PredictNearInvocation(const FunctionState& state,
@@ -222,9 +222,8 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
     }
 
     // D1: pulsed replay.
-    const StrategyCost pulsed = ReplayPulsed(
-        validation,
-        config_.theta_givenup_pulsed * std::max(1, config_.givenup_scaler));
+    const StrategyCost pulsed =
+        ReplayPulsed(validation, GivenUpThreshold(FunctionType::kPulsed));
     // D2: correlated replay over the validation slices of linked functions.
     std::vector<std::span<const uint32_t>> cand_validation;
     std::vector<int> lags;

@@ -76,7 +76,7 @@ StrategyCost ReplayPossible(std::span<const uint32_t> validation,
   if (possible_model.type != FunctionType::kPossible) return cost;
   cost.feasible = true;
   const int theta_p = config.theta_prewarm;
-  const int theta_g = config.theta_givenup_default * config.givenup_scaler;
+  const int theta_g = config.ScaledGivenUp(config.theta_givenup_default);
   int last_arrival = -1;
   bool loaded = false;
   int idle = 0;

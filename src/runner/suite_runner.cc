@@ -32,7 +32,6 @@ void Fill(ScenarioOutcome run, JobResult* result) {
 /// slot must agree.
 bool SameSession(const SimOptions& a, const SimOptions& b) {
   return a.train_minutes == b.train_minutes && a.end_minute == b.end_minute &&
-         a.pin_executing_functions == b.pin_executing_functions &&
          a.latency == b.latency && a.recorder == b.recorder;
 }
 

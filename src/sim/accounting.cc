@@ -16,9 +16,9 @@ Status CheckOutcomeInvariants(const SimulationOutcome& outcome) {
       return Status::Internal("function (=" + std::to_string(f) +
                               ") has more cold starts than invoked minutes");
     }
-    if (a.wasted_minutes > a.loaded_minutes) {
+    if (a.wasted_minutes + a.invoked_minutes != a.loaded_minutes) {
       return Status::Internal("function (=" + std::to_string(f) +
-                              ") has more wasted than loaded minutes");
+                              ") has wasted + invoked != loaded minutes");
     }
     cold_starts += a.cold_starts;
     wasted += a.wasted_minutes;
@@ -59,12 +59,12 @@ FleetMetrics ComputeFleetMetrics(const std::string& policy_name,
   m.policy_name = policy_name;
   m.overhead_seconds = overhead_seconds;
 
-  uint64_t invoked_loaded_minutes = 0;
+  uint64_t effective_minutes = 0;
   int64_t always_cold = 0, zero_cold = 0;
   for (const FunctionAccount& acc : accounts) {
     m.wasted_memory_minutes += acc.wasted_minutes;
     m.loaded_instance_minutes += acc.loaded_minutes;
-    invoked_loaded_minutes += acc.loaded_minutes - acc.wasted_minutes;
+    effective_minutes += acc.loaded_minutes - acc.wasted_minutes;
     if (acc.invocations == 0) continue;
     const double csr = acc.ColdStartRate();
     m.csr.push_back(csr);
@@ -97,7 +97,7 @@ FleetMetrics ComputeFleetMetrics(const std::string& policy_name,
   }
 
   if (m.loaded_instance_minutes > 0) {
-    m.emcr = static_cast<double>(invoked_loaded_minutes) /
+    m.emcr = static_cast<double>(effective_minutes) /
              static_cast<double>(m.loaded_instance_minutes);
   }
   return m;

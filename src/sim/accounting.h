@@ -29,9 +29,20 @@ struct FunctionAccount {
   /// Minutes the instance was resident in memory.
   uint64_t loaded_minutes = 0;
   /// Resident minutes with no arrival = wasted memory time contribution.
+  /// Executions pin, so this is loaded_minutes - invoked_minutes.
   uint64_t wasted_minutes = 0;
 
   bool operator==(const FunctionAccount&) const = default;
+
+  /// \brief Field-wise sum (per-node accounts into a fleet account).
+  FunctionAccount& operator+=(const FunctionAccount& other) {
+    invocations += other.invocations;
+    invoked_minutes += other.invoked_minutes;
+    cold_starts += other.cold_starts;
+    loaded_minutes += other.loaded_minutes;
+    wasted_minutes += other.wasted_minutes;
+    return *this;
+  }
 
   /// \brief Function-wise cold-start rate: cold starts / invocations.
   ///
@@ -106,8 +117,9 @@ struct SimulationOutcome {
 
 /// \brief Checks the accounting identities every run must satisfy, on any
 /// engine path and under any policy:
-///  - per function, cold starts <= invoked minutes and wasted minutes <=
-///    loaded minutes;
+///  - per function, cold starts <= invoked minutes, and wasted minutes +
+///    invoked minutes == loaded minutes (executions pin, so every invoked
+///    minute is a loaded one and the rest are waste);
 ///  - the memory series sums to the loaded instance-minutes, which equal
 ///    the sum of the per-function loaded minutes;
 ///  - the per-function cold starts, wasted minutes and invocations sum to

@@ -6,18 +6,15 @@
 
 namespace spes {
 
-ArrivalDecoder::ArrivalDecoder(TraceSource* source, int block_minutes)
-    : source_(source), block_minutes_(std::max(block_minutes, 1)) {}
-
 std::span<const Invocation> ArrivalDecoder::Decode(int t) {
   assert(source_ != nullptr && "ArrivalDecoder used before construction");
   assert(t >= 0 && t < source_->num_minutes());
   if (!status_.ok()) return {};
   if (t < block_start_ || t >= block_end_) {
-    // Blocks are aligned to multiples of block_minutes_ so repeated seeks
+    // Blocks are aligned to multiples of kBlockMinutes so repeated seeks
     // land on a stable grid — and so file-backed sources with the same
     // block size serve each decode from exactly one stored block.
-    status_ = DecodeBlock(t - t % block_minutes_);
+    status_ = DecodeBlock(t - t % kBlockMinutes);
     if (!status_.ok()) {
       block_end_ = block_start_;  // nothing decoded
       return {};
@@ -30,7 +27,7 @@ std::span<const Invocation> ArrivalDecoder::Decode(int t) {
 
 Status ArrivalDecoder::DecodeBlock(int block_start) {
   block_start_ = block_start;
-  block_end_ = std::min(block_start + block_minutes_, source_->num_minutes());
+  block_end_ = std::min(block_start + kBlockMinutes, source_->num_minutes());
   SPES_RETURN_NOT_OK(
       source_->FillArrivals(block_start_, block_end_, &buckets_));
   ++blocks_decoded_;
@@ -46,7 +43,6 @@ void LaneColumns::Reset(size_t num_functions) {
   invoked_minutes.assign(num_functions, 0);
   cold_starts.assign(num_functions, 0);
   loaded_minutes.assign(num_functions, 0);
-  invoked_loaded_minutes.assign(num_functions, 0);
   loaded_since.assign(num_functions, 0);
   prev_words.assign((num_functions + 63) / 64, 0);
 }
@@ -89,7 +85,7 @@ void LaneColumns::Materialize(int cursor, const MemSet& mem,
       loaded += static_cast<uint64_t>(cursor - loaded_since[f]);
     }
     acc.loaded_minutes = loaded;
-    acc.wasted_minutes = loaded - invoked_loaded_minutes[f];
+    acc.wasted_minutes = loaded - invoked_minutes[f];
   }
 }
 
@@ -103,7 +99,6 @@ void LaneColumns::LoadFrom(const std::vector<FunctionAccount>& accounts,
     invoked_minutes[f] = acc.invoked_minutes;
     cold_starts[f] = acc.cold_starts;
     loaded_minutes[f] = acc.loaded_minutes;
-    invoked_loaded_minutes[f] = acc.loaded_minutes - acc.wasted_minutes;
   }
   const std::vector<uint64_t>& words = mem.words();
   for (size_t w = 0; w < words.size(); ++w) {

@@ -42,10 +42,10 @@ namespace spes {
 /// \brief Batched minute-major arrival decode over any TraceSource.
 ///
 /// Decode(t) returns minute t's arrivals in ascending function order. The
-/// decoder pulls the source in aligned blocks of `block_minutes` (block k
-/// covers minutes [k*block_minutes, (k+1)*block_minutes)), visiting each
+/// decoder pulls the source in aligned blocks of kBlockMinutes (block k
+/// covers minutes [k*kBlockMinutes, (k+1)*kBlockMinutes)), visiting each
 /// function's counts once per block, so the amortized per-minute cost is
-/// O(n / block_minutes + arrivals) instead of the O(n) pointer-chasing
+/// O(n / kBlockMinutes + arrivals) instead of the O(n) pointer-chasing
 /// scan the seed engine did. Over an in-memory trace that is the
 /// sequential transpose it always was; over a packed trace file
 /// (trace/trace_file.h) the aligned block grid coincides with the file's
@@ -53,12 +53,13 @@ namespace spes {
 /// per pass.
 class ArrivalDecoder {
  public:
-  static constexpr int kDefaultBlockMinutes = 256;
+  /// Minutes per transposed block; matches the default block size of a
+  /// packed trace file (TraceFileOptions::block_minutes).
+  static constexpr int kBlockMinutes = 256;
 
   /// \brief Decodes a borrowed source, which must outlive the decoder (a
   /// realized Trace goes through an InMemoryTraceSource).
-  explicit ArrivalDecoder(TraceSource* source,
-                          int block_minutes = kDefaultBlockMinutes);
+  explicit ArrivalDecoder(TraceSource* source) : source_(source) {}
 
   /// \brief Arrivals of absolute minute `t` (ascending function id). The
   /// span is valid until the next Decode() call. Decoding a minute outside
@@ -86,7 +87,6 @@ class ArrivalDecoder {
 
   TraceSource* source_ = nullptr;
   Status status_;
-  int block_minutes_ = kDefaultBlockMinutes;
   int block_start_ = 0;
   int block_end_ = 0;  ///< decoded minutes are [block_start_, block_end_)
   uint64_t blocks_decoded_ = 0;
@@ -108,16 +108,16 @@ class ArrivalDecoder {
 ///     minutes on top of `loaded_minutes[f]`.
 ///   * `prev_words` mirrors the MemSet words as of the last
 ///     AccrueResidency() call.
-///   * wasted minutes are derived, never stored:
-///     wasted = total loaded minutes - invoked_loaded_minutes.
+///   * wasted minutes are derived, never stored: executions pin (an
+///     invoked function is loaded at its arrival minute's sample), so
+///     every invoked minute is a loaded minute and
+///     wasted = total loaded minutes - invoked_minutes.
 struct LaneColumns {
   std::vector<uint64_t> invocations;
   std::vector<uint64_t> invoked_minutes;
   std::vector<uint64_t> cold_starts;
   /// Loaded minutes from closed residency intervals only.
   std::vector<uint64_t> loaded_minutes;
-  /// Residency samples at which the function was loaded AND invoked.
-  std::vector<uint64_t> invoked_loaded_minutes;
   /// Start sample of the open residency interval (iff currently loaded).
   std::vector<int32_t> loaded_since;
   /// MemSet words at the previous residency sample.
@@ -139,7 +139,9 @@ struct LaneColumns {
 
   /// \brief Inverse of Materialize(): reloads the columns from a
   /// checkpoint's accounts and membership, positioned at engine cursor
-  /// `cursor`. Open intervals restart at `cursor`.
+  /// `cursor`. Open intervals restart at `cursor`. The accounts' wasted
+  /// minutes are not read (EngineLane::CheckShape() has checked that they
+  /// are the derived value).
   void LoadFrom(const std::vector<FunctionAccount>& accounts,
                 const MemSet& mem, int cursor);
 };

@@ -1,9 +1,9 @@
 // The trace-driven simulation engine.
 //
 // Follows the simulation principles of §V-A (inherited from Shahrad et al.):
-// every execution completes within its arrival minute, cold-start latency is
-// uniform, memory is uncapped (one node holds all instances), and each
-// function instance consumes one memory unit. Under these principles the
+// every execution completes within (and occupies memory for) its arrival
+// minute, cold-start latency is uniform, memory is uncapped (one node holds
+// all instances), and each function instance consumes one memory unit. The
 // engine only needs to track, per minute, which instances are loaded, which
 // functions arrive, and how long the policy's step takes.
 
@@ -22,17 +22,15 @@ namespace spes {
 
 class RunRecorder;  // obs/recorder.h
 
-/// \brief Engine knobs.
+/// \brief Engine knobs. Executions always pin: whatever the policy (or a
+/// capped cluster node) decides, an arriving function stays loaded through
+/// its arrival minute, so wasted minutes = loaded - invoked minutes.
 struct SimOptions {
   /// First simulated minute; the policy trains on [0, train_minutes).
   int train_minutes = 12 * kMinutesPerDay;
   /// One past the last simulated minute; 0 means the trace horizon, and
   /// values beyond the horizon are clamped to it.
   int end_minute = 0;
-  /// When true (default), the engine re-loads every arriving function after
-  /// the policy step: an instance that just executed occupies memory at
-  /// least through its arrival minute, whatever the policy decided.
-  bool pin_executing_functions = true;
   /// Opt-in latency subsystem (latency/latency.h): when set, every lane
   /// (or cluster node) samples per-request service times, runs them
   /// through its concurrency queue and reports SLO metrics. When unset
@@ -64,7 +62,8 @@ Status ValidateSimOptions(const SimOptions& options);
 /// Per simulated minute t:
 ///   1. every arriving function not in memory records a cold start;
 ///   2. arriving functions are loaded (execution occupies memory);
-///   3. the policy's OnMinute mutates the MemSet (timed for RQ2 overhead);
+///   3. the policy's OnMinute mutates the MemSet (timed for RQ2 overhead),
+///      then every arriving function is re-loaded (executions pin);
 ///   4. residency/waste/memory counters are updated.
 ///
 /// Deterministic given (trace, policy behaviour); only the overhead

@@ -55,7 +55,6 @@ EngineLane::EngineLane(size_t index, Policy* policy, size_t num_functions,
                        const SimOptions& options, int end_minute)
     : index_(index),
       policy_(policy),
-      pin_executing_functions_(options.pin_executing_functions),
       recorder_(options.recorder),
       recorder_slot_(options.recorder_slot),
       start_(options.train_minutes),
@@ -113,30 +112,23 @@ void EngineLane::Admit(int t, const std::vector<Invocation>& arrivals) {
   policy_->OnMinute(t, arrivals, &mem_);
   overhead_seconds_ += MonotonicSeconds() - start;
 
-  if (pin_executing_functions_) {
-    for (const Invocation& inv : arrivals) mem_.Add(inv.function);
-  }
+  // Executions pin: whatever the policy decided, an instance that executed
+  // occupies memory through its arrival minute.
+  for (const Invocation& inv : arrivals) mem_.Add(inv.function);
 }
 
 bool EngineLane::Accrue(int t, const std::vector<Invocation>& arrivals,
                         const std::vector<SimObserver*>& observers) {
   // 4. Residency accounting: a word-at-a-time bitset diff opens/closes
-  // residency intervals, live totals come from the maintained popcount,
-  // and the wasted count follows from the arrivals that are loaded at
-  // this sample. An instance is idle unless its function arrived on
-  // *this* lane this minute (a warm copy left on another cluster node is
-  // pure waste).
+  // residency intervals and live totals come from the maintained popcount.
+  // Every arrival is pinned (one per function), so all loaded instances
+  // but the arrivals are idle. An instance is idle unless its function
+  // arrived on *this* lane this minute (a warm copy left on another
+  // cluster node is pure waste).
   cols_.AccrueResidency(t, mem_);
   const uint64_t live = mem_.Count();
   totals_.loaded_instance_minutes += live;
-  uint64_t invoked_loaded_now = 0;
-  for (const Invocation& inv : arrivals) {
-    if (mem_.Contains(inv.function)) {
-      cols_.invoked_loaded_minutes[inv.function] += 1;
-      ++invoked_loaded_now;
-    }
-  }
-  totals_.wasted_memory_minutes += live - invoked_loaded_now;
+  totals_.wasted_memory_minutes += live - arrivals.size();
   memory_series_.push_back(static_cast<uint32_t>(live));
 
   FeedLatency(t, arrivals);
@@ -242,6 +234,17 @@ Status EngineLane::CheckShape(const LaneCheckpoint& in,
         where + " is sized for (=" + std::to_string(in.accounts.size()) +
         ") functions, expected (=" + std::to_string(n) + ")");
   }
+  // Executions pin, so Load() derives the waste from loaded and invoked
+  // minutes; a record that disagrees is corrupt.
+  for (size_t f = 0; f < n; ++f) {
+    const FunctionAccount& acc = in.accounts[f];
+    if (acc.invoked_minutes > acc.loaded_minutes ||
+        acc.wasted_minutes != acc.loaded_minutes - acc.invoked_minutes) {
+      return Status::InvalidArgument(
+          where + " function (=" + std::to_string(f) +
+          ") has wasted_minutes != loaded_minutes - invoked_minutes");
+    }
+  }
   // Every lane — a dark cluster node too — pushes one series entry per
   // simulated minute, so the length pins the cursor.
   const size_t expected_series = static_cast<size_t>(cursor - start_);
@@ -287,7 +290,7 @@ void WriteCheckpointWindow(BinaryWriter& w, const CheckpointWindow& c) {
   w.PutI32(c.cursor);
   w.PutI32(c.train_minutes);
   w.PutI32(c.end_minute);
-  w.PutBool(c.pin_executing_functions);
+  w.PutBool(true);  // executions pin
   w.PutU64(c.num_functions);
   w.PutBool(c.stopped);
 }
@@ -296,7 +299,12 @@ Status ReadCheckpointWindow(BinaryReader& r, CheckpointWindow* c) {
   SPES_ASSIGN_OR_RETURN(c->cursor, r.I32());
   SPES_ASSIGN_OR_RETURN(c->train_minutes, r.I32());
   SPES_ASSIGN_OR_RETURN(c->end_minute, r.I32());
-  SPES_ASSIGN_OR_RETURN(c->pin_executing_functions, r.Bool());
+  SPES_ASSIGN_OR_RETURN(const bool pinned, r.Bool());
+  if (!pinned) {
+    return Status::InvalidArgument(
+        "checkpoint execution pin flag (=false) is unsupported: executions "
+        "always pin");
+  }
   SPES_ASSIGN_OR_RETURN(c->num_functions, r.U64());
   SPES_ASSIGN_OR_RETURN(c->stopped, r.Bool());
   return Status::OK();
@@ -457,7 +465,6 @@ Status SessionCore::BeginCheckpoint(CheckpointWindow* c) const {
   c->cursor = cursor_;
   c->train_minutes = options_.train_minutes;
   c->end_minute = end_;
-  c->pin_executing_functions = options_.pin_executing_functions;
   c->num_functions = source_->num_functions();
   c->stopped = stopped_;
   return Status::OK();
@@ -488,12 +495,6 @@ Status SessionCore::BeginRestore(const CheckpointWindow& c,
         "checkpoint end_minute (=" + std::to_string(c.end_minute) +
         ") does not match this " + owner + " (=" + std::to_string(end_) +
         ")");
-  }
-  if (c.pin_executing_functions != options_.pin_executing_functions) {
-    return Status::InvalidArgument(
-        "checkpoint pin_executing_functions (=" +
-        std::string(c.pin_executing_functions ? "true" : "false") +
-        ") does not match this " + owner);
   }
   if (c.cursor < start_ || c.cursor > end_) {
     return Status::InvalidArgument(

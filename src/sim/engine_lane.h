@@ -74,7 +74,6 @@ struct CheckpointWindow {
   /// The window the session was created with.
   int train_minutes = 0;
   int end_minute = 0;  ///< resolved end (never 0 unless the window is empty)
-  bool pin_executing_functions = true;
   uint64_t num_functions = 0;
   bool stopped = false;  ///< an early stop was requested before the snapshot
 };
@@ -97,7 +96,8 @@ struct LaneCheckpoint {
 /// \name Checkpoint codec helpers shared by SPESCKPT and SPESCLCK
 /// @{
 
-/// \brief Cursor, window, pinning, fleet size and stop flag.
+/// \brief Cursor, window, fleet size and stop flag, plus a legacy execution
+/// pin byte that is always written as 1 and rejected when 0.
 void WriteCheckpointWindow(BinaryWriter& w, const CheckpointWindow& c);
 Status ReadCheckpointWindow(BinaryReader& r, CheckpointWindow* c);
 
@@ -162,8 +162,8 @@ class EngineLane {
 
   /// \brief Restore-time shape checks of one record against this lane:
   /// policy name, fleet size, series length for `cursor`, and latency
-  /// presence. `where` names the record ("checkpoint lane 2"), `owner`
-  /// the session kind ("stream").
+  /// presence, wasted == loaded - invoked minutes. `where` names the
+  /// record ("checkpoint lane 2"), `owner` the session kind ("stream").
   Status CheckShape(const LaneCheckpoint& in, const std::string& where,
                     const char* owner, int cursor) const;
 
@@ -186,7 +186,6 @@ class EngineLane {
 
   size_t index_;
   Policy* policy_;
-  bool pin_executing_functions_;
   RunRecorder* recorder_;
   int recorder_slot_;
   int start_;
@@ -286,9 +285,8 @@ class SessionCore {
   Status BeginCheckpoint(CheckpointWindow* c) const;
 
   /// The Restore() preamble: refuses a consumed session, then checks that
-  /// `c` came from a session over the same fleet size, window and pinning
-  /// as this one, with its cursor inside the window and `num_records`
-  /// lane records. The session adds its per-lane checks and loads, then
+  /// `c` came from a session over the same fleet size and window as this
+  /// one, with its cursor inside the window and `num_records` lane records. The session adds its per-lane checks and loads, then
   /// calls EndRestore().
   Status BeginRestore(const CheckpointWindow& c, size_t num_records) const;
 

@@ -64,9 +64,7 @@ Result<SimulationOutcome> SimulateReference(const Trace& trace,
     policy->OnMinute(t, arrivals, &mem);
     overhead_seconds += MonotonicSeconds() - start;
 
-    if (options.pin_executing_functions) {
-      for (const Invocation& inv : arrivals) mem.Add(inv.function);
-    }
+    for (const Invocation& inv : arrivals) mem.Add(inv.function);
 
     // 4. Residency accounting: one membership probe per function.
     for (size_t f = 0; f < n; ++f) {

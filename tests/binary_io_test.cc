@@ -147,7 +147,7 @@ TEST(BinaryIoTest, HostileCheckpointLaneCountIsRejected) {
   w.PutI32(0);                      // cursor
   w.PutI32(0);                      // train_minutes
   w.PutI32(0);                      // end_minute
-  w.PutBool(true);                  // pin_executing_functions
+  w.PutBool(true);                  // executions pin (always 1)
   w.PutU64(0);                      // num_functions
   w.PutBool(false);                 // stopped
   w.PutU64(std::numeric_limits<uint64_t>::max());  // lane count

@@ -10,8 +10,7 @@
 // membership must be exactly that set minus those victims, and the
 // per-node victim counts must sum to the session's pressure_evictions.
 // The runs cover a policy that never loads without an arrival
-// (fixed_keepalive) and one that prewarms (spes), pinning on and off,
-// capacities 1, 50 and 600, drain/add/fail events, and a restore from
+// (fixed_keepalive) and one that prewarms (spes), capacities 1, 50 and 600, drain/add/fail events, and a restore from
 // checkpoint bytes in the middle of the run (which rebuilds the index).
 
 #include <gtest/gtest.h>
@@ -50,9 +49,8 @@ const Trace& Fleet() {
 /// session's capacity eviction against ReferenceCapacityVictims().
 class EvictionReplay : public SimObserver {
  public:
-  EvictionReplay(const PolicySpec& policy, const ClusterSpec& cluster,
-                 bool pin)
-      : policy_(policy), cluster_(cluster), pin_(pin) {}
+  EvictionReplay(const PolicySpec& policy, const ClusterSpec& cluster)
+      : policy_(policy), cluster_(cluster) {}
 
   void OnStreamStart(const StreamInfo& info) override {
     if (!nodes_.empty()) return;  // a restored session resumes the replay
@@ -90,15 +88,13 @@ class EvictionReplay : public SimObserver {
     }
     const std::vector<uint64_t> before_policy = mem.words();
     node.policy->OnMinute(t, *view.arrivals, &mem);
-    if (pin_) {
-      for (const Invocation& inv : *view.arrivals) mem.Add(inv.function);
-    }
+    for (const Invocation& inv : *view.arrivals) mem.Add(inv.function);
     for (size_t w = 0; w < before_policy.size(); ++w) {
       prewarms_ += std::popcount(mem.words()[w] & ~before_policy[w]);
     }
     if (node.capacity > 0) {
       const std::vector<uint32_t> victims = ReferenceCapacityVictims(
-          mem, node.last_used, t, pin_, static_cast<size_t>(node.capacity));
+          mem, node.last_used, t, static_cast<size_t>(node.capacity));
       for (uint32_t f : victims) mem.Remove(f);
       node.victims += victims.size();
     }
@@ -136,7 +132,6 @@ class EvictionReplay : public SimObserver {
 
   PolicySpec policy_;
   ClusterSpec cluster_;
-  bool pin_;
   std::vector<Node> nodes_;
   uint64_t mismatches_ = 0;
   std::string first_mismatch_;
@@ -146,14 +141,13 @@ class EvictionReplay : public SimObserver {
 
 struct EvictionCase {
   const char* policy;
-  bool pin;
   int capacity;
   bool restore;  ///< checkpoint to bytes mid-run and resume a new session
 };
 
 std::string CaseName(const EvictionCase& c) {
-  return std::string(c.policy) + (c.pin ? " pin" : " no-pin") + " cap " +
-         std::to_string(c.capacity) + (c.restore ? " restored" : "");
+  return std::string(c.policy) + " cap " + std::to_string(c.capacity) +
+         (c.restore ? " restored" : "");
 }
 
 void RunCase(const EvictionCase& c) {
@@ -172,9 +166,8 @@ void RunCase(const EvictionCase& c) {
   const PolicySpec policy = ParsePolicySpec(c.policy).ValueOrDie();
   SimOptions options;
   options.train_minutes = kTrainMinutes;
-  options.pin_executing_functions = c.pin;
 
-  EvictionReplay replay(policy, cluster, c.pin);
+  EvictionReplay replay(policy, cluster);
   ClusterSession session =
       ClusterSession::Create(Fleet(), cluster, policy, options).ValueOrDie();
   session.AddObserver(&replay);
@@ -219,27 +212,15 @@ constexpr char kKeepalive[] = "fixed_keepalive{minutes=720}";
 
 TEST(ClusterEvictionDiffTest, PinnedKeepaliveMatchesTheReferenceAcrossRestore) {
   for (const int capacity : {1, 50, 600}) {
-    RunCase({kKeepalive, /*pin=*/true, capacity, /*restore=*/true});
+    RunCase({kKeepalive, capacity, /*restore=*/true});
   }
 }
 
-TEST(ClusterEvictionDiffTest,
-     UnpinnedKeepaliveMatchesTheReferenceAcrossRestore) {
-  for (const int capacity : {1, 50, 600}) {
-    RunCase({kKeepalive, /*pin=*/false, capacity, /*restore=*/true});
-  }
-}
-
-// SPES cannot checkpoint, and trains slowly enough that its runs split
-// the capacities between the pinning modes.
+// SPES trains slowly, so its runs skip the mid-run restore.
 TEST(ClusterEvictionDiffTest, PinnedSpesPrewarmsMatchTheReference) {
-  for (const int capacity : {1, 600}) {
-    RunCase({"spes", /*pin=*/true, capacity, /*restore=*/false});
+  for (const int capacity : {1, 50, 600}) {
+    RunCase({"spes", capacity, /*restore=*/false});
   }
-}
-
-TEST(ClusterEvictionDiffTest, UnpinnedSpesPrewarmsMatchTheReference) {
-  RunCase({"spes", /*pin=*/false, 50, /*restore=*/false});
 }
 
 }  // namespace

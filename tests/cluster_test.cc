@@ -469,7 +469,7 @@ TEST(ClusterSessionTest, SharedDecodeAndObserverLanes) {
       ClusterSession::Create(
           trace, ClusterSpec{2, 0, {"least_loaded", {}}, {}},
           ParsePolicySpec("fixed_keepalive{minutes=10}").ValueOrDie(),
-          SimOptions{0, 0, true, {}})
+          SimOptions{0, 0, {}})
           .ValueOrDie();
   TimeSeriesObserver series;
   size_t minute_views = 0;
@@ -496,7 +496,7 @@ TEST(ClusterSessionTest, ObserverEarlyStopHaltsTheSession) {
       ClusterSession::Create(
           trace, ClusterSpec{},
           ParsePolicySpec("fixed_keepalive{minutes=10}").ValueOrDie(),
-          SimOptions{0, 0, true, {}})
+          SimOptions{0, 0, {}})
           .ValueOrDie();
   CallbackObserver stopper(
       [](const MinuteView& view) { return view.minute < 10; });
@@ -512,7 +512,7 @@ TEST(ClusterSessionTest, EarlyStopSignalsCancelledLikeSimStream) {
       ClusterSession::Create(
           trace, ClusterSpec{},
           ParsePolicySpec("fixed_keepalive{minutes=10}").ValueOrDie(),
-          SimOptions{0, 0, true, {}})
+          SimOptions{0, 0, {}})
           .ValueOrDie();
   CallbackObserver stopper(
       [](const MinuteView& view) { return view.minute < 5; });

@@ -6,6 +6,7 @@
 
 #include "policies/fixed_keepalive.h"
 #include "policies/oracle.h"
+#include "sim/accounting.h"
 #include "tests/make_trace.h"
 
 namespace spes {
@@ -39,7 +40,7 @@ class KeepAllPolicy : public Policy {
 
 TEST(EngineTest, RejectsNullPolicy) {
   Trace trace = MakeTrace({{1, 0, 1}});
-  EXPECT_FALSE(Simulate(trace, nullptr, SimOptions{0, 0, true, {}}).ok());
+  EXPECT_FALSE(Simulate(trace, nullptr, SimOptions{0, 0, {}}).ok());
 }
 
 TEST(EngineTest, RejectsBadWindow) {
@@ -121,6 +122,28 @@ TEST(EngineTest, ExecutionPinsInstanceForItsMinute) {
   const FunctionAccount& acc = outcome.ValueOrDie().accounts[0];
   EXPECT_EQ(acc.loaded_minutes, 2u);
   EXPECT_EQ(acc.wasted_minutes, 0u);
+}
+
+TEST(EngineTest, InvariantsRequireWastePlusInvokedToEqualLoaded) {
+  Trace trace = MakeTrace({{1, 0, 0, 1, 0, 0}, {0, 1, 1, 0, 0, 1}});
+  FixedKeepAlivePolicy policy(2);
+  SimOptions options;
+  options.train_minutes = 0;
+  SimulationOutcome outcome = Simulate(trace, &policy, options).ValueOrDie();
+  ASSERT_TRUE(CheckOutcomeInvariants(outcome).ok());
+
+  // One wasted minute fewer, in the account and the fleet sum alike: the
+  // sums still agree and waste stays below the loaded minutes, but an
+  // idle loaded minute is no longer counted anywhere.
+  FunctionAccount& acc = outcome.accounts[0];
+  ASSERT_GT(acc.wasted_minutes, 0u);
+  acc.wasted_minutes -= 1;
+  outcome.metrics.wasted_memory_minutes -= 1;
+  const Status status = CheckOutcomeInvariants(outcome);
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_NE(status.message().find("function (=0) has wasted"),
+            std::string::npos)
+      << status.message();
 }
 
 TEST(EngineTest, KeepAllWarmAfterFirstMinute) {
@@ -241,23 +264,6 @@ TEST(EngineTest, EndMinuteBeyondHorizonIsClampedToIt) {
             full_outcome.ValueOrDie().memory_series);
   EXPECT_EQ(outcome.ValueOrDie().accounts[0].cold_starts,
             full_outcome.ValueOrDie().accounts[0].cold_starts);
-}
-
-TEST(EngineTest, UnpinnedExecutionLetsThePolicyEvictArrivals) {
-  // Without pinning, EvictAll empties memory every minute, so even the
-  // back-to-back t=1 arrival is cold and no minute counts as loaded.
-  Trace trace = MakeTrace({{1, 1, 0, 2, 0, 1}});
-  EvictAllPolicy policy;
-  SimOptions options;
-  options.train_minutes = 0;
-  options.pin_executing_functions = false;
-  const auto outcome = Simulate(trace, &policy, options);
-  ASSERT_TRUE(outcome.ok());
-  const FunctionAccount& acc = outcome.ValueOrDie().accounts[0];
-  EXPECT_EQ(acc.invocations, 5u);
-  EXPECT_EQ(acc.cold_starts, 4u);  // t=0, 1, 3, 5
-  EXPECT_EQ(acc.loaded_minutes, 0u);
-  EXPECT_EQ(acc.wasted_minutes, 0u);
 }
 
 TEST(EngineTest, EmptyTraceSimulatesToZeroedMetrics) {

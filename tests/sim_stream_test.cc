@@ -417,6 +417,57 @@ TEST(SimStreamTest, ParseCheckpointRejectsCorruptBytes) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(SimStreamTest, ParseCheckpointRejectsAnUnpinnedWindow) {
+  Trace trace = MakeTrace({{1, 0, 1}});
+  FixedKeepAlivePolicy policy(2);
+  SimStream stream =
+      SimStream::Create(trace, &policy, Window(0)).ValueOrDie();
+  EXPECT_TRUE(stream.Step().ok());
+  std::string bytes = SerializeCheckpoint(stream.Checkpoint().ValueOrDie());
+  // The execution pin byte follows the magic (an 8-byte length and
+  // "SPESCKPT"), the version and cursor/train_minutes/end_minute.
+  constexpr size_t kPinByte = 8 + 8 + 4 + 3 * 4;
+  ASSERT_EQ(bytes[kPinByte], '\x01');
+  bytes[kPinByte] = '\x00';
+  const Status status = ParseCheckpoint(bytes).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("execution pin flag (=false)"),
+            std::string::npos)
+      << status.message();
+}
+
+TEST(SimStreamTest, RestoreRejectsAccountsBreakingTheWasteIdentity) {
+  Trace trace = MakeTrace({{1, 1, 0, 2, 0, 1}});
+  FixedKeepAlivePolicy policy(2);
+  SimStream stream =
+      SimStream::Create(trace, &policy, Window(0)).ValueOrDie();
+  EXPECT_TRUE(stream.RunUntil(4).ok());
+  const SimCheckpoint checkpoint = stream.Checkpoint().ValueOrDie();
+  const FunctionAccount& acc = checkpoint.lanes[0].accounts[0];
+  ASSERT_EQ(acc.wasted_minutes + acc.invoked_minutes, acc.loaded_minutes);
+
+  // More waste than idle loaded minutes, and more invoked than loaded
+  // minutes (a derived waste would underflow).
+  SimCheckpoint extra_waste = checkpoint;
+  extra_waste.lanes[0].accounts[0].wasted_minutes += 1;
+  SimCheckpoint extra_invoked = checkpoint;
+  extra_invoked.lanes[0].accounts[0].invoked_minutes =
+      acc.loaded_minutes + 1;
+  for (const SimCheckpoint* tampered : {&extra_waste, &extra_invoked}) {
+    FixedKeepAlivePolicy fresh(2);
+    SimStream other =
+        SimStream::Create(trace, &fresh, Window(0)).ValueOrDie();
+    const Status status =
+        other.Restore(ParseCheckpoint(SerializeCheckpoint(*tampered))
+                          .ValueOrDie());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("checkpoint lane 0 function (=0)"),
+              std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("wasted_minutes"), std::string::npos);
+  }
+}
+
 TEST(SimStreamTest, RestoreValidatesShapeAndLineup) {
   Trace trace = MakeTrace({{1, 1, 0, 2, 0, 1}});
   FixedKeepAlivePolicy policy(2);

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/policy_registry.h"
 #include "policies/fixed_keepalive.h"
 #include "sim/engine.h"
 #include "trace/generator.h"
 #include "tests/make_trace.h"
+#include "tests/same_outcome.h"
 
 namespace spes {
 namespace {
@@ -335,6 +342,39 @@ TEST(SpesPolicyTest, GivenupScalerIncreasesMemoryAndCutsColdStarts) {
             o1.ValueOrDie().metrics.average_memory);
   EXPECT_LE(o4.ValueOrDie().metrics.total_cold_starts,
             o1.ValueOrDie().metrics.total_cold_starts);
+}
+
+TEST(SpesPolicyTest, GivenUpThresholdSaturatesInsteadOfOverflowing) {
+  SpesConfig config;
+  config.givenup_scaler = std::numeric_limits<int>::max();
+  EXPECT_EQ(config.ScaledGivenUp(2), std::numeric_limits<int>::max());
+  EXPECT_EQ(config.ScaledGivenUp(0), 0);
+  config.givenup_scaler = 1000000;
+  EXPECT_EQ(config.ScaledGivenUp(2), 2000000);
+
+  // Both specs lie inside the declared domains, and both thresholds lie
+  // far past the 4-day horizon: neither run ever gives up, so the two
+  // must simulate the same.
+  GeneratorConfig gen;
+  gen.num_functions = 300;
+  gen.days = 4;
+  gen.seed = 99;
+  const Trace trace = std::move(GenerateTrace(gen).ValueOrDie().trace);
+  SimOptions options;
+  options.train_minutes = 3 * kMinutesPerDay;
+  std::vector<SimulationOutcome> outcomes;
+  for (const char* scaler : {"2147483647", "1000000"}) {
+    const PolicySpec spec =
+        ParsePolicySpec(std::string("spes{theta_givenup_default=2,"
+                                    "theta_givenup_dense=2,"
+                                    "theta_givenup_pulsed=2,givenup_scaler=") +
+                        scaler + "}")
+            .ValueOrDie();
+    std::unique_ptr<Policy> policy =
+        PolicyRegistry::Global().Create(spec).ValueOrDie();
+    outcomes.push_back(Simulate(trace, policy.get(), options).ValueOrDie());
+  }
+  ExpectSameOutcome(outcomes[0], outcomes[1]);
 }
 
 class PrewarmSweepTest : public ::testing::TestWithParam<int> {};

@@ -6,6 +6,11 @@ Reads two google-benchmark JSON files — the committed trajectory artifact
 items_per_second of any gated benchmark drops more than --tolerance
 (default 20%) below the committed value.
 
+The fresh run must come from a Release build of this project: its
+context must carry spes_build_type "Release" (bench_micro_hotpaths records
+CMAKE_BUILD_TYPE there; google-benchmark's own library_build_type only
+says how the benchmark library was compiled).
+
 Also enforces three machine-independent invariants inside the fresh run
 itself (each compares two measurements from the same process on the same
 machine, so they hold on any runner class):
@@ -35,10 +40,13 @@ import json
 import sys
 
 
-def load_items_per_second(path):
-    """Returns {benchmark name: items_per_second} for aggregate-free runs."""
+def load_doc(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        return json.load(fh)
+
+
+def items_per_second(doc):
+    """Returns {benchmark name: items_per_second} for aggregate-free runs."""
     result = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type", "iteration") != "iteration":
@@ -84,9 +92,17 @@ def main():
     gates = args.gate or ["BM_SimKernelColumnar"]
 
     baseline = ({} if args.baseline == "-"
-                else load_items_per_second(args.baseline))
-    fresh = load_items_per_second(args.fresh)
+                else items_per_second(load_doc(args.baseline)))
+    fresh_doc = load_doc(args.fresh)
+    fresh = items_per_second(fresh_doc)
     failures = []
+
+    build_type = fresh_doc.get("context", {}).get("spes_build_type")
+    print(f"fresh run spes_build_type: {build_type}")
+    if build_type != "Release":
+        failures.append(f"the fresh run's spes_build_type is {build_type!r}, "
+                        f"not 'Release' (configure with "
+                        f"-DCMAKE_BUILD_TYPE=Release)")
 
     for name, base_ips in sorted(baseline.items()):
         if not any(name.startswith(g) for g in gates):
