@@ -482,7 +482,6 @@ Status ClusterSession::StepLocked() {
     if (serving.capacity > 0) serving.lru.Touch(t, f);
   }
 
-  bool stop_requested = false;
   for (Node& node : nodes_) {
     if (!NodeLive(node)) {
       // Nothing routes here, but the series keeps one entry per minute
@@ -494,12 +493,18 @@ Status ClusterSession::StepLocked() {
     // the capacity shed between the policy step and the residency sample.
     node.lane.Admit(t, node.arrivals);
     EnforceCapacity(&node, t);
-    if (!node.lane.Accrue(t, node.arrivals, observers_)) {
+    node.lane.Accrue(t, node.arrivals);
+  }
+  ++cursor_;
+
+  // Minute t is committed on every node: only now do observers see it.
+  bool stop_requested = false;
+  for (Node& node : nodes_) {
+    if (NodeLive(node) &&
+        !node.lane.Publish(t, node.arrivals, observers_)) {
       stop_requested = true;
     }
   }
-
-  ++cursor_;
   if (stop_requested) stopped_ = true;
   return Status::OK();
 }
@@ -528,7 +533,7 @@ Result<ClusterOutcome> ClusterSession::Finish() {
     Node& node = nodes_[k];
     NodeOutcome out;
     out.node = static_cast<int>(k);
-    out.sim = node.lane.TakeOutcome(cursor_);
+    out.sim = node.lane.TakeOutcome();
     for (size_t f = 0; f < n; ++f) fleet_accounts[f] += out.sim.accounts[f];
     const std::vector<uint32_t>& series = out.sim.memory_series;
     if (fleet_series.size() < series.size()) {
@@ -587,7 +592,7 @@ Result<ClusterCheckpoint> ClusterSession::Checkpoint() const {
   checkpoint.nodes.reserve(nodes_.size());
   for (const Node& node : nodes_) {
     ClusterCheckpoint::Node out;
-    SPES_RETURN_NOT_OK(node.lane.Save(cursor_, &out));
+    SPES_RETURN_NOT_OK(node.lane.Save(&out));
     out.state = static_cast<uint8_t>(node.state);
     out.capacity = node.capacity;
     out.last_used = node.last_used;

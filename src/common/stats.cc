@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <map>
 
 #include "common/binary_io.h"
@@ -30,17 +31,6 @@ double StdDevImpl(const std::vector<T>& xs) {
   return std::sqrt(acc / static_cast<double>(xs.size()));
 }
 
-double PercentileSorted(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  if (p <= 0.0) return sorted.front();
-  if (p >= 100.0) return sorted.back();
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
-}
-
 }  // namespace
 
 double Mean(const std::vector<double>& xs) { return MeanImpl(xs); }
@@ -55,14 +45,25 @@ double CoefficientOfVariation(const std::vector<int64_t>& xs) {
 }
 
 double Percentile(std::vector<double> xs, double p) {
-  std::sort(xs.begin(), xs.end());
-  return PercentileSorted(xs, p);
+  // Linear interpolation between the samples at ranks lo and lo + 1 of
+  // the sorted input (or one end). Selecting those two ranks gives the
+  // values a full sort would, so the result is the same double.
+  if (xs.empty()) return 0.0;
+  if (p <= 0.0) return *std::min_element(xs.begin(), xs.end());
+  if (p >= 100.0) return *std::max_element(xs.begin(), xs.end());
+  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  if (lo + 1 >= xs.size()) return *std::max_element(xs.begin(), xs.end());
+  const auto at_lo = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), at_lo, xs.end());
+  const double below = *at_lo;
+  const double above = *std::min_element(at_lo + 1, xs.end());
+  return below + frac * (above - below);
 }
 
 double Percentile(std::vector<int64_t> xs, double p) {
-  std::vector<double> ds(xs.begin(), xs.end());
-  std::sort(ds.begin(), ds.end());
-  return PercentileSorted(ds, p);
+  return Percentile(std::vector<double>(xs.begin(), xs.end()), p);
 }
 
 double Quantile(std::vector<double> xs, double q) {
@@ -193,6 +194,17 @@ Result<FixedBucketHistogram> FixedBucketHistogram::ParseFrom(
   return histogram;
 }
 
+namespace {
+
+/// Mode order: descending count, ties by ascending value. Values within
+/// one multiset are distinct, so this is a strict total order.
+bool ModeBefore(const ModeEntry& a, const ModeEntry& b) {
+  if (a.count != b.count) return a.count > b.count;
+  return a.value < b.value;
+}
+
+}  // namespace
+
 std::vector<ModeEntry> TopModes(const std::vector<int64_t>& xs, int n) {
   if (n <= 0 || xs.empty()) return {};
   std::map<int64_t, int64_t> counts;
@@ -200,11 +212,7 @@ std::vector<ModeEntry> TopModes(const std::vector<int64_t>& xs, int n) {
   std::vector<ModeEntry> entries;
   entries.reserve(counts.size());
   for (const auto& [value, count] : counts) entries.push_back({value, count});
-  std::sort(entries.begin(), entries.end(),
-            [](const ModeEntry& a, const ModeEntry& b) {
-              if (a.count != b.count) return a.count > b.count;
-              return a.value < b.value;
-            });
+  std::sort(entries.begin(), entries.end(), ModeBefore);
   if (entries.size() > static_cast<size_t>(n)) entries.resize(n);
   return entries;
 }
@@ -216,6 +224,73 @@ std::vector<ModeEntry> RepeatedValues(const std::vector<int64_t>& xs) {
   for (const ModeEntry& m : modes) {
     if (m.count > 1) repeated.push_back(m);
   }
+  return repeated;
+}
+
+ValueCounts ValueCounts::FromValues(std::vector<int64_t> values) {
+  std::sort(values.begin(), values.end());
+  ValueCounts counts;
+  counts.size_ = values.size();
+  for (const int64_t v : values) {
+    if (counts.runs_.empty() || counts.runs_.back().value != v) {
+      counts.runs_.push_back({v, 0});
+    }
+    ++counts.runs_.back().count;
+  }
+  return counts;
+}
+
+void ValueCounts::Add(int64_t value) {
+  const auto it = std::lower_bound(
+      runs_.begin(), runs_.end(), value,
+      [](const ModeEntry& run, int64_t v) { return run.value < v; });
+  if (it != runs_.end() && it->value == value) {
+    ++it->count;
+  } else {
+    runs_.insert(it, {value, 1});
+  }
+  ++size_;
+}
+
+int64_t ValueCounts::ValueAtRank(size_t rank) const {
+  size_t below = 0;  // samples in the runs before `run`
+  for (const ModeEntry& run : runs_) {
+    below += static_cast<size_t>(run.count);
+    if (rank < below) return run.value;
+  }
+  return runs_.back().value;  // unreachable for rank < size()
+}
+
+double ValueCounts::Median() const {
+  // Percentile(xs, 50)'s arithmetic. It converts the samples to double
+  // before selecting; the conversion is monotone, so converting the two
+  // selected ranks gives the same operands.
+  if (size_ == 0) return 0.0;
+  const double rank = 50.0 / 100.0 * static_cast<double>(size_ - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  if (lo + 1 >= size_) return static_cast<double>(runs_.back().value);
+  const double below = static_cast<double>(ValueAtRank(lo));
+  const double above = static_cast<double>(ValueAtRank(lo + 1));
+  return below + frac * (above - below);
+}
+
+std::vector<ModeEntry> ValueCounts::TopModes(int n) const {
+  if (n <= 0 || runs_.empty()) return {};
+  std::vector<ModeEntry> modes = runs_;
+  const auto keep = modes.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                        modes.size(), static_cast<size_t>(n)));
+  std::partial_sort(modes.begin(), keep, modes.end(), ModeBefore);
+  modes.erase(keep, modes.end());
+  return modes;
+}
+
+std::vector<ModeEntry> ValueCounts::Repeated() const {
+  std::vector<ModeEntry> repeated;
+  for (const ModeEntry& run : runs_) {
+    if (run.count > 1) repeated.push_back(run);
+  }
+  std::sort(repeated.begin(), repeated.end(), ModeBefore);
   return repeated;
 }
 

@@ -155,6 +155,46 @@ std::vector<ModeEntry> TopModes(const std::vector<int64_t>& xs, int n);
 /// This is the predictive-value rule for SPES's "possible" type.
 std::vector<ModeEntry> RepeatedValues(const std::vector<int64_t>& xs);
 
+/// \brief A multiset of int64 samples kept as sorted (value, count) runs,
+/// updated one sample at a time.
+///
+/// Its queries return bitwise what the vector functions above return for
+/// the same samples: Median() == Median(xs), TopModes(n) == TopModes(xs, n)
+/// and Repeated() == RepeatedValues(xs). SPES keeps one per function so
+/// its online drift adjustment (S2) reads the WT history without
+/// re-sorting it. Add() costs a binary search plus, for a new value, an
+/// insert into the flat run vector; WTs are few and distinct values fewer,
+/// so the vector stays short.
+class ValueCounts {
+ public:
+  /// \brief The multiset of `values` (any order): sorted once and
+  /// run-length encoded, never inserted one by one.
+  static ValueCounts FromValues(std::vector<int64_t> values);
+
+  /// \brief Adds one sample.
+  void Add(int64_t value);
+
+  /// Number of samples (not of distinct values).
+  [[nodiscard]] size_t size() const { return size_; }
+  /// The runs, by ascending value; every count is positive.
+  [[nodiscard]] const std::vector<ModeEntry>& runs() const { return runs_; }
+
+  /// \brief Median with Percentile()'s linear interpolation; 0 when empty.
+  [[nodiscard]] double Median() const;
+  /// \brief The n most frequent values, by descending count, then
+  /// ascending value.
+  [[nodiscard]] std::vector<ModeEntry> TopModes(int n) const;
+  /// \brief Values that occur more than once, in TopModes() order.
+  [[nodiscard]] std::vector<ModeEntry> Repeated() const;
+
+ private:
+  /// The sample at 0-based `rank` (< size()) of the sorted multiset.
+  [[nodiscard]] int64_t ValueAtRank(size_t rank) const;
+
+  std::vector<ModeEntry> runs_;
+  size_t size_ = 0;
+};
+
 /// \brief Empirical CDF point: (value, fraction of samples <= value).
 struct CdfPoint {
   double value = 0.0;

@@ -335,7 +335,7 @@ void SpesPolicy::MaybeAdjustPredictiveValues(FunctionState* state) {
     case FunctionType::kRegular: {
       // S2: replace the median predictive value by the old/new mean when
       // the online median drifts beyond the offline dispersion.
-      const double online_median = Median(state->online_wts);
+      const double online_median = state->wt_counts.Median();
       if (!model.values.empty() &&
           std::abs(online_median - static_cast<double>(model.values[0])) >
               gate) {
@@ -350,7 +350,7 @@ void SpesPolicy::MaybeAdjustPredictiveValues(FunctionState* state) {
       // order of tightly clustered quasi-period modes is unstable between
       // the offline and online windows) and average only on genuine drift.
       const std::vector<ModeEntry> online_modes =
-          TopModes(state->online_wts, config_.appro_num_modes);
+          state->wt_counts.TopModes(config_.appro_num_modes);
       if (online_modes.empty()) return;
       for (int64_t& value : model.values) {
         int64_t nearest = online_modes.front().value;
@@ -368,7 +368,7 @@ void SpesPolicy::MaybeAdjustPredictiveValues(FunctionState* state) {
     }
     case FunctionType::kDense: {
       const std::vector<ModeEntry> online_modes =
-          TopModes(state->online_wts, config_.dense_num_modes);
+          state->wt_counts.TopModes(config_.dense_num_modes);
       if (online_modes.empty()) return;
       int64_t lo = online_modes.front().value, hi = lo;
       for (const ModeEntry& m : online_modes) {
@@ -387,7 +387,7 @@ void SpesPolicy::MaybeAdjustPredictiveValues(FunctionState* state) {
     case FunctionType::kPossible:
     case FunctionType::kNewlyPossible: {
       // Merge newly repeated online WTs into the predictive set.
-      for (const ModeEntry& m : RepeatedValues(state->online_wts)) {
+      for (const ModeEntry& m : state->wt_counts.Repeated()) {
         if (static_cast<int>(model.values.size()) >=
             config_.possible_max_values) {
           break;
@@ -453,6 +453,7 @@ void SpesPolicy::StartMinute(int t, const std::vector<Invocation>& arrivals,
       const int64_t completed_wt = steps_ - 1 - st.idle_origin;
       if (completed_wt > 0) {
         st.online_wts.push_back(completed_wt);  // a completed WT (S1)
+        st.wt_counts.Add(completed_wt);
         MaybeAdjustPredictiveValues(&st);
         MaybeLateCategorize(&st);
       }
@@ -796,6 +797,7 @@ Status SpesPolicy::RestoreState(const std::string& blob) {
     SPES_ASSIGN_OR_RETURN(st.corr_hold_until, r.I32());
     SPES_ASSIGN_OR_RETURN(st.next_predicted, r.I64());
     SPES_ASSIGN_OR_RETURN(st.online_wts, r.Vector<int64_t>());
+    st.wt_counts = ValueCounts::FromValues(st.online_wts);
     SPES_ASSIGN_OR_RETURN(st.adjust_cursor, r.I32());
     states.push_back(std::move(st));
   }

@@ -10,9 +10,13 @@
 // and (adaptive strategy S2) drift-adjust its predictive values; unknown
 // and unseen functions are late-categorized when their online WTs develop
 // repeated modes (S3); unseen functions are pre-warmed through same-trigger
-// online correlation. Provision follows Algorithm 1: a function is
-// pre-loaded when a predicted invocation falls within +/-theta_prewarm of
-// now, and evicted once its current WT reaches its type's theta_givenup.
+// online correlation. S2 reads each function's online WTs through a
+// ValueCounts histogram (common/stats.h) updated once per WT, so a re-fit
+// never re-sorts the history; the histogram is derived from the WT list,
+// which is what a checkpoint carries. Provision follows Algorithm 1: a
+// function is pre-loaded when a predicted invocation falls within
+// +/-theta_prewarm of now, and evicted once its current WT reaches its
+// type's theta_givenup.
 //
 // The step is event-driven: every one of those decisions is a deadline
 // that only moves when the function (or a correlation candidate) fires.
@@ -21,9 +25,9 @@
 // window sit on a list that is re-added every minute; a candidate->tracker
 // index turns online correlation into O(fan-out) work per arrival. The
 // wheel, the list and the index are derived state, rebuilt on the first
-// step after Train() or RestoreState(). ReferenceSpesPolicy
-// (core/reference_spes.h) keeps the per-minute scan as the differential
-// oracle.
+// step after Train() or RestoreState() (the WT histograms are rebuilt by
+// RestoreState() itself). ReferenceSpesPolicy (core/reference_spes.h)
+// keeps the per-minute scan as the differential oracle.
 
 #ifndef SPES_CORE_SPES_POLICY_H_
 #define SPES_CORE_SPES_POLICY_H_
@@ -34,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/stats.h"
 #include "core/categorizer.h"
 #include "core/config.h"
 #include "core/correlation.h"
@@ -57,7 +62,9 @@ class SpesPolicy : public Policy {
   /// correlation links, online-correlation trackers and the adaptive
   /// counters. The config is NOT serialized; restore into a policy
   /// constructed with the same SpesConfig. The event-driven step's wheel,
-  /// window list and indexes are derived, rebuilt at the next OnMinute().
+  /// window list and indexes are derived, rebuilt at the next OnMinute();
+  /// the per-function WT histograms are derived too, rebuilt by
+  /// RestoreState() from the WT lists.
   /// @{
   [[nodiscard]] bool SupportsCheckpoint() const override { return true; }
   [[nodiscard]] Result<std::string> SaveState() const override;
@@ -104,6 +111,9 @@ class SpesPolicy : public Policy {
     int64_t next_predicted = -1;
     std::vector<int64_t> online_wts;  ///< S1: WTs observed online
     int adjust_cursor = 0;            ///< online WTs consumed by last S2 run
+    /// `online_wts` as a multiset, the view S2 reads. Derived: never
+    /// serialized, rebuilt by RestoreState().
+    ValueCounts wt_counts;
   };
 
   /// Online-correlation tracking for one unseen/unknown function (§IV-C2).

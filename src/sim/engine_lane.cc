@@ -117,8 +117,7 @@ void EngineLane::Admit(int t, const std::vector<Invocation>& arrivals) {
   for (const Invocation& inv : arrivals) mem_.Add(inv.function);
 }
 
-bool EngineLane::Accrue(int t, const std::vector<Invocation>& arrivals,
-                        const std::vector<SimObserver*>& observers) {
+void EngineLane::Accrue(int t, const std::vector<Invocation>& arrivals) {
   // 4. Residency accounting: a word-at-a-time bitset diff opens/closes
   // residency intervals and live totals come from the maintained popcount.
   // Every arrival is pinned (one per function), so all loaded instances
@@ -132,7 +131,10 @@ bool EngineLane::Accrue(int t, const std::vector<Invocation>& arrivals,
   memory_series_.push_back(static_cast<uint32_t>(live));
 
   FeedLatency(t, arrivals);
+}
 
+bool EngineLane::Publish(int t, const std::vector<Invocation>& arrivals,
+                         const std::vector<SimObserver*>& observers) {
   bool keep_going = true;
   if (!observers.empty()) {
     MinuteView view;
@@ -163,7 +165,7 @@ bool EngineLane::Accrue(int t, const std::vector<Invocation>& arrivals,
       heartbeat.cold_starts = totals_.cold_starts;
       heartbeat.loaded_instance_minutes = totals_.loaded_instance_minutes;
       heartbeat.wasted_memory_minutes = totals_.wasted_memory_minutes;
-      heartbeat.loaded_instances = static_cast<uint32_t>(live);
+      heartbeat.loaded_instances = static_cast<uint32_t>(mem_.Count());
       if (latency_ != nullptr) {
         heartbeat.queue_depth = latency_->live().queue_depth;
       }
@@ -188,16 +190,16 @@ void EngineLane::EvictAll(int t) {
   cols_.AccrueResidency(t, mem_);
 }
 
-FleetMetrics EngineLane::Snapshot(int cursor) const {
+FleetMetrics EngineLane::Snapshot() const {
   std::vector<FunctionAccount> accounts;
-  cols_.Materialize(cursor, mem_, &accounts);
+  cols_.Materialize(Cursor(), mem_, &accounts);
   return ComputeFleetMetrics(policy_->name(), accounts, memory_series_,
                              overhead_seconds_);
 }
 
-SimulationOutcome EngineLane::TakeOutcome(int cursor) {
+SimulationOutcome EngineLane::TakeOutcome() {
   SimulationOutcome outcome;
-  cols_.Materialize(cursor, mem_, &outcome.accounts);
+  cols_.Materialize(Cursor(), mem_, &outcome.accounts);
   outcome.metrics = ComputeFleetMetrics(policy_->name(), outcome.accounts,
                                         memory_series_, overhead_seconds_);
   outcome.memory_series = std::move(memory_series_);
@@ -208,9 +210,9 @@ SimulationOutcome EngineLane::TakeOutcome(int cursor) {
   return outcome;
 }
 
-Status EngineLane::Save(int cursor, LaneCheckpoint* out) const {
+Status EngineLane::Save(LaneCheckpoint* out) const {
   out->policy_name = policy_->name();
-  cols_.Materialize(cursor, mem_, &out->accounts);
+  cols_.Materialize(Cursor(), mem_, &out->accounts);
   out->memory_series = memory_series_;
   out->loaded = mem_.ToBytes();
   out->totals = totals_;

@@ -10,7 +10,13 @@
 //                        execution pinning
 //   (cluster only: capacity eviction on mem())
 //   Accrue(t, arrivals)  residency and waste, the memory series, the
-//                        latency lane, observers and the heartbeat
+//                        latency lane
+//
+// Once every lane has accrued minute t and the session's cursor has moved
+// past it, the session calls Publish(t, ...) on each lane in lane order:
+// the observers and the heartbeat. An observer therefore only ever sees
+// committed minutes, and a snapshot or checkpoint it takes is consistent
+// across lanes.
 //
 // Both checkpoint wire formats (SPESCKPT and SPESCLCK) are built from the
 // two records declared here: a CheckpointWindow (SimCheckpoint and
@@ -135,11 +141,15 @@ class EngineLane {
   void Admit(int t, const std::vector<Invocation>& arrivals);
 
   /// \brief Second half of minute `t`: the residency sample, waste, the
-  /// memory-series entry, the latency lane, one MinuteView per observer
-  /// and the strided heartbeat. Returns false when an observer asked to
-  /// stop.
-  bool Accrue(int t, const std::vector<Invocation>& arrivals,
-              const std::vector<SimObserver*>& observers);
+  /// memory-series entry and the latency lane. Commits minute `t`.
+  void Accrue(int t, const std::vector<Invocation>& arrivals);
+
+  /// \brief Minute `t` (committed by Accrue()) to the outside: one
+  /// MinuteView per observer, then the strided heartbeat. The session
+  /// calls it once every lane has accrued `t`; it is the one caller of
+  /// SimObserver::OnMinute. Returns false when an observer asked to stop.
+  bool Publish(int t, const std::vector<Invocation>& arrivals,
+               const std::vector<SimObserver*>& observers);
 
   /// \brief A minute the lane holds nothing (a pending or failed cluster
   /// node): a 0 memory-series entry, and the latency queue keeps
@@ -150,15 +160,15 @@ class EngineLane {
   /// the open residency intervals first.
   void EvictAll(int t);
 
-  /// \brief Live metrics over the minutes before `cursor`. O(n).
-  [[nodiscard]] FleetMetrics Snapshot(int cursor) const;
+  /// \brief Live metrics over the committed minutes. O(n).
+  [[nodiscard]] FleetMetrics Snapshot() const;
 
-  /// \brief The lane's outcome at `cursor`; moves the memory series and
-  /// latency outcome out, so call it once, at the end.
-  [[nodiscard]] SimulationOutcome TakeOutcome(int cursor);
+  /// \brief The lane's outcome over the committed minutes; moves the
+  /// memory series and latency outcome out, so call it once, at the end.
+  [[nodiscard]] SimulationOutcome TakeOutcome();
 
-  /// \brief Fills the lane's checkpoint record at `cursor`.
-  Status Save(int cursor, LaneCheckpoint* out) const;
+  /// \brief Fills the lane's checkpoint record at its committed cursor.
+  Status Save(LaneCheckpoint* out) const;
 
   /// \brief Restore-time shape checks of one record against this lane:
   /// policy name, fleet size, series length for `cursor`, and latency
@@ -183,6 +193,13 @@ class EngineLane {
   /// Feeds minute `t` to the latency lane, if any: the one call site of
   /// LatencyLane::OnMinute.
   void FeedLatency(int t, const std::vector<Invocation>& arrivals);
+
+  /// The committed cursor: the next minute to run. Accrue() and Idle()
+  /// each push one memory-series entry per minute, so the series length
+  /// is the count of committed minutes.
+  [[nodiscard]] int Cursor() const {
+    return start_ + static_cast<int>(memory_series_.size());
+  }
 
   size_t index_;
   Policy* policy_;

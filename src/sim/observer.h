@@ -64,9 +64,11 @@ class SimObserver {
   /// (policies are already trained at this point).
   virtual void OnStreamStart(const StreamInfo& info) { (void)info; }
 
-  /// \brief Called after each lane finishes each simulated minute, in
-  /// lane order. Return false to request an early stop: the stream
-  /// finishes the current minute across all lanes, then halts.
+  /// \brief Called once per lane per simulated minute, in lane order,
+  /// after every lane has finished that minute and the session's cursor
+  /// has moved past it: a snapshot or checkpoint taken here sees the
+  /// minute committed on every lane. Return false to request an early
+  /// stop: the session halts after this minute.
   virtual bool OnMinute(const MinuteView& view) {
     (void)view;
     return true;

@@ -102,13 +102,17 @@ Status SimStream::StepLocked() {
   arrivals_.assign(decoded.begin(), decoded.end());
   ++minutes_decoded_;
 
-  bool stop_requested = false;
   for (EngineLane& lane : lanes_) {
     lane.Admit(t, arrivals_);
-    if (!lane.Accrue(t, arrivals_, observers_)) stop_requested = true;
+    lane.Accrue(t, arrivals_);
   }
-
   ++cursor_;
+
+  // Minute t is committed on every lane: only now do observers see it.
+  bool stop_requested = false;
+  for (EngineLane& lane : lanes_) {
+    if (!lane.Publish(t, arrivals_, observers_)) stop_requested = true;
+  }
   if (stop_requested) stopped_ = true;
   return Status::OK();
 }
@@ -120,7 +124,7 @@ std::string SimStream::SimulateLabel() const {
 }
 
 FleetMetrics SimStream::SnapshotMetrics(size_t lane) const {
-  return lanes_[lane].Snapshot(cursor_);
+  return lanes_[lane].Snapshot();
 }
 
 Result<std::vector<SimulationOutcome>> SimStream::FinishAll() {
@@ -128,7 +132,7 @@ Result<std::vector<SimulationOutcome>> SimStream::FinishAll() {
   std::vector<SimulationOutcome> outcomes;
   outcomes.reserve(lanes_.size());
   for (EngineLane& lane : lanes_) {
-    outcomes.push_back(lane.TakeOutcome(cursor_));
+    outcomes.push_back(lane.TakeOutcome());
   }
   for (SimObserver* observer : observers_) {
     for (size_t lane = 0; lane < outcomes.size(); ++lane) {
@@ -154,7 +158,7 @@ Result<SimCheckpoint> SimStream::Checkpoint() const {
   checkpoint.lanes.reserve(lanes_.size());
   for (const EngineLane& lane : lanes_) {
     SimCheckpoint::Lane out;
-    SPES_RETURN_NOT_OK(lane.Save(cursor_, &out));
+    SPES_RETURN_NOT_OK(lane.Save(&out));
     checkpoint.lanes.push_back(std::move(out));
   }
   RecordCheckpointEvent("save");

@@ -1,8 +1,9 @@
 // SimStream unit tests: incremental stepping semantics, observer hooks
 // and early stop, checkpoint/restore (including the serialized byte
-// form and its failure modes), and lockstep multi-policy lanes. The
-// bitwise streaming-vs-batch equivalence on the golden fleet lives in
-// golden_metrics_test.cc.
+// form and its failure modes), lockstep multi-policy lanes, and the
+// observer contract (observers see committed minutes only, on streams,
+// lockstep groups and clusters). The bitwise streaming-vs-batch
+// equivalence on the golden fleet lives in golden_metrics_test.cc.
 
 #include "sim/stream.h"
 
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "policies/fixed_keepalive.h"
 #include "policies/oracle.h"
 #include "sim/engine.h"
@@ -27,6 +29,82 @@ SimOptions Window(int train, int end = 0) {
   options.end_minute = end;
   return options;
 }
+
+const std::vector<SimCheckpoint::Lane>& LaneRecords(const SimCheckpoint& c) {
+  return c.lanes;
+}
+const std::vector<ClusterCheckpoint::Node>& LaneRecords(
+    const ClusterCheckpoint& c) {
+  return c.nodes;
+}
+
+// Snapshots every lane of `session` from inside OnMinute, the way any
+// observer may, and records each way the snapshot is not a committed
+// minute: the checkpoint cursor must be past the minute, every lane
+// record must satisfy the outcome identities and match its live totals,
+// and on a SimStream SnapshotMetrics must agree with the view's totals.
+template <typename Session>
+class CommittedMinuteProbe : public SimObserver {
+ public:
+  explicit CommittedMinuteProbe(const Session* session) : session_(session) {}
+
+  bool OnMinute(const MinuteView& view) override {
+    ++calls_;
+    const std::string at = "minute " + std::to_string(view.minute) +
+                           ", lane " + std::to_string(view.lane) + ": ";
+    const auto checkpoint = session_->Checkpoint();
+    if (!checkpoint.ok()) {
+      failures_.push_back(at + checkpoint.status().ToString());
+      return true;
+    }
+    if (checkpoint.ValueOrDie().cursor != view.minute + 1) {
+      failures_.push_back(at + "checkpoint cursor " +
+                          std::to_string(checkpoint.ValueOrDie().cursor));
+    }
+    const auto& records = LaneRecords(checkpoint.ValueOrDie());
+    for (size_t k = 0; k < records.size(); ++k) {
+      const LaneCheckpoint& lane = records[k];
+      SimulationOutcome snapshot;
+      snapshot.accounts = lane.accounts;
+      snapshot.memory_series = lane.memory_series;
+      snapshot.metrics = ComputeFleetMetrics(lane.policy_name, lane.accounts,
+                                             lane.memory_series, 0.0);
+      const std::string where = at + "snapshot of lane " + std::to_string(k);
+      const Status invariants = CheckOutcomeInvariants(snapshot);
+      if (!invariants.ok()) {
+        failures_.push_back(where + ": " + invariants.ToString());
+      }
+      if (snapshot.metrics.wasted_memory_minutes !=
+              lane.totals.wasted_memory_minutes ||
+          snapshot.metrics.loaded_instance_minutes !=
+              lane.totals.loaded_instance_minutes) {
+        failures_.push_back(where + ": accounts disagree with live totals");
+      }
+    }
+    if constexpr (requires { session_->SnapshotMetrics(size_t{0}); }) {
+      const FleetMetrics metrics = session_->SnapshotMetrics(view.lane);
+      if (metrics.wasted_memory_minutes != view.totals.wasted_memory_minutes ||
+          metrics.loaded_instance_minutes !=
+              view.totals.loaded_instance_minutes) {
+        failures_.push_back(at + "SnapshotMetrics wasted " +
+                            std::to_string(metrics.wasted_memory_minutes) +
+                            ", view totals " +
+                            std::to_string(view.totals.wasted_memory_minutes));
+      }
+    }
+    return true;
+  }
+
+  [[nodiscard]] int calls() const { return calls_; }
+  [[nodiscard]] const std::vector<std::string>& failures() const {
+    return failures_;
+  }
+
+ private:
+  const Session* session_;
+  int calls_ = 0;
+  std::vector<std::string> failures_;
+};
 
 TEST(SimStreamTest, StepAdvancesCursorAndStopsAtEnd) {
   Trace trace = MakeTrace({{1, 0, 1, 0, 1, 0}});
@@ -622,6 +700,56 @@ TEST(ProgressObserverTest, WallThrottleSkipsReportsButNeverTheFinalOne) {
   // 5 s throttle keeps every other one; the final minute reports although
   // only 4 s have passed since minute 8.
   EXPECT_EQ(ReportedMinutes(2, 5.0), (std::vector<int>{4, 8, 10}));
+}
+
+
+// One function that arrives at minute 1 only. Its arrival loads it at
+// minute 1, so a snapshot taken before the minute is committed would
+// count its invoked minute but not its loaded one (wasted = -1).
+Trace ProbeTrace() { return MakeTrace({{0, 1, 0, 0}}); }
+
+TEST(ObserverContractTest, StreamObserversSeeCommittedMinutes) {
+  const Trace trace = ProbeTrace();
+  FixedKeepAlivePolicy policy(2);
+  SimStream stream = SimStream::Create(trace, &policy, Window(0)).ValueOrDie();
+  CommittedMinuteProbe<SimStream> probe(&stream);
+  stream.AddObserver(&probe);
+  const SimulationOutcome outcome = stream.Finish().ValueOrDie();
+  EXPECT_TRUE(CheckOutcomeInvariants(outcome).ok());
+  EXPECT_EQ(probe.calls(), 4);
+  EXPECT_EQ(probe.failures(), std::vector<std::string>{});
+}
+
+TEST(ObserverContractTest, LockstepObserversSeeEveryLaneCommitted) {
+  const Trace trace = ProbeTrace();
+  FixedKeepAlivePolicy a(2), b(2);
+  SimStream stream =
+      SimStream::Create(trace, std::vector<Policy*>{&a, &b}, Window(0))
+          .ValueOrDie();
+  CommittedMinuteProbe<SimStream> probe(&stream);
+  stream.AddObserver(&probe);
+  ASSERT_TRUE(stream.FinishAll().ok());
+  EXPECT_EQ(probe.calls(), 8);
+  EXPECT_EQ(probe.failures(), std::vector<std::string>{});
+}
+
+TEST(ObserverContractTest, CappedClusterObserversSeeEveryNodeCommitted) {
+  const Trace trace = ProbeTrace();
+  ClusterSpec cluster;
+  cluster.nodes = 2;
+  cluster.node_capacity = 1;
+  cluster.router = {"locality", {}};
+  auto created = ClusterSession::Create(
+      trace, cluster, PolicySpec{"fixed_keepalive", {{"minutes", 2}}},
+      Window(0));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ClusterSession session = std::move(created).ValueOrDie();
+  CommittedMinuteProbe<ClusterSession> probe(&session);
+  session.AddObserver(&probe);
+  const ClusterOutcome outcome = session.Finish().ValueOrDie();
+  EXPECT_TRUE(CheckOutcomeInvariants(outcome).ok());
+  EXPECT_EQ(probe.calls(), 8);
+  EXPECT_EQ(probe.failures(), std::vector<std::string>{});
 }
 
 }  // namespace

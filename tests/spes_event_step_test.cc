@@ -10,6 +10,13 @@
 // pre-warm window, the give-up scaler and each ablation switch. Streams,
 // a restore at a random minute and a capped locality cluster with drain,
 // fail and a late add run both policies end to end.
+//
+// This is an oracle for the minute step only. ReferenceSpesPolicy shares
+// SpesPolicy's arrival path (StartMinute: the S1 WT record, S2 drift
+// adjustment over the per-function WT multiset, S3 late categorization),
+// so a fault there shows on both sides alike. That path is checked by
+// stats_test (ValueCounts against the vector statistics) and by
+// spes_policy_test's restore between drift adjustments.
 
 #include <gtest/gtest.h>
 

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "core/policy_registry.h"
 #include "policies/fixed_keepalive.h"
+#include "sim/columnar.h"
 #include "sim/engine.h"
 #include "trace/generator.h"
 #include "tests/make_trace.h"
@@ -375,6 +379,94 @@ TEST(SpesPolicyTest, GivenUpThresholdSaturatesInsteadOfOverflowing) {
     outcomes.push_back(Simulate(trace, policy.get(), options).ValueOrDie());
   }
   ExpectSameOutcome(outcomes[0], outcomes[1]);
+}
+
+// Per function of a SaveState() blob: the online WTs recorded since S2
+// last re-fitted it, or -1 when S2 never ran on it or does not adjust its
+// type.
+std::vector<int> WtsSinceAdjustment(const std::string& blob) {
+  BinaryReader r(blob);
+  std::vector<int> since(r.U64().ValueOrDie(), -1);
+  for (int& pending : since) {
+    const auto type = static_cast<FunctionType>(r.U8().ValueOrDie());
+    (void)r.Vector<int64_t>().ValueOrDie();  // predictive values
+    (void)r.I64().ValueOrDie();              // range_lo
+    (void)r.I64().ValueOrDie();              // range_hi
+    (void)r.Bool().ValueOrDie();             // continuous
+    (void)r.Double().ValueOrDie();           // offline WT stddev
+    for (int i = 0; i < 3; ++i) (void)r.I32().ValueOrDie();
+    (void)r.Bool().ValueOrDie();  // seen in training
+    (void)r.I32().ValueOrDie();   // correlation hold
+    (void)r.I64().ValueOrDie();   // next predicted
+    const size_t wts = r.Vector<int64_t>().ValueOrDie().size();
+    const int cursor = r.I32().ValueOrDie();
+    const bool adjusted =
+        type == FunctionType::kRegular || type == FunctionType::kApproRegular ||
+        type == FunctionType::kDense || type == FunctionType::kPossible ||
+        type == FunctionType::kNewlyPossible;
+    if (adjusted && cursor > 0) pending = static_cast<int>(wts) - cursor;
+  }
+  return since;
+}
+
+TEST(SpesPolicyTest, RestoreBetweenDriftAdjustmentsContinuesBitwise) {
+  // S2 reads a per-function WT multiset that is derived state: the blob
+  // carries only the WT list, and RestoreState rebuilds the multiset. A
+  // restore while some function is 1-4 WTs past its last re-fit must
+  // leave its next re-fit, and everything after, as if never restored.
+  GeneratorConfig gen;
+  gen.num_functions = 300;
+  gen.days = 4;
+  gen.seed = 99;
+  const Trace trace = std::move(GenerateTrace(gen).ValueOrDie().trace);
+  const int train = 3 * kMinutesPerDay;
+  const size_t n = trace.num_functions();
+  InMemoryTraceSource source(trace);
+  ArrivalDecoder decoder(&source);
+  std::vector<std::vector<Invocation>> minutes;
+  for (int t = train; t < trace.num_minutes(); ++t) {
+    const std::span<const Invocation> span = decoder.Decode(t);
+    minutes.emplace_back(span.begin(), span.end());
+  }
+  // One minute step as the engine takes it: arrivals load, then the policy.
+  const auto step = [&](Policy* policy, int t, MemSet* mem) {
+    const std::vector<Invocation>& arrivals = minutes[t - train];
+    for (const Invocation& inv : arrivals) mem->Add(inv.function);
+    policy->OnMinute(t, arrivals, mem);
+  };
+
+  SpesPolicy whole;
+  whole.Train(trace, train);
+  MemSet whole_mem(n);
+  std::vector<std::vector<uint64_t>> words;
+  int checkpoint_at = -1;
+  for (int t = train; t < trace.num_minutes(); ++t) {
+    step(&whole, t, &whole_mem);
+    words.push_back(whole_mem.words());
+    if (checkpoint_at >= 0) continue;
+    const std::vector<int> since =
+        WtsSinceAdjustment(whole.SaveState().ValueOrDie());
+    if (std::any_of(since.begin(), since.end(),
+                    [](int k) { return k >= 1 && k <= 4; })) {
+      checkpoint_at = t;
+    }
+  }
+  ASSERT_GE(checkpoint_at, 0) << "no function was between re-fits";
+  const std::string final_bytes = whole.SaveState().ValueOrDie();
+
+  auto policy = std::make_unique<SpesPolicy>();
+  policy->Train(trace, train);
+  MemSet mem(n);
+  for (int t = train; t < trace.num_minutes(); ++t) {
+    step(policy.get(), t, &mem);
+    ASSERT_EQ(mem.words(), words[t - train]) << "minute " << t;
+    if (t != checkpoint_at) continue;
+    const std::string bytes = policy->SaveState().ValueOrDie();
+    policy = std::make_unique<SpesPolicy>();
+    policy->Train(trace, train);
+    ASSERT_TRUE(policy->RestoreState(bytes).ok());
+  }
+  EXPECT_TRUE(policy->SaveState().ValueOrDie() == final_bytes);
 }
 
 class PrewarmSweepTest : public ::testing::TestWithParam<int> {};

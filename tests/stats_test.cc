@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/binary_io.h"
+#include "common/rng.h"
 
 namespace spes {
 namespace {
@@ -266,6 +270,126 @@ TEST_P(PercentileMonotonicTest, PercentileIsMonotoneInP) {
 INSTANTIATE_TEST_SUITE_P(Sweep, PercentileMonotonicTest,
                          ::testing::Values(0.0, 5.0, 25.0, 50.0, 75.0, 90.0,
                                            95.0));
+
+// The sort-based definition of Percentile(): numpy's linear interpolation
+// over the fully sorted samples.
+double SortedPercentile(std::vector<double> xs, double p) {
+  if (xs.empty()) return 0.0;
+  std::sort(xs.begin(), xs.end());
+  if (p <= 0.0) return xs.front();
+  if (p >= 100.0) return xs.back();
+  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  if (lo + 1 >= xs.size()) return xs.back();
+  return xs[lo] + frac * (xs[lo + 1] - xs[lo]);
+}
+
+// Samples near +/-2^53 (where adjacent int64s share a double), small
+// values with many duplicates, or the int64 extremes.
+std::vector<int64_t> RandomSamples(Rng& rng, size_t size) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t shape = rng.UniformInt(0, 3);
+  std::vector<int64_t> xs(size);
+  for (int64_t& x : xs) {
+    switch (shape) {
+      case 0:
+        x = rng.UniformInt(0, 4);  // heavy duplicates, count ties
+        break;
+      case 1:
+        x = (rng.Bernoulli(0.5) ? kTwo53 : -kTwo53) + rng.UniformInt(-3, 3);
+        break;
+      case 2:
+        x = rng.UniformInt(-1000, 1000);
+        break;
+      default:
+        x = rng.Bernoulli(0.5) ? kMin + rng.UniformInt(0, 2)
+                               : kMax - rng.UniformInt(0, 2);
+        break;
+    }
+  }
+  return xs;
+}
+
+TEST(StatsTest, PercentileSelectionMatchesTheSortDefinitionBitwise) {
+  Rng rng(20261019);
+  const double ps[] = {0.0, 5.0, 50.0, 90.0, 95.0, 100.0};
+  for (int trial = 0; trial < 400; ++trial) {
+    // Sizes 1-3 every trial, then a larger one.
+    for (const size_t size : {size_t{1}, size_t{2}, size_t{3},
+                              static_cast<size_t>(rng.UniformInt(4, 40))}) {
+      const std::vector<int64_t> xs = RandomSamples(rng, size);
+      const std::vector<double> ds(xs.begin(), xs.end());
+      for (const double p : ps) {
+        const double expected = SortedPercentile(ds, p);
+        EXPECT_EQ(std::bit_cast<uint64_t>(Percentile(xs, p)),
+                  std::bit_cast<uint64_t>(expected))
+            << "int64 overload, size " << size << ", p " << p;
+        EXPECT_EQ(std::bit_cast<uint64_t>(Percentile(ds, p)),
+                  std::bit_cast<uint64_t>(expected))
+            << "double overload, size " << size << ", p " << p;
+      }
+    }
+  }
+}
+
+// ValueCounts must answer exactly as the vector functions SPES trains
+// with, whether it was built one sample at a time or from a whole vector.
+void ExpectSameAsVectorFunctions(const ValueCounts& counts,
+                                 const std::vector<int64_t>& xs) {
+  ASSERT_EQ(counts.size(), xs.size());
+  EXPECT_EQ(std::bit_cast<uint64_t>(counts.Median()),
+            std::bit_cast<uint64_t>(Median(xs)));
+  for (const int n : {-1, 0, 1, 2, 3, 5, static_cast<int>(xs.size())}) {
+    EXPECT_EQ(counts.TopModes(n), TopModes(xs, n)) << "n = " << n;
+  }
+  EXPECT_EQ(counts.Repeated(), RepeatedValues(xs));
+}
+
+TEST(ValueCountsTest, MatchesTheVectorFunctionsOnRandomMultisets) {
+  Rng rng(7);
+  for (int trial = 0; trial < 500; ++trial) {
+    // Odd and even sizes, a single sample included.
+    const size_t size = static_cast<size_t>(rng.UniformInt(1, 30));
+    const std::vector<int64_t> xs = RandomSamples(rng, size);
+    ValueCounts added;
+    std::vector<int64_t> prefix;
+    for (const int64_t x : xs) {
+      added.Add(x);
+      prefix.push_back(x);
+      ExpectSameAsVectorFunctions(added, prefix);
+    }
+    const ValueCounts built = ValueCounts::FromValues(xs);
+    ExpectSameAsVectorFunctions(built, xs);
+    EXPECT_EQ(built.runs(), added.runs());
+    if (HasFailure()) return;
+  }
+}
+
+TEST(ValueCountsTest, EmptyAndSingleValue) {
+  const ValueCounts empty;
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_DOUBLE_EQ(empty.Median(), 0.0);
+  EXPECT_TRUE(empty.TopModes(3).empty());
+  EXPECT_TRUE(empty.Repeated().empty());
+  EXPECT_TRUE(ValueCounts::FromValues({}).runs().empty());
+
+  ValueCounts one;
+  for (int i = 0; i < 4; ++i) one.Add(-9);
+  EXPECT_EQ(one.runs(), (std::vector<ModeEntry>{{-9, 4}}));
+  EXPECT_DOUBLE_EQ(one.Median(), -9.0);
+  EXPECT_EQ(one.Repeated(), (std::vector<ModeEntry>{{-9, 4}}));
+}
+
+TEST(ValueCountsTest, CountTiesBreakByAscendingValue) {
+  const ValueCounts counts = ValueCounts::FromValues({9, 9, 2, 2, 5, 5, 7});
+  EXPECT_EQ(counts.TopModes(2), (std::vector<ModeEntry>{{2, 2}, {5, 2}}));
+  EXPECT_EQ(counts.Repeated(),
+            (std::vector<ModeEntry>{{2, 2}, {5, 2}, {9, 2}}));
+  EXPECT_DOUBLE_EQ(counts.Median(), 5.0);
+}
 
 }  // namespace
 }  // namespace spes

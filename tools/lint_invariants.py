@@ -58,6 +58,15 @@ docs/correctness.md):
                        is the one place that picks the trace policies
                        train on, so no engine grows a rejection path for
                        a policy that needs the whole horizon.
+  R9 one-observer-call In src/, only EngineLane::Publish (in
+                       src/sim/engine_lane.cc) may call an observer's
+                       OnMinute(view), the one-argument call; a
+                       forwarding observer may call its inner observer
+                       from its own OnMinute(const MinuteView&). Publish
+                       runs once every lane has committed the minute, so
+                       observers never see a half-stepped session.
+                       Three-argument OnMinute calls are policy and
+                       latency steps and are not matched.
 
 Allowlist: a line that would fire R1, R2 or R5 is suppressed when it (or
 the line directly above it) carries a justification comment of the form
@@ -452,11 +461,54 @@ def lint_r8(relpath, lines):
 
 
 # --------------------------------------------------------------------------
+# R9: one observer call
+# --------------------------------------------------------------------------
+
+# A one-argument OnMinute call (an observer's); Policy::OnMinute and
+# LatencyLane::OnMinute take three.
+R9_CALL = re.compile(r"(->|\.)\s*OnMinute\s*\(\s*[^,()]+\)")
+# The line that opens a function definition (any indentation, so inline
+# member definitions count): a type, then the name and its parameters.
+R9_DEFINITION = re.compile(r"^\s*(?:[\w:<>,&*]+\s+)+([\w:~]+)\s*\(")
+R9_PUBLISH = ("src/sim/engine_lane.cc", "EngineLane::Publish")
+
+
+def lint_r9(relpath, lines):
+    if not relpath.startswith("src/"):
+        return []
+    findings = []
+    function, signature = "", ""  # the enclosing definition
+    for i, line in enumerate(lines):
+        code = line.split("//", 1)[0]
+        definition = R9_DEFINITION.match(code)
+        if definition and not code.rstrip().endswith(";"):
+            function, signature = definition.group(1), code
+        if not R9_CALL.search(code):
+            continue
+        if (relpath, function) == R9_PUBLISH:
+            continue
+        if function == "OnMinute" and "const MinuteView&" in signature:
+            continue  # a forwarding observer
+        findings.append(
+            Finding(
+                relpath,
+                i + 1,
+                "R9",
+                "SimObserver::OnMinute called outside EngineLane::Publish; "
+                "observers see a minute only once every lane has committed "
+                "it (sim/engine_lane.h)",
+            )
+        )
+    return findings
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
 RULES = (
-    lint_r1, lint_r2, lint_r3, lint_r4, lint_r5, lint_r6, lint_r7, lint_r8
+    lint_r1, lint_r2, lint_r3, lint_r4, lint_r5, lint_r6, lint_r7, lint_r8,
+    lint_r9,
 )
 SCAN_DIRS = ("src", "tests", "examples", "fuzz", "bench")
 SOURCE_EXT = (".h", ".cc", ".cpp")
@@ -686,9 +738,21 @@ SELF_TEST_TREE = {
         "bool Full(const Policy& policy) { return policy.RequiresFullTrace(); }\n"
     ),
     # R8 (negative): the training helper, an override, the declaration, a
-    # call in a comment, and callers outside src/.
+    # call in a comment, and callers outside src/. R9 (negative): Publish
+    # itself, and the policy and latency steps (three arguments).
     "src/sim/engine_lane.cc": (
         "const bool full = policies[0]->RequiresFullTrace();\n"
+        "bool EngineLane::Publish(int t, const std::vector<Invocation>& a,\n"
+        "                         const std::vector<SimObserver*>& obs) {\n"
+        "  MinuteView view;\n"
+        "  for (SimObserver* observer : obs) {\n"
+        "    if (!observer->OnMinute(view)) keep_going = false;\n"
+        "  }\n"
+        "}\n"
+        "void EngineLane::Admit(int t, const std::vector<Invocation>& a) {\n"
+        "  policy_->OnMinute(t, a, &mem_);\n"
+        "  latency_->OnMinute(t, a, cold_flags_);\n"
+        "}\n"
     ),
     "src/policies/ok_full_trace.cc": (
         "bool RequiresFullTrace() const override { return true; }\n"
@@ -697,6 +761,36 @@ SELF_TEST_TREE = {
     ),
     "tests/ok_full_trace_test.cc": (
         "EXPECT_TRUE(oracle->RequiresFullTrace());\n"
+    ),
+    # R9: a session that shows observers a minute mid-step, and a policy
+    # that calls one from its own step.
+    "src/cluster/bad_observer_call.cc": (
+        "Status ClusterSession::StepLocked() {\n"
+        "  for (SimObserver* observer : observers_) {\n"
+        "    observer->OnMinute(view);\n"
+        "  }\n"
+        "}\n"
+    ),
+    "src/policies/bad_observer_call.cc": (
+        "void Tap::OnMinute(int t, const std::vector<Invocation>& a,\n"
+        "                   MemSet* mem) {\n"
+        "  watcher_.OnMinute(view_);\n"
+        "}\n"
+    ),
+    # R9 (negative): a forwarding observer, a mention in a comment, and
+    # callers outside src/. Publish itself and the three-argument policy
+    # and latency steps are in the engine_lane.cc entry above.
+    "src/sim/ok_forwarding_observer.cc": (
+        "class Scoped : public SimObserver {\n"
+        "  bool OnMinute(const MinuteView& view) override {\n"
+        "    MinuteView scoped = view;\n"
+        "    return inner_->OnMinute(scoped);\n"
+        "  }\n"
+        "  // inner_->OnMinute(view) mentioned in a comment is fine\n"
+        "};\n"
+    ),
+    "tests/ok_observer_test.cc": (
+        "EXPECT_TRUE(observer.OnMinute(view));\n"
     ),
 }
 
@@ -719,6 +813,8 @@ SELF_TEST_EXPECTED = [
     ("R7", "src/sim/engine.cc"),
     ("R8", "src/cluster/bad_rejection.cc"),
     ("R8", "src/sim/bad_rejection.cc"),
+    ("R9", "src/cluster/bad_observer_call.cc"),
+    ("R9", "src/policies/bad_observer_call.cc"),
 ]
 # ...and paths that must stay clean.
 SELF_TEST_CLEAN = [
@@ -741,6 +837,8 @@ SELF_TEST_CLEAN = [
     "src/sim/engine_lane.cc",
     "src/policies/ok_full_trace.cc",
     "tests/ok_full_trace_test.cc",
+    "src/sim/ok_forwarding_observer.cc",
+    "tests/ok_observer_test.cc",
 ]
 # (path, rule, line) findings that must NOT fire in a file that also has a
 # seeded violation: the Simulate() shim's own call in engine.cc.
