@@ -104,9 +104,8 @@ BENCHMARK(BM_ExtractSeriesFeatures)->Arg(1440)->Arg(20160);
 void BM_CategorizeDeterministic(benchmark::State& state) {
   const auto counts =
       PeriodicCounts(static_cast<int>(state.range(0)), 31);
-  const SpesConfig config;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CategorizeDeterministic(counts, config));
+    benchmark::DoNotOptimize(CategorizeDeterministic(counts));
   }
 }
 BENCHMARK(BM_CategorizeDeterministic)->Arg(1440)->Arg(20160);

@@ -13,19 +13,4 @@ int64_t GetEnvInt(const char* name, int64_t fallback) {
   return static_cast<int64_t>(value);
 }
 
-double GetEnvDouble(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(raw, &end);
-  if (end == raw || *end != '\0') return fallback;
-  return value;
-}
-
-std::string GetEnvString(const char* name, const std::string& fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  return raw;
-}
-
 }  // namespace spes

@@ -4,19 +4,12 @@
 #define SPES_COMMON_ENV_H_
 
 #include <cstdint>
-#include <string>
 
 namespace spes {
 
 /// \brief Reads an integer environment variable, or `fallback` when unset
 /// or unparsable.
 int64_t GetEnvInt(const char* name, int64_t fallback);
-
-/// \brief Reads a double environment variable, or `fallback`.
-double GetEnvDouble(const char* name, double fallback);
-
-/// \brief Reads a string environment variable, or `fallback`.
-std::string GetEnvString(const char* name, const std::string& fallback);
 
 }  // namespace spes
 

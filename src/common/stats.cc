@@ -66,14 +66,6 @@ double Percentile(std::vector<int64_t> xs, double p) {
   return Percentile(std::vector<double>(xs.begin(), xs.end()), p);
 }
 
-double Quantile(std::vector<double> xs, double q) {
-  return Percentile(std::move(xs), q * 100.0);
-}
-
-double Quantile(std::vector<int64_t> xs, double q) {
-  return Percentile(std::move(xs), q * 100.0);
-}
-
 double Median(const std::vector<int64_t>& xs) { return Percentile(xs, 50.0); }
 
 namespace {
@@ -292,24 +284,6 @@ std::vector<ModeEntry> ValueCounts::Repeated() const {
   }
   std::sort(repeated.begin(), repeated.end(), ModeBefore);
   return repeated;
-}
-
-std::vector<CdfPoint> EmpiricalCdf(const std::vector<double>& xs) {
-  if (xs.empty()) return {};
-  std::vector<double> sorted = xs;
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<CdfPoint> cdf;
-  cdf.reserve(sorted.size());
-  const double n = static_cast<double>(sorted.size());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    // Collapse runs of equal values into a single step.
-    if (!cdf.empty() && cdf.back().value == sorted[i]) {
-      cdf.back().fraction = static_cast<double>(i + 1) / n;
-    } else {
-      cdf.push_back({sorted[i], static_cast<double>(i + 1) / n});
-    }
-  }
-  return cdf;
 }
 
 LinearFit FitLine(const std::vector<double>& xs,

@@ -1,5 +1,5 @@
 // Descriptive statistics used throughout SPES's categorization rules:
-// percentiles, modes, coefficient of variation, medians, CDFs and a simple
+// percentiles, modes, coefficient of variation, medians and a simple
 // least-squares linear fit (for the Fig. 13 trade-off analysis) — plus the
 // mergeable fixed-bucket latency histogram the SLO reporting is built on.
 
@@ -39,12 +39,6 @@ double CoefficientOfVariation(const std::vector<int64_t>& xs);
 /// Returns 0 for an empty input.
 double Percentile(std::vector<double> xs, double p);
 double Percentile(std::vector<int64_t> xs, double p);
-
-/// \brief q-th quantile (q in [0,1]) with linear interpolation; the
-/// fraction-domain twin of Percentile() (Quantile(xs, q) ==
-/// Percentile(xs, 100*q)). Returns 0 for an empty input.
-double Quantile(std::vector<double> xs, double q);
-double Quantile(std::vector<int64_t> xs, double q);
 
 /// \brief Median; 0 for an empty input.
 double Median(const std::vector<int64_t>& xs);
@@ -194,15 +188,6 @@ class ValueCounts {
   std::vector<ModeEntry> runs_;
   size_t size_ = 0;
 };
-
-/// \brief Empirical CDF point: (value, fraction of samples <= value).
-struct CdfPoint {
-  double value = 0.0;
-  double fraction = 0.0;
-};
-
-/// \brief Builds an empirical CDF over the samples (sorted by value).
-std::vector<CdfPoint> EmpiricalCdf(const std::vector<double>& xs);
 
 /// \brief Least-squares fit y = slope * x + intercept.
 ///

@@ -3,47 +3,46 @@
 #include <algorithm>
 
 #include "common/stats.h"
+#include "core/config.h"
 #include "core/slacking.h"
 #include "trace/trace.h"
 
 namespace spes {
 
-bool WtsLookRegular(const std::vector<int64_t>& wts,
-                    const SpesConfig& config) {
+bool WtsLookRegular(const std::vector<int64_t>& wts) {
   if (wts.empty()) return false;
   const double band =
       Percentile(wts, 95.0) - Percentile(wts, 5.0);
-  if (band <= config.regular_percentile_band) return true;
-  return CoefficientOfVariation(wts) <= config.regular_cv_max;
+  if (band <= kRegularPercentileBand) return true;
+  return CoefficientOfVariation(wts) <= kRegularCvMax;
 }
 
 bool PassesRegularWithSlacking(const std::vector<int64_t>& wts,
-                               const SpesConfig& config,
                                std::vector<int64_t>* regular_wts) {
-  if (static_cast<int>(wts.size()) < config.min_wts_for_regular) return false;
-  if (WtsLookRegular(wts, config)) {
+  if (static_cast<int>(wts.size()) < kMinWtsForRegular) return false;
+  if (WtsLookRegular(wts)) {
     if (regular_wts != nullptr) *regular_wts = wts;
     return true;
   }
   // Slack 1: the boundary WTs of an observation window are unreliable.
   const std::vector<int64_t> trimmed = TrimBoundaryWts(wts);
-  if (static_cast<int>(trimmed.size()) >= config.min_wts_for_regular &&
-      WtsLookRegular(trimmed, config)) {
+  if (static_cast<int>(trimmed.size()) >= kMinWtsForRegular &&
+      WtsLookRegular(trimmed)) {
     if (regular_wts != nullptr) *regular_wts = trimmed;
     return true;
   }
   // Slack 2: merge fragmented gaps back into mode-sized WTs.
   const std::vector<int64_t> merged = MergeAdjacentSmallWts(wts);
-  if (static_cast<int>(merged.size()) >= config.min_wts_for_regular &&
-      merged.size() < wts.size() && WtsLookRegular(merged, config)) {
+  if (static_cast<int>(merged.size()) >= kMinWtsForRegular &&
+      merged.size() < wts.size() && WtsLookRegular(merged)) {
     if (regular_wts != nullptr) *regular_wts = merged;
     return true;
   }
   // Slack 3: both together — a horizon-truncated boundary fragment can
   // survive merging (nothing to complete it), so trim the merged sequence.
   const std::vector<int64_t> merged_trimmed = TrimBoundaryWts(merged);
-  if (static_cast<int>(merged_trimmed.size()) >= config.min_wts_for_regular &&
-      merged.size() < wts.size() && WtsLookRegular(merged_trimmed, config)) {
+  if (static_cast<int>(merged_trimmed.size()) >= kMinWtsForRegular &&
+      merged.size() < wts.size() && WtsLookRegular(merged_trimmed)) {
     if (regular_wts != nullptr) *regular_wts = merged_trimmed;
     return true;
   }
@@ -54,21 +53,20 @@ namespace {
 
 /// Table I row 1: invoked at every slot, or total idle time at most
 /// a thousandth of the observing window.
-bool IsAlwaysWarm(const SeriesFeatures& features, int64_t window,
-                  const SpesConfig& config) {
+bool IsAlwaysWarm(const SeriesFeatures& features, int64_t window) {
   if (features.total_invocations == 0 || window <= 0) return false;
   const int64_t idle = window - features.active_slots;
-  return idle * config.always_warm_idle_divisor <= window;
+  return idle * kAlwaysWarmIdleDivisor <= window;
 }
 
-bool IsApproRegular(const std::vector<int64_t>& wts, const SpesConfig& config,
+bool IsApproRegular(const std::vector<int64_t>& wts,
                     std::vector<int64_t>* mode_values) {
-  if (static_cast<int>(wts.size()) < config.min_wts_for_regular) return false;
-  const std::vector<ModeEntry> modes = TopModes(wts, config.appro_num_modes);
+  if (static_cast<int>(wts.size()) < kMinWtsForRegular) return false;
+  const std::vector<ModeEntry> modes = TopModes(wts, kApproNumModes);
   // Quasi-periodicity implies a *period*: when the dominant gap is within
   // the dense constant, the function is frequent-irregular traffic, which
   // the dense type (next in priority) captures with a cheaper strategy.
-  if (static_cast<double>(modes.front().value) <= config.dense_p90_max) {
+  if (static_cast<double>(modes.front().value) <= kDenseP90Max) {
     return false;
   }
   // A "frequently appearing value" must appear more than once: singleton
@@ -78,7 +76,7 @@ bool IsApproRegular(const std::vector<int64_t>& wts, const SpesConfig& config,
     if (m.count >= 2) covered += m.count;
   }
   if (static_cast<double>(covered) <
-      config.appro_coverage * static_cast<double>(wts.size())) {
+      kApproCoverage * static_cast<double>(wts.size())) {
     return false;
   }
   if (mode_values != nullptr) {
@@ -90,33 +88,32 @@ bool IsApproRegular(const std::vector<int64_t>& wts, const SpesConfig& config,
   return true;
 }
 
-bool IsDense(const std::vector<int64_t>& wts, const SpesConfig& config) {
+bool IsDense(const std::vector<int64_t>& wts) {
   if (wts.empty()) return false;
-  return Percentile(wts, 90.0) <= config.dense_p90_max;
+  return Percentile(wts, 90.0) <= kDenseP90Max;
 }
 
-bool IsSuccessive(const SeriesFeatures& features, const SpesConfig& config) {
-  if (static_cast<int>(features.ats.size()) < config.successive_min_waves) {
+bool IsSuccessive(const SeriesFeatures& features) {
+  if (static_cast<int>(features.ats.size()) < kSuccessiveMinWaves) {
     return false;
   }
   const int64_t min_at =
       *std::min_element(features.ats.begin(), features.ats.end());
   const int64_t min_an =
       *std::min_element(features.ans.begin(), features.ans.end());
-  return min_at >= config.successive_gamma1 &&
-         min_an >= config.successive_gamma2;
+  return min_at >= kSuccessiveGamma1 &&
+         min_an >= kSuccessiveGamma2;
 }
 
 }  // namespace
 
-PredictiveModel FitPossibleModel(const std::vector<int64_t>& wts,
-                                 const SpesConfig& config) {
+PredictiveModel FitPossibleModel(const std::vector<int64_t>& wts) {
   PredictiveModel model;
   const std::vector<ModeEntry> repeated = RepeatedValues(wts);
   if (repeated.empty()) return model;  // kUnknown
   model.type = FunctionType::kPossible;
   for (const ModeEntry& m : repeated) {
-    if (static_cast<int>(model.values.size()) >= config.possible_max_values) {
+    if (static_cast<int>(model.values.size()) >= kPossibleMaxValues) {
       break;
     }
     model.values.push_back(m.value);
@@ -124,7 +121,7 @@ PredictiveModel FitPossibleModel(const std::vector<int64_t>& wts,
   // §IV-D: a narrow value range is treated as a continuous interval.
   const auto [lo_it, hi_it] =
       std::minmax_element(model.values.begin(), model.values.end());
-  if (*hi_it - *lo_it <= config.possible_range_discrete_threshold &&
+  if (*hi_it - *lo_it <= kPossibleRangeDiscreteThreshold &&
       model.values.size() > 1) {
     model.continuous = true;
     model.range_lo = *lo_it;
@@ -134,8 +131,7 @@ PredictiveModel FitPossibleModel(const std::vector<int64_t>& wts,
   return model;
 }
 
-PredictiveModel CategorizeDeterministic(std::span<const uint32_t> counts,
-                                        const SpesConfig& config) {
+PredictiveModel CategorizeDeterministic(std::span<const uint32_t> counts) {
   PredictiveModel model;
   const SeriesFeatures features = ExtractSeriesFeatures(counts);
   if (features.total_invocations == 0) return model;  // kUnknown
@@ -143,14 +139,14 @@ PredictiveModel CategorizeDeterministic(std::span<const uint32_t> counts,
   model.offline_wt_stddev = StdDev(features.wts);
 
   // Priority 1: always warm (no predictive values needed).
-  if (IsAlwaysWarm(features, static_cast<int64_t>(counts.size()), config)) {
+  if (IsAlwaysWarm(features, static_cast<int64_t>(counts.size()))) {
     model.type = FunctionType::kAlwaysWarm;
     return model;
   }
 
   // Priority 2: regular (raw -> trimmed -> merged).
   std::vector<int64_t> regular_wts;
-  if (PassesRegularWithSlacking(features.wts, config, &regular_wts)) {
+  if (PassesRegularWithSlacking(features.wts, &regular_wts)) {
     model.type = FunctionType::kRegular;
     model.values = {static_cast<int64_t>(Median(regular_wts) + 0.5)};
     model.offline_wt_stddev = StdDev(regular_wts);
@@ -159,17 +155,17 @@ PredictiveModel CategorizeDeterministic(std::span<const uint32_t> counts,
 
   // Priority 3: appro-regular (top-n modes dominate the WT sequence).
   std::vector<int64_t> mode_values;
-  if (IsApproRegular(features.wts, config, &mode_values)) {
+  if (IsApproRegular(features.wts, &mode_values)) {
     model.type = FunctionType::kApproRegular;
     model.values = std::move(mode_values);
     return model;
   }
 
   // Priority 4: dense (P90 of WTs below the small constant).
-  if (IsDense(features.wts, config)) {
+  if (IsDense(features.wts)) {
     model.type = FunctionType::kDense;
     const std::vector<ModeEntry> modes =
-        TopModes(features.wts, config.dense_num_modes);
+        TopModes(features.wts, kDenseNumModes);
     int64_t lo = modes.front().value, hi = modes.front().value;
     for (const ModeEntry& m : modes) {
       lo = std::min(lo, m.value);
@@ -182,7 +178,7 @@ PredictiveModel CategorizeDeterministic(std::span<const uint32_t> counts,
   }
 
   // Priority 5: successive (strong temporal locality).
-  if (IsSuccessive(features, config)) {
+  if (IsSuccessive(features)) {
     model.type = FunctionType::kSuccessive;
     return model;
   }
@@ -190,12 +186,9 @@ PredictiveModel CategorizeDeterministic(std::span<const uint32_t> counts,
   return model;  // kUnknown: caller tries indeterminate assignment
 }
 
-PredictiveModel CategorizeWithForgetting(std::span<const uint32_t> counts,
-                                         const SpesConfig& config) {
-  PredictiveModel model = CategorizeDeterministic(counts, config);
-  if (model.type != FunctionType::kUnknown || !config.enable_forgetting) {
-    return model;
-  }
+PredictiveModel CategorizeWithForgetting(std::span<const uint32_t> counts) {
+  PredictiveModel model = CategorizeDeterministic(counts);
+  if (model.type != FunctionType::kUnknown) return model;
   // Drop whole days from the front, one at a time, down to half the window
   // (§IV-B1): recent behaviour outranks stale behaviour.
   const int days = static_cast<int>(counts.size()) / kMinutesPerDay;
@@ -203,7 +196,7 @@ PredictiveModel CategorizeWithForgetting(std::span<const uint32_t> counts,
     const size_t offset = static_cast<size_t>(drop) * kMinutesPerDay;
     if (offset >= counts.size()) break;
     PredictiveModel suffix_model =
-        CategorizeDeterministic(counts.subspan(offset), config);
+        CategorizeDeterministic(counts.subspan(offset));
     if (suffix_model.type != FunctionType::kUnknown) {
       suffix_model.forgotten_prefix_minutes = static_cast<int>(offset);
       return suffix_model;

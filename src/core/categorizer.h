@@ -4,16 +4,19 @@
 // Categorization follows Table I's priority: always-warm, then regular
 // (with slacking), appro-regular, dense, successive. A function matching an
 // earlier type never reaches a later one. Functions matching none are
-// handed to the indeterminate assignment (validation.h).
+// handed to the indeterminate assignment (validation.h). Each function
+// here depends only on its input series; the thresholds are the Table I
+// constants of core/config.h.
 
 #ifndef SPES_CORE_CATEGORIZER_H_
 #define SPES_CORE_CATEGORIZER_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <span>
 #include <vector>
 
-#include "core/config.h"
 #include "core/series_features.h"
 #include "core/types.h"
 
@@ -42,35 +45,47 @@ struct PredictiveModel {
   /// Minutes of history the model was fit on after forgetting trimmed the
   /// prefix (0 = full window used).
   int forgotten_prefix_minutes = 0;
+
+  /// \brief True when minute `t` lies within `theta` of an invocation
+  /// predicted from the arrival at `last_arrival`: anywhere inside
+  /// last_arrival + [range_lo, range_hi] when `continuous`, else within
+  /// theta of last_arrival + v for some value v.
+  [[nodiscard]] bool PredictsNear(int64_t last_arrival, int64_t t,
+                                  int theta) const {
+    if (continuous) {
+      return t + theta >= last_arrival + range_lo &&
+             t - theta <= last_arrival + range_hi;
+    }
+    return std::any_of(values.begin(), values.end(), [&](int64_t v) {
+      return std::llabs(last_arrival + v - t) <= theta;
+    });
+  }
 };
 
 /// \brief Tests the Table I "regular" rule (before slacking) on a WT set.
-bool WtsLookRegular(const std::vector<int64_t>& wts, const SpesConfig& config);
+bool WtsLookRegular(const std::vector<int64_t>& wts);
 
 /// \brief Full regular test: raw WTs, then boundary-trimmed, then merged.
 ///
 /// On success, *regular_wts receives the WT sequence variant that passed
 /// (used to fit the median predictive value).
 bool PassesRegularWithSlacking(const std::vector<int64_t>& wts,
-                               const SpesConfig& config,
                                std::vector<int64_t>* regular_wts);
 
 /// \brief Attempts deterministic categorization of one count sequence.
 ///
 /// Returns a model with type kUnknown when no deterministic type matches.
-PredictiveModel CategorizeDeterministic(std::span<const uint32_t> counts,
-                                        const SpesConfig& config);
+PredictiveModel CategorizeDeterministic(std::span<const uint32_t> counts);
 
 /// \brief Deterministic categorization with forgetting: retries on suffixes
 /// of the window, dropping whole days from the front down to half the
-/// window, and keeps the first (most-history) success.
-PredictiveModel CategorizeWithForgetting(std::span<const uint32_t> counts,
-                                         const SpesConfig& config);
+/// window, and keeps the first (most-history) success. SpesPolicy::Train
+/// calls it only when `enable_forgetting` is on.
+PredictiveModel CategorizeWithForgetting(std::span<const uint32_t> counts);
 
 /// \brief Fits the "possible" predictive values (repeated WTs) if any;
 /// returns a kUnknown model when the WT multiset has no repeats.
-PredictiveModel FitPossibleModel(const std::vector<int64_t>& wts,
-                                 const SpesConfig& config);
+PredictiveModel FitPossibleModel(const std::vector<int64_t>& wts);
 
 }  // namespace spes
 

@@ -18,7 +18,7 @@ void ReferenceSpesPolicy::ScanOnlineCorrelations(int t, MemSet* mem) {
       const FunctionState& cand = states_[corr.candidates[k]];
       const bool cand_recent =
           cand.last_arrival >= 0 &&
-          t - cand.last_arrival <= config_.tcor_max_lag;
+          t - cand.last_arrival <= kTcorMaxLag;
       if (target_fired && cand_recent) ++corr.co_count[k];
       if (corr.target_arrivals > 0) {
         max_cor = std::max(
@@ -30,9 +30,9 @@ void ReferenceSpesPolicy::ScanOnlineCorrelations(int t, MemSet* mem) {
       for (size_t k = 0; k < corr.candidates.size(); ++k) {
         const double cor = static_cast<double>(corr.co_count[k]) /
                            static_cast<double>(corr.target_arrivals);
-        if (max_cor - cor > config_.online_corr_drop_gap) {
+        if (max_cor - cor > kOnlineCorrDropGap) {
           corr.active[k] = 0;
-        } else if (max_cor - cor < config_.online_corr_drop_gap / 3.0) {
+        } else if (max_cor - cor < kOnlineCorrDropGap / 3.0) {
           corr.active[k] = 1;
         }
       }
@@ -40,7 +40,7 @@ void ReferenceSpesPolicy::ScanOnlineCorrelations(int t, MemSet* mem) {
     for (size_t k = 0; k < corr.candidates.size(); ++k) {
       if (!corr.active[k] || !invoked_now_[corr.candidates[k]]) continue;
       mem->Add(corr.target);
-      const int new_hold = t + config_.corr_prewarm_hold;
+      const int new_hold = t + kCorrPrewarmHold;
       if (new_hold > target_state.corr_hold_until) {
         target_state.corr_hold_until = new_hold;
         ++corr.grants_since_arrival;

@@ -19,8 +19,9 @@ void RegisterSpesPolicy(PolicyRegistry& registry) {
       "SPES: differentiated rule-based provisioning by invocation-pattern "
       "category";
   const SpesConfig defaults;
-  // The spec surface exposes the provision/ablation knobs the paper sweeps
-  // (Figs. 13-15); the Table I definitional constants stay code-level.
+  // One ParamSpec per SpesConfig member: the provision/ablation knobs the
+  // paper sweeps (Figs. 13-15). Table I's definitional constants and the
+  // other single-valued constants are named constants in core/config.h.
   entry.params = {
       {"theta_prewarm", ParamType::kInt, ParamValue(defaults.theta_prewarm),
        "pre-load window around a predicted invocation", 0, kIntParamMax},
@@ -93,16 +94,7 @@ bool SpesPolicy::PredictNearInvocation(const FunctionState& state,
     return std::llabs(state.next_predicted - static_cast<int64_t>(t)) <=
            theta;
   }
-  if (model.continuous) {
-    // Dense (and narrow-possible): any time inside last + [lo, hi].
-    return t + theta >= state.last_arrival + model.range_lo &&
-           t - theta <= state.last_arrival + model.range_hi;
-  }
-  for (int64_t v : model.values) {
-    const int64_t predicted = state.last_arrival + v;
-    if (std::llabs(predicted - static_cast<int64_t>(t)) <= theta) return true;
-  }
-  return false;
+  return model.PredictsNear(state.last_arrival, t, theta);
 }
 
 void SpesPolicy::Train(const Trace& trace, int train_minutes) {
@@ -118,7 +110,7 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
   rebuild_ = true;
 
   const int validation_begin =
-      std::max(0, train_minutes - config_.validation_minutes);
+      std::max(0, train_minutes - kValidationMinutes);
 
   // --- Pass 1: features + deterministic categorization. --------------------
   std::vector<std::vector<int64_t>> training_wts(n);
@@ -135,9 +127,9 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
     training_wts[f] = features.wts;
     if (!st.seen_in_training) continue;  // unseen: handled by online corr
 
-    st.model = CategorizeDeterministic(counts, config_);
+    st.model = CategorizeDeterministic(counts);
     if (st.model.type == FunctionType::kUnknown && config_.enable_forgetting) {
-      PredictiveModel recovered = CategorizeWithForgetting(counts, config_);
+      PredictiveModel recovered = CategorizeWithForgetting(counts);
       if (recovered.type != FunctionType::kUnknown) {
         st.model = recovered;
         ++forgetting_recategorized_;
@@ -146,7 +138,7 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
     // Near-empty histories (a couple of invoked minutes) carry no signal
     // for the supplementary strategies either: leave them unknown.
     if (st.model.type == FunctionType::kUnknown &&
-        features.active_slots >= config_.indeterminate_min_invoked_minutes) {
+        features.active_slots >= kIndeterminateMinInvokedMinutes) {
       indeterminate.push_back(f);
     }
   }
@@ -161,16 +153,9 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
     // Candidate functions: share the application or owner (§IV-B D2).
     std::vector<CorrelationLink> links;
     if (config_.enable_correlated) {
-      const std::vector<int> target_slots_vec = [&] {
-        std::vector<int> slots;
-        const auto train_slice = trace.Slice(f, 0, train_minutes);
-        for (size_t t = 0; t < train_slice.size(); ++t) {
-          if (train_slice[t] > 0) slots.push_back(static_cast<int>(t));
-        }
-        return slots;
-      }();
-      if (static_cast<int>(target_slots_vec.size()) >=
-          config_.tcor_min_target_arrivals) {
+      const auto target_slice = trace.Slice(f, 0, train_minutes);
+      const std::vector<int> target_slots = InvokedSlots(target_slice);
+      if (static_cast<int>(target_slots.size()) >= kTcorMinTargetArrivals) {
         std::vector<size_t> candidates;
         auto app_it = by_app.find(trace.function(f).meta.app);
         if (app_it != by_app.end()) {
@@ -189,13 +174,12 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
           if (c == f || !states_[c].seen_in_training) continue;
           const auto candidate_slice = trace.Slice(c, 0, train_minutes);
           const BestLag best = BestLaggedCorFromSlots(
-              target_slots_vec, candidate_slice, config_.tcor_max_lag);
-          if (best.cor < config_.tcor_threshold) continue;
+              target_slots, candidate_slice, kTcorMaxLag);
+          if (best.cor < kTcorThreshold) continue;
           // Precision check: how often does a candidate firing actually
           // precede a target invocation? (Guards against hyperactive
           // candidates that would pre-warm the target non-stop.)
           int64_t cand_fires = 0, followed = 0;
-          const auto target_slice = trace.Slice(f, 0, train_minutes);
           for (size_t s = 0; s < candidate_slice.size(); ++s) {
             if (candidate_slice[s] == 0) continue;
             ++cand_fires;
@@ -214,7 +198,7 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
               cand_fires == 0 ? 0.0
                               : static_cast<double>(followed) /
                                     static_cast<double>(cand_fires);
-          if (precision < config_.tcor_min_precision) continue;
+          if (precision < kTcorMinPrecision) continue;
           links.push_back({static_cast<uint32_t>(f),
                            static_cast<uint32_t>(c), best.lag, best.cor});
         }
@@ -234,10 +218,9 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
     }
     const StrategyCost correlated =
         ReplayCorrelated(validation, cand_validation, lags,
-                         config_.corr_prewarm_hold, config_.theta_prewarm);
+                         kCorrPrewarmHold, config_.theta_prewarm);
     // D3: possible replay from repeated training WTs.
-    const PredictiveModel possible_model =
-        FitPossibleModel(training_wts[f], config_);
+    const PredictiveModel possible_model = FitPossibleModel(training_wts[f]);
     const StrategyCost possible =
         ReplayPossible(validation, possible_model, config_);
 
@@ -287,7 +270,7 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
         if (c == f || !states_[c].seen_in_training) return;
         if (trace.function(c).meta.trigger != trigger) return;
         if (static_cast<int>(corr.candidates.size()) >=
-            config_.online_corr_max_candidates) {
+            kOnlineCorrMaxCandidates) {
           return;
         }
         const uint32_t cand = static_cast<uint32_t>(c);
@@ -306,7 +289,7 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
       }
       for (size_t c = 0;
            c < n && static_cast<int>(corr.candidates.size()) <
-                        config_.online_corr_max_candidates;
+                        kOnlineCorrMaxCandidates;
            ++c) {
         consider(c);
       }
@@ -324,8 +307,8 @@ void SpesPolicy::MaybeAdjustPredictiveValues(FunctionState* state) {
   PredictiveModel& model = state->model;
   const int samples = static_cast<int>(state->online_wts.size());
   // S1: only act with enough fresh WTs since the last adjustment.
-  if (samples < config_.adjust_min_samples ||
-      samples - state->adjust_cursor < config_.adjust_min_samples) {
+  if (samples < kAdjustMinSamples ||
+      samples - state->adjust_cursor < kAdjustMinSamples) {
     return;
   }
   state->adjust_cursor = samples;
@@ -350,7 +333,7 @@ void SpesPolicy::MaybeAdjustPredictiveValues(FunctionState* state) {
       // order of tightly clustered quasi-period modes is unstable between
       // the offline and online windows) and average only on genuine drift.
       const std::vector<ModeEntry> online_modes =
-          state->wt_counts.TopModes(config_.appro_num_modes);
+          state->wt_counts.TopModes(kApproNumModes);
       if (online_modes.empty()) return;
       for (int64_t& value : model.values) {
         int64_t nearest = online_modes.front().value;
@@ -368,7 +351,7 @@ void SpesPolicy::MaybeAdjustPredictiveValues(FunctionState* state) {
     }
     case FunctionType::kDense: {
       const std::vector<ModeEntry> online_modes =
-          state->wt_counts.TopModes(config_.dense_num_modes);
+          state->wt_counts.TopModes(kDenseNumModes);
       if (online_modes.empty()) return;
       int64_t lo = online_modes.front().value, hi = lo;
       for (const ModeEntry& m : online_modes) {
@@ -389,7 +372,7 @@ void SpesPolicy::MaybeAdjustPredictiveValues(FunctionState* state) {
       // Merge newly repeated online WTs into the predictive set.
       for (const ModeEntry& m : state->wt_counts.Repeated()) {
         if (static_cast<int>(model.values.size()) >=
-            config_.possible_max_values) {
+            kPossibleMaxValues) {
           break;
         }
         if (std::find(model.values.begin(), model.values.end(), m.value) ==
@@ -408,12 +391,12 @@ void SpesPolicy::MaybeLateCategorize(FunctionState* state) {
   if (!config_.enable_adjusting) return;
   if (state->model.type != FunctionType::kUnknown) return;
   if (static_cast<int>(state->online_wts.size()) <
-      config_.newly_possible_min_wts) {
+      kNewlyPossibleMinWts) {
     return;
   }
   // S3: an unknown/unseen function whose online WTs develop repeated modes
   // becomes "newly possible" and gains predictive values.
-  PredictiveModel fitted = FitPossibleModel(state->online_wts, config_);
+  PredictiveModel fitted = FitPossibleModel(state->online_wts);
   if (fitted.type == FunctionType::kPossible) {
     fitted.type = FunctionType::kNewlyPossible;
     state->model = fitted;
@@ -584,7 +567,7 @@ void SpesPolicy::OnTrackedTargetFired(OnlineCorrState* corr, int t) {
   for (size_t k = 0; k < corr->candidates.size(); ++k) {
     const FunctionState& cand = states_[corr->candidates[k]];
     if (cand.last_arrival >= 0 &&
-        t - cand.last_arrival <= config_.tcor_max_lag) {
+        t - cand.last_arrival <= kTcorMaxLag) {
       ++corr->co_count[k];
     }
   }
@@ -604,9 +587,9 @@ void SpesPolicy::KeepOrExpel(OnlineCorrState* corr) {
   }
   for (size_t k = 0; k < corr->candidates.size(); ++k) {
     const double cor = static_cast<double>(corr->co_count[k]) / arrivals;
-    if (max_cor - cor > config_.online_corr_drop_gap) {
+    if (max_cor - cor > kOnlineCorrDropGap) {
       corr->active[k] = 0;
-    } else if (max_cor - cor < config_.online_corr_drop_gap / 3.0) {
+    } else if (max_cor - cor < kOnlineCorrDropGap / 3.0) {
       corr->active[k] = 1;
     }
   }
@@ -617,7 +600,7 @@ void SpesPolicy::GrantTracked(OnlineCorrState* corr, int t, MemSet* mem) {
   // aggressive initial phase; candidates are pruned by COR over time).
   FunctionState& target_state = states_[corr->target];
   mem->Add(corr->target);
-  const int new_hold = t + config_.corr_prewarm_hold;
+  const int new_hold = t + kCorrPrewarmHold;
   if (new_hold > target_state.corr_hold_until) {
     target_state.corr_hold_until = new_hold;
     ++corr->grants_since_arrival;

@@ -61,10 +61,11 @@ class SpesPolicy : public Policy {
   /// states (including the predictive models, which drift under S2/S3),
   /// correlation links, online-correlation trackers and the adaptive
   /// counters. The config is NOT serialized; restore into a policy
-  /// constructed with the same SpesConfig. The event-driven step's wheel,
-  /// window list and indexes are derived, rebuilt at the next OnMinute();
-  /// the per-function WT histograms are derived too, rebuilt by
-  /// RestoreState() from the WT lists.
+  /// built from the same spec parameters (SpesConfig holds nothing else;
+  /// every other constant is fixed in core/config.h). The event-driven
+  /// step's wheel, window list and indexes are derived, rebuilt at the
+  /// next OnMinute(); the per-function WT histograms are derived too,
+  /// rebuilt by RestoreState() from the WT lists.
   /// @{
   [[nodiscard]] bool SupportsCheckpoint() const override { return true; }
   [[nodiscard]] Result<std::string> SaveState() const override;

@@ -83,24 +83,9 @@ StrategyCost ReplayPossible(std::span<const uint32_t> validation,
   const int n = static_cast<int>(validation.size());
   for (int t = 0; t < n; ++t) {
     const bool invoked = validation[static_cast<size_t>(t)] > 0;
-    // Prediction: next invocation at last_arrival + v for each value v
-    // (or anywhere inside the continuous range).
-    bool predicted_near = false;
-    if (last_arrival >= 0) {
-      if (possible_model.continuous) {
-        predicted_near =
-            t + theta_p >= last_arrival + possible_model.range_lo &&
-            t - theta_p <= last_arrival + possible_model.range_hi;
-      } else {
-        for (int64_t v : possible_model.values) {
-          const int64_t predicted = last_arrival + v;
-          if (std::llabs(predicted - t) <= theta_p) {
-            predicted_near = true;
-            break;
-          }
-        }
-      }
-    }
+    const bool predicted_near =
+        last_arrival >= 0 &&
+        possible_model.PredictsNear(last_arrival, t, theta_p);
     if (invoked) {
       if (!loaded && !predicted_near) ++cost.cold_starts;
       loaded = true;

@@ -52,7 +52,8 @@ StrategyCost ReplayCorrelated(
 
 /// \brief Replays the possible strategy: predict the next invocation as
 /// last-arrival + each repeated WT value; pre-load within +/-theta_prewarm
-/// of a prediction; evict after theta_givenup idle minutes otherwise.
+/// of a prediction (PredictiveModel::PredictsNear, the rule SpesPolicy
+/// pre-loads by); evict after theta_givenup idle minutes otherwise.
 /// Infeasible when the training WTs have no repeated value.
 StrategyCost ReplayPossible(std::span<const uint32_t> validation,
                             const PredictiveModel& possible_model,

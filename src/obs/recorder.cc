@@ -157,20 +157,6 @@ std::vector<SpanRecord> RunRecorder::spans() const {
   return closed_spans_;
 }
 
-Status RunRecorder::WriteChromeTrace(const std::string& path) const {
-  const std::string json = ChromeTraceJson(spans());
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::IOError("cannot open trace output '" + path + "'");
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  const bool write_error = written != json.size();
-  if (std::fclose(file) != 0 || write_error) {
-    return Status::IOError("error writing trace output '" + path + "'");
-  }
-  return Status::OK();
-}
-
 void RunRecorder::WriteLineLocked(const std::string& line) {
   sink_->WriteLine(line);
   ++num_events_;

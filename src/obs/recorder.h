@@ -3,8 +3,8 @@
 // A RunRecorder turns wall-clock phases (spans), strided per-minute
 // heartbeats and subsystem events (TraceCache hits, decoder work,
 // checkpoint save/restore) into a schema-versioned JSONL run log
-// (obs/run_log.h) through a pluggable sink, and can export the spans as
-// Chrome trace-event JSON for Perfetto / chrome://tracing.
+// (obs/run_log.h) through a pluggable sink; its spans() export as Chrome
+// trace-event JSON (ChromeTraceJson) for Perfetto / chrome://tracing.
 //
 // The recorder is strictly write-only with respect to the simulation:
 // it reads counters, never produces values that feed simulation state.
@@ -100,9 +100,6 @@ class RunRecorder {
 
   /// \brief Snapshot of all closed spans so far.
   [[nodiscard]] std::vector<SpanRecord> spans() const;
-
-  /// \brief Writes the closed spans as Chrome trace-event JSON.
-  Status WriteChromeTrace(const std::string& path) const;
 
  private:
   struct OpenSpan {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
+#include "tests/make_trace.h"
 #include "trace/trace.h"
 
 namespace spes {
@@ -18,17 +20,15 @@ std::vector<uint32_t> Periodic(int n, int period, int phase = 0) {
   return counts;
 }
 
-SpesConfig DefaultConfig() { return SpesConfig{}; }
-
 TEST(CategorizerTest, NeverInvokedIsUnknown) {
   const std::vector<uint32_t> counts(2000, 0);
-  EXPECT_EQ(CategorizeDeterministic(counts, DefaultConfig()).type,
+  EXPECT_EQ(CategorizeDeterministic(counts).type,
             FunctionType::kUnknown);
 }
 
 TEST(CategorizerTest, EverySlotInvokedIsAlwaysWarm) {
   const std::vector<uint32_t> counts(2000, 2);
-  EXPECT_EQ(CategorizeDeterministic(counts, DefaultConfig()).type,
+  EXPECT_EQ(CategorizeDeterministic(counts).type,
             FunctionType::kAlwaysWarm);
 }
 
@@ -36,14 +36,14 @@ TEST(CategorizerTest, TinyIdleShareIsStillAlwaysWarm) {
   // One idle slot in 2000 (< 1/1000 of the window).
   std::vector<uint32_t> counts(2000, 1);
   counts[777] = 0;
-  EXPECT_EQ(CategorizeDeterministic(counts, DefaultConfig()).type,
+  EXPECT_EQ(CategorizeDeterministic(counts).type,
             FunctionType::kAlwaysWarm);
 }
 
 TEST(CategorizerTest, StrictPeriodIsRegularWithMedianValue) {
   const auto counts = Periodic(2000, 10);
   const PredictiveModel model =
-      CategorizeDeterministic(counts, DefaultConfig());
+      CategorizeDeterministic(counts);
   EXPECT_EQ(model.type, FunctionType::kRegular);
   ASSERT_EQ(model.values.size(), 1u);
   EXPECT_EQ(model.values[0], 9);  // WT between arrivals 10 apart is 9
@@ -64,7 +64,7 @@ TEST(CategorizerTest, FragmentedPeriodIsRegularAfterMerging) {
     t += 200;
   }
   const PredictiveModel model =
-      CategorizeDeterministic(counts, DefaultConfig());
+      CategorizeDeterministic(counts);
   EXPECT_EQ(model.type, FunctionType::kRegular);
 }
 
@@ -81,7 +81,7 @@ TEST(CategorizerTest, QuasiPeriodicIsApproRegular) {
     ++k;
   }
   const PredictiveModel model =
-      CategorizeDeterministic(counts, DefaultConfig());
+      CategorizeDeterministic(counts);
   EXPECT_EQ(model.type, FunctionType::kApproRegular);
   EXPECT_FALSE(model.values.empty());
 }
@@ -98,7 +98,7 @@ TEST(CategorizerTest, FrequentIrregularIsDense) {
     ++k;
   }
   const PredictiveModel model =
-      CategorizeDeterministic(counts, DefaultConfig());
+      CategorizeDeterministic(counts);
   EXPECT_EQ(model.type, FunctionType::kDense);
   EXPECT_TRUE(model.continuous);
   EXPECT_LE(model.range_lo, model.range_hi);
@@ -116,7 +116,7 @@ TEST(CategorizerTest, BurstyWavesAreSuccessive) {
     }
   }
   const PredictiveModel model =
-      CategorizeDeterministic(counts, DefaultConfig());
+      CategorizeDeterministic(counts);
   EXPECT_EQ(model.type, FunctionType::kSuccessive);
 }
 
@@ -126,7 +126,7 @@ TEST(CategorizerTest, ShortWavesAreNotSuccessive) {
   for (int wave = 0; wave < 8; ++wave) {
     counts[static_cast<size_t>(200 + wave * 700)] = 9;
   }
-  EXPECT_NE(CategorizeDeterministic(counts, DefaultConfig()).type,
+  EXPECT_NE(CategorizeDeterministic(counts).type,
             FunctionType::kSuccessive);
 }
 
@@ -134,7 +134,7 @@ TEST(CategorizerTest, PriorityRegularBeatsDense) {
   // A strict 2-minute period also satisfies the dense test, but the
   // regular definition has priority.
   const auto counts = Periodic(2000, 2);
-  EXPECT_EQ(CategorizeDeterministic(counts, DefaultConfig()).type,
+  EXPECT_EQ(CategorizeDeterministic(counts).type,
             FunctionType::kRegular);
 }
 
@@ -143,55 +143,21 @@ TEST(CategorizerTest, SparseRandomIsUnknown) {
   counts[123] = 1;
   counts[7777] = 1;
   counts[15000] = 1;
-  EXPECT_EQ(CategorizeDeterministic(counts, DefaultConfig()).type,
+  EXPECT_EQ(CategorizeDeterministic(counts).type,
             FunctionType::kUnknown);
 }
-
-namespace {
-
-/// 4 days of wildly varying gaps, then 4 days of a clean 10-minute timer.
-/// The noisy prefix contributes ~40% of all WTs across 10 distinct values,
-/// defeating every deterministic rule on the full window; the suffix alone
-/// is textbook regular.
-std::vector<uint32_t> ShiftedWorkload() {
-  const int days = 8;
-  const int shift = 4 * kMinutesPerDay;
-  std::vector<uint32_t> counts(static_cast<size_t>(days) * kMinutesPerDay, 0);
-  const int noise_gaps[10] = {5, 7, 9, 11, 13, 15, 17, 19, 21, 23};
-  int t = 0, k = 0;
-  while (t < shift) {
-    counts[static_cast<size_t>(t)] = 1;
-    t += noise_gaps[k++ % 10];
-  }
-  for (int s = shift; s < days * kMinutesPerDay; s += 10) {
-    counts[static_cast<size_t>(s)] = 1;
-  }
-  return counts;
-}
-
-}  // namespace
 
 TEST(CategorizerForgettingTest, RecoversPostShiftRegularity) {
   const std::vector<uint32_t> counts = ShiftedWorkload();
-  SpesConfig config = DefaultConfig();
-  EXPECT_EQ(CategorizeDeterministic(counts, config).type,
-            FunctionType::kUnknown);
-  const PredictiveModel model = CategorizeWithForgetting(counts, config);
+  EXPECT_EQ(CategorizeDeterministic(counts).type, FunctionType::kUnknown);
+  const PredictiveModel model = CategorizeWithForgetting(counts);
   EXPECT_EQ(model.type, FunctionType::kRegular);
   EXPECT_GT(model.forgotten_prefix_minutes, 0);
 }
 
-TEST(CategorizerForgettingTest, DisabledFlagSkipsForgetting) {
-  const std::vector<uint32_t> counts = ShiftedWorkload();
-  SpesConfig config = DefaultConfig();
-  config.enable_forgetting = false;
-  EXPECT_EQ(CategorizeWithForgetting(counts, config).type,
-            FunctionType::kUnknown);
-}
-
 TEST(FitPossibleModelTest, RepeatedWtsBecomePredictiveValues) {
   const std::vector<int64_t> wts = {360, 1440, 360, 77, 1440, 360};
-  const PredictiveModel model = FitPossibleModel(wts, DefaultConfig());
+  const PredictiveModel model = FitPossibleModel(wts);
   EXPECT_EQ(model.type, FunctionType::kPossible);
   ASSERT_EQ(model.values.size(), 2u);
   EXPECT_EQ(model.values[0], 360);
@@ -201,7 +167,7 @@ TEST(FitPossibleModelTest, RepeatedWtsBecomePredictiveValues) {
 
 TEST(FitPossibleModelTest, NarrowRangeBecomesContinuous) {
   const std::vector<int64_t> wts = {30, 32, 30, 32, 31, 31};
-  const PredictiveModel model = FitPossibleModel(wts, DefaultConfig());
+  const PredictiveModel model = FitPossibleModel(wts);
   EXPECT_EQ(model.type, FunctionType::kPossible);
   EXPECT_TRUE(model.continuous);
   EXPECT_EQ(model.range_lo, 30);
@@ -209,19 +175,58 @@ TEST(FitPossibleModelTest, NarrowRangeBecomesContinuous) {
 }
 
 TEST(FitPossibleModelTest, NoRepeatsMeansUnknown) {
-  EXPECT_EQ(FitPossibleModel({5, 9, 100}, DefaultConfig()).type,
+  EXPECT_EQ(FitPossibleModel({5, 9, 100}).type,
             FunctionType::kUnknown);
 }
 
+// The one "predicted near" rule SpesPolicy's pre-load and the possible
+// replay share: the window is closed at theta on both sides.
+TEST(PredictsNearTest, DiscreteValuesWindowIsClosedAtTheta) {
+  PredictiveModel model;
+  model.values = {30, 300};
+  const int64_t last = 1000;
+  for (const int theta : {0, 2, 7}) {
+    for (const int64_t v : model.values) {
+      const int64_t predicted = last + v;
+      EXPECT_TRUE(model.PredictsNear(last, predicted - theta, theta));
+      EXPECT_TRUE(model.PredictsNear(last, predicted + theta, theta));
+      EXPECT_FALSE(model.PredictsNear(last, predicted - theta - 1, theta));
+      EXPECT_FALSE(model.PredictsNear(last, predicted + theta + 1, theta));
+    }
+  }
+  // The widest pre-load window a spec can set does not overflow.
+  const int theta = std::numeric_limits<int>::max();
+  model.values = {30};
+  EXPECT_TRUE(model.PredictsNear(last, last + 30 + theta, theta));
+  EXPECT_FALSE(model.PredictsNear(last, last + 30 + theta + 1, theta));
+  EXPECT_FALSE(PredictiveModel{}.PredictsNear(last, last, 5));  // no values
+}
+
+TEST(PredictsNearTest, ContinuousRangeWindowIsClosedAtTheta) {
+  PredictiveModel model;
+  model.continuous = true;
+  model.range_lo = 28;
+  model.range_hi = 32;
+  model.values = {1};  // ignored by a continuous model
+  const int64_t last = 1000;
+  // INT_MAX: the widest pre-load window a spec can set does not overflow.
+  for (const int theta : {0, 2, 7, std::numeric_limits<int>::max()}) {
+    const int64_t lo = last + model.range_lo, hi = last + model.range_hi;
+    EXPECT_TRUE(model.PredictsNear(last, lo - theta, theta));
+    EXPECT_TRUE(model.PredictsNear(last, hi + theta, theta));
+    EXPECT_FALSE(model.PredictsNear(last, lo - theta - 1, theta));
+    EXPECT_FALSE(model.PredictsNear(last, hi + theta + 1, theta));
+  }
+}
+
 TEST(WtsLookRegularTest, BandAndCvRules) {
-  SpesConfig config = DefaultConfig();
-  EXPECT_TRUE(WtsLookRegular({10, 10, 10, 11}, config));   // band <= 1
-  EXPECT_FALSE(WtsLookRegular({10, 20, 30, 40}, config));  // wide band
-  EXPECT_FALSE(WtsLookRegular({}, config));
+  EXPECT_TRUE(WtsLookRegular({10, 10, 10, 11}));   // band <= 1
+  EXPECT_FALSE(WtsLookRegular({10, 20, 30, 40}));  // wide band
+  EXPECT_FALSE(WtsLookRegular({}));
   // CV rule: large but nearly constant values with band > 1 need CV small.
   std::vector<int64_t> wts(200, 1000);
   wts[0] = 1003;  // band 3 but tiny CV
-  EXPECT_TRUE(WtsLookRegular(wts, config));
+  EXPECT_TRUE(WtsLookRegular(wts));
 }
 
 class PeriodSweepTest : public ::testing::TestWithParam<int> {};
@@ -230,7 +235,7 @@ TEST_P(PeriodSweepTest, AnyStrictPeriodIsRegular) {
   const int period = GetParam();
   const auto counts = Periodic(8 * period + 1, period);
   const PredictiveModel model =
-      CategorizeDeterministic(counts, DefaultConfig());
+      CategorizeDeterministic(counts);
   EXPECT_EQ(model.type, FunctionType::kRegular) << "period " << period;
   ASSERT_FALSE(model.values.empty());
   EXPECT_EQ(model.values[0], period - 1);

@@ -1,4 +1,5 @@
-// MakeTrace: the one small-fleet builder the unit tests share.
+// MakeTrace: the one small-fleet builder the unit tests share, plus the
+// shifted-behaviour series the forgetting tests run on.
 //
 // Function k of the fleet is named "f<k>" and owned by "o"; its counts are
 // row k. Apps and triggers are given per function, or as one entry every
@@ -41,6 +42,26 @@ inline Trace MakeTrace(
     EXPECT_TRUE(trace.Add(std::move(f)).ok());
   }
   return trace;
+}
+
+/// \brief 4 days of wildly varying gaps, then 4 days of a clean 10-minute
+/// timer. The noisy prefix contributes ~40% of all WTs across 10 distinct
+/// values, defeating every deterministic rule on the full window; the
+/// suffix alone is textbook regular, so only forgetting recovers it.
+inline std::vector<uint32_t> ShiftedWorkload() {
+  const int days = 8;
+  const int shift = 4 * kMinutesPerDay;
+  std::vector<uint32_t> counts(static_cast<size_t>(days) * kMinutesPerDay, 0);
+  const int noise_gaps[10] = {5, 7, 9, 11, 13, 15, 17, 19, 21, 23};
+  int t = 0, k = 0;
+  while (t < shift) {
+    counts[static_cast<size_t>(t)] = 1;
+    t += noise_gaps[k++ % 10];
+  }
+  for (int s = shift; s < days * kMinutesPerDay; s += 10) {
+    counts[static_cast<size_t>(s)] = 1;
+  }
+  return counts;
 }
 
 }  // namespace spes

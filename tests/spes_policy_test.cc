@@ -252,6 +252,26 @@ TEST(SpesPolicyTest, AdjustingDisabledKeepsUnknown) {
   EXPECT_EQ(policy.TypeOf(0), FunctionType::kUnknown);
 }
 
+TEST(SpesPolicyTest, ForgettingSwitchDecidesTheShiftedFunction) {
+  const Trace trace =
+      MakeTrace({ShiftedWorkload()}, {"a0"}, {TriggerType::kHttp});
+  const int train = trace.num_minutes();
+
+  SpesPolicy with;  // forgetting on
+  with.Train(trace, train);
+  EXPECT_EQ(with.forgetting_recategorized(), 1);
+  EXPECT_EQ(with.TypeOf(0), FunctionType::kRegular);
+
+  SpesConfig config;
+  config.enable_forgetting = false;
+  SpesPolicy without(config);
+  without.Train(trace, train);
+  EXPECT_EQ(without.forgetting_recategorized(), 0);
+  // Still unknown after the deterministic pass, so the indeterminate
+  // assignment decides it: the repeated timer WTs make it "possible".
+  EXPECT_EQ(without.TypeOf(0), FunctionType::kPossible);
+}
+
 TEST(SpesPolicyTest, AdjustingTracksDriftingPeriod) {
   // Training: 30-minute period. Simulation: drifts to 40 minutes.
   const int horizon = 6 * kMinutesPerDay;

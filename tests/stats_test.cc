@@ -88,16 +88,6 @@ TEST(StatsTest, RepeatedValuesEmptyWhenAllUnique) {
   EXPECT_TRUE(RepeatedValues({1, 2, 3}).empty());
 }
 
-TEST(StatsTest, EmpiricalCdfStepsAndDedup) {
-  const auto cdf = EmpiricalCdf({1.0, 1.0, 2.0, 4.0});
-  ASSERT_EQ(cdf.size(), 3u);
-  EXPECT_DOUBLE_EQ(cdf[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(cdf[0].fraction, 0.5);
-  EXPECT_DOUBLE_EQ(cdf[1].value, 2.0);
-  EXPECT_DOUBLE_EQ(cdf[1].fraction, 0.75);
-  EXPECT_DOUBLE_EQ(cdf[2].fraction, 1.0);
-}
-
 TEST(StatsTest, FitLineRecoversExactLine) {
   std::vector<double> xs = {0, 1, 2, 3, 4};
   std::vector<double> ys;
@@ -112,21 +102,6 @@ TEST(StatsTest, FitLineDegenerateInputs) {
   EXPECT_DOUBLE_EQ(FitLine({1.0}, {2.0}).slope, 0.0);
   // Vertical data: sxx == 0.
   EXPECT_DOUBLE_EQ(FitLine({2.0, 2.0}, {1.0, 3.0}).slope, 0.0);
-}
-
-TEST(StatsTest, QuantileMatchesPercentile) {
-  std::vector<double> xs = {5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(Quantile(xs, 0.5), Percentile(xs, 50.0));
-  EXPECT_DOUBLE_EQ(Quantile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(Quantile(xs, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(Quantile(std::vector<int64_t>{1, 2, 3, 4, 5}, 0.1),
-                   Percentile(std::vector<int64_t>{1, 2, 3, 4, 5}, 10.0));
-}
-
-TEST(StatsTest, QuantileEmptyAndSingle) {
-  EXPECT_DOUBLE_EQ(Quantile(std::vector<double>{}, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(Quantile(std::vector<double>{7.0}, 0.0), 7.0);
-  EXPECT_DOUBLE_EQ(Quantile(std::vector<double>{7.0}, 1.0), 7.0);
 }
 
 TEST(HistogramTest, EmptyHistogram) {

@@ -67,6 +67,12 @@ docs/correctness.md):
                        observers never see a half-stepped session.
                        Three-argument OnMinute calls are policy and
                        latency steps and are not matched.
+  R10 one-spes-surface Every data member of SpesConfig (src/core/config.h)
+                       is a ParamSpec name in RegisterSpesPolicy
+                       (src/core/spes_policy.cc), and every such name is a
+                       member: a SpesConfig knob no policy spec can set is
+                       a named constant instead. This rule reads the two
+                       files together.
 
 Allowlist: a line that would fire R1, R2 or R5 is suppressed when it (or
 the line directly above it) carries a justification comment of the form
@@ -503,6 +509,90 @@ def lint_r9(relpath, lines):
 
 
 # --------------------------------------------------------------------------
+# R10: one SPES parameter surface
+# --------------------------------------------------------------------------
+
+R10_CONFIG = "src/core/config.h"
+R10_REGISTRY = "src/core/spes_policy.cc"
+# A data member: a type, a name, an optional default and the `;`, with no
+# parentheses (member functions are not data).
+R10_MEMBER = re.compile(r"^\s*(?:[\w:<>]+\s+)+(\w+)\s*(?:=[^;()]*)?;")
+R10_SPEC = re.compile(r'\{\s*"(\w+)"\s*,\s*ParamType::')
+
+
+def _r10_members(lines):
+    """{name: line} of SpesConfig's data members (brace depth 1)."""
+    members, depth = {}, None
+    for i, line in enumerate(lines):
+        code = line.split("//", 1)[0]
+        if depth is None:
+            if re.match(r"^\s*struct\s+SpesConfig\b", code):
+                depth = code.count("{") - code.count("}")
+            continue
+        if depth == 1 and "(" not in code:
+            match = R10_MEMBER.match(code)
+            if match:
+                members[match.group(1)] = i + 1
+        depth += code.count("{") - code.count("}")
+        if depth <= 0 and "}" in code:
+            break
+    return members
+
+
+def _r10_specs(lines):
+    """{name: line} of the ParamSpecs in RegisterSpesPolicy's body (a spec
+    may break its line between the name and its ParamType)."""
+    body, first = [], None
+    for i, line in enumerate(lines):
+        code = line.split("//", 1)[0]
+        if first is None:
+            if re.match(r"^void\s+RegisterSpesPolicy\s*\(", code):
+                first = i + 1
+            continue
+        if code.startswith("}"):
+            break
+        body.append(code)
+    text = "\n".join(body)
+    return {
+        match.group(1): first + 1 + text.count("\n", 0, match.start(1))
+        for match in R10_SPEC.finditer(text)
+    }
+
+
+def lint_r10(root):
+    texts = []
+    for rel in (R10_CONFIG, R10_REGISTRY):
+        path = os.path.join(root, rel)
+        if not os.path.isfile(path):
+            return [Finding(rel, 0, "R10", "missing; R10 cannot compare "
+                            "SpesConfig with the spes ParamSpecs")]
+        with open(path, encoding="utf-8", errors="replace") as f:
+            texts.append(f.read().splitlines())
+    members, specs = _r10_members(texts[0]), _r10_specs(texts[1])
+    findings = [
+        Finding(
+            R10_CONFIG,
+            line,
+            "R10",
+            f"SpesConfig::{name} has no ParamSpec in RegisterSpesPolicy; "
+            "a value no spec can set is an inline constexpr constant",
+        )
+        for name, line in sorted(members.items()) if name not in specs
+    ]
+    findings += [
+        Finding(
+            R10_REGISTRY,
+            line,
+            "R10",
+            f'ParamSpec "{name}" names no SpesConfig member; the factory '
+            "has nowhere to put it",
+        )
+        for name, line in sorted(specs.items()) if name not in members
+    ]
+    return findings
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -510,6 +600,8 @@ RULES = (
     lint_r1, lint_r2, lint_r3, lint_r4, lint_r5, lint_r6, lint_r7, lint_r8,
     lint_r9,
 )
+# Rules that read several files of the tree at once.
+TREE_RULES = (lint_r10,)
 SCAN_DIRS = ("src", "tests", "examples", "fuzz", "bench")
 SOURCE_EXT = (".h", ".cc", ".cpp")
 
@@ -530,6 +622,8 @@ def lint_tree(root):
                     lines = f.read().splitlines()
                 for rule in RULES:
                     findings.extend(rule(relpath, lines))
+    for rule in TREE_RULES:
+        findings.extend(rule(root))
     return findings
 
 
@@ -792,6 +886,37 @@ SELF_TEST_TREE = {
     "tests/ok_observer_test.cc": (
         "EXPECT_TRUE(observer.OnMinute(view));\n"
     ),
+    # R10: a SpesConfig field no spec sets (stray_knob), and a spec with
+    # no field (orphan_param). The helper's local variable and the
+    # commented-out spec are not flagged.
+    "src/core/config.h": (
+        "#ifndef SPES_CORE_CONFIG_H_\n"
+        "#define SPES_CORE_CONFIG_H_\n"
+        "inline constexpr int kTableConstant = 3;\n"
+        "/// \\brief The spec-settable parameters.\n"
+        "struct SpesConfig {\n"
+        "  int theta_prewarm = 2;\n"
+        "  bool enable_adjusting = true;  ///< a switch\n"
+        "  int stray_knob = 7;\n"
+        "  [[nodiscard]] int Scaled(int theta) const {\n"
+        "    const int64_t scaled = int64_t{theta} * 2;\n"
+        "    return static_cast<int>(scaled);\n"
+        "  }\n"
+        "};\n"
+        "#endif  // SPES_CORE_CONFIG_H_\n"
+    ),
+    "src/core/spes_policy.cc": (
+        "void RegisterSpesPolicy(PolicyRegistry& registry) {\n"
+        "  entry.params = {\n"
+        '      {"theta_prewarm", ParamType::kInt, ParamValue(2),\n'
+        '       "pre-load window", 0, kIntParamMax},\n'
+        '      {"enable_adjusting",\n'
+        "       ParamType::kBool, ParamValue(true), \"adjusting\"},\n"
+        '      {"orphan_param", ParamType::kInt, ParamValue(1), "x", 0, 9},\n'
+        '      // {"commented_out", ParamType::kInt, ...},\n'
+        "  };\n"
+        "}\n"
+    ),
 }
 
 # (rule, path) pairs that MUST be flagged...
@@ -815,6 +940,8 @@ SELF_TEST_EXPECTED = [
     ("R8", "src/sim/bad_rejection.cc"),
     ("R9", "src/cluster/bad_observer_call.cc"),
     ("R9", "src/policies/bad_observer_call.cc"),
+    ("R10", "src/core/config.h"),
+    ("R10", "src/core/spes_policy.cc"),
 ]
 # ...and paths that must stay clean.
 SELF_TEST_CLEAN = [
@@ -843,6 +970,12 @@ SELF_TEST_CLEAN = [
 # (path, rule, line) findings that must NOT fire in a file that also has a
 # seeded violation: the Simulate() shim's own call in engine.cc.
 SELF_TEST_CLEAN_LINES = [("src/sim/engine.cc", "R7", 4)]
+# The exact R10 findings: the stray field and the orphan spec, nothing
+# else of the two seeded files.
+SELF_TEST_R10 = {
+    ("src/core/config.h", 8),
+    ("src/core/spes_policy.cc", 7),
+}
 
 
 def self_test():
@@ -870,6 +1003,11 @@ def self_test():
             ]
             for f in hits:
                 failures.append(f"false positive: {f}")
+        r10 = {(f.path, f.line) for f in findings if f.rule == "R10"}
+        if r10 != SELF_TEST_R10:
+            failures.append(
+                f"R10 flagged {sorted(r10)}, expected {sorted(SELF_TEST_R10)}"
+            )
         if failures:
             for f in failures:
                 print(f"SELF-TEST FAIL: {f}", file=sys.stderr)
