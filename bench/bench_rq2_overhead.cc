@@ -10,6 +10,8 @@
 // Set SPES_BENCH_THREADS>1 only to trade timing fidelity for speed.
 
 #include <cstdio>
+#include <map>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "bench/bench_policies.h"
@@ -32,19 +34,22 @@ int main(int argc, char** argv) {
 
   Table table({"policy", "total overhead (s)", "overhead (s/sim-minute)",
                "complexity per minute"});
-  const char* complexity[] = {
-      "O(n) rule lookups",          // SPES
-      "O(n) + histogram updates",   // Defuse
-      "O(n) histogram windows",     // HF
-      "O(apps) histogram windows",  // HA
-      "O(resident) timer scan",            // Fixed
-      "O(resident) GDSF scan on pressure"  // FaasCache
+  // Per-minute work of each policy's step, by display name. SPES's step is
+  // event-driven: arrivals, the functions whose deadline falls due, and
+  // those inside a pre-load window.
+  const std::map<std::string, std::string> complexity = {
+      {"SPES", "O(arrivals + due deadlines + pre-load window)"},
+      {"Defuse", "O(n) + histogram updates"},
+      {"Hybrid-Function", "O(n) histogram windows"},
+      {"Hybrid-Application", "O(apps) histogram windows"},
+      {"Fixed-10min", "O(resident) timer scan"},
+      {"FaasCache", "O(resident) GDSF scan on pressure"},
   };
-  for (size_t i = 0; i < suite.outcomes.size(); ++i) {
-    const FleetMetrics& m = suite.outcomes[i].metrics;
+  for (const SimulationOutcome& outcome : suite.outcomes) {
+    const FleetMetrics& m = outcome.metrics;
     table.AddRow({m.policy_name, FormatDouble(m.overhead_seconds, 3),
                   FormatDouble(m.overhead_seconds_per_minute, 6),
-                  complexity[i]});
+                  complexity.at(m.policy_name)});
   }
   bench::EmitTable("provisioning overhead per policy", table, format);
   if (!bench::MachineReadable(format)) {

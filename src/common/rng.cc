@@ -132,15 +132,6 @@ int64_t Rng::Zipf(int64_t n, double s) {
   }
 }
 
-double Rng::Pareto(double scale, double shape) {
-  if (scale <= 0.0 || shape <= 0.0) std::abort();
-  double u;
-  do {
-    u = UniformDouble();
-  } while (u <= 0.0);
-  return scale / std::pow(u, 1.0 / shape);
-}
-
 size_t Rng::WeightedIndex(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) total += w > 0.0 ? w : 0.0;

@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace spes {
@@ -76,21 +75,8 @@ class Rng {
   /// rarely invoked ones.
   int64_t Zipf(int64_t n, double s);
 
-  /// \brief Pareto (Lomax) variate: heavy-tailed positive double.
-  double Pareto(double scale, double shape);
-
   /// \brief Samples an index according to `weights` (need not be normalized).
   size_t WeightedIndex(const std::vector<double>& weights);
-
-  /// \brief Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>* v) {
-    if (v->empty()) return;
-    for (size_t i = v->size() - 1; i > 0; --i) {
-      size_t j = static_cast<size_t>(UniformInt(0, static_cast<int64_t>(i)));
-      std::swap((*v)[i], (*v)[j]);
-    }
-  }
 
   /// \brief Derives an independent child generator (for per-function streams).
   Rng Fork();

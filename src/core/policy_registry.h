@@ -8,7 +8,7 @@
 //
 // Spec strings follow the convention `name{param=value,param=value}`, e.g.
 //   fixed_keepalive{minutes=10}
-//   hybrid_histogram{granularity=application,tail_percentile=99}
+//   hybrid_histogram{granularity=application}
 //   spes{theta_prewarm=3,enable_online_corr=false}
 // ParsePolicySpec()/FormatNamedSpec() convert between the string and
 // structured forms; the round trip is exact for every value the parser

@@ -186,7 +186,8 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
             const size_t lo = s + static_cast<size_t>(std::max(
                                       0, best.lag - config_.theta_prewarm));
             const size_t hi =
-                s + static_cast<size_t>(best.lag + config_.theta_prewarm);
+                s + static_cast<size_t>(int64_t{best.lag} +
+                                        config_.theta_prewarm);
             for (size_t u = lo; u <= hi && u < target_slice.size(); ++u) {
               if (target_slice[u] > 0) {
                 ++followed;
@@ -451,9 +452,10 @@ void SpesPolicy::StartMinute(int t, const std::vector<Invocation>& arrivals,
     // load them now (lag <= theta_max) and hold through the window.
     for (const CorrelationLink& link : links_by_candidate_[f]) {
       mem->Add(link.target);
-      states_[link.target].corr_hold_until =
-          std::max(states_[link.target].corr_hold_until,
-                   t + link.lag + config_.theta_prewarm);
+      const int64_t hold = int64_t{t} + link.lag + config_.theta_prewarm;
+      int& until = states_[link.target].corr_hold_until;
+      until = std::max(until, static_cast<int>(std::min<int64_t>(
+                                  hold, std::numeric_limits<int>::max())));
     }
   }
 }

@@ -5,26 +5,61 @@
 
 namespace spes {
 
-StrategyCost ReplayPulsed(std::span<const uint32_t> validation, int theta) {
+namespace {
+
+constexpr int64_t kInfeasibleCost = std::numeric_limits<int64_t>::max() / 4;
+
+int64_t CsOf(const StrategyCost& c) {
+  return c.feasible ? c.cold_starts : kInfeasibleCost;
+}
+int64_t WmOf(const StrategyCost& c) {
+  return c.feasible ? c.wasted_minutes : kInfeasibleCost;
+}
+
+// The keep-alive replay behind D1 and D3. An arrival loads the function, a
+// cold start unless it was loaded or predicted near; a minute `model`
+// predicts near pre-loads it; otherwise it stays loaded until
+// `theta_givenup` minutes after the last arrival. A model that predicts
+// nothing makes this the pulsed strategy.
+StrategyCost ReplayKeepAlive(std::span<const uint32_t> validation,
+                             const PredictiveModel& model, int theta_prewarm,
+                             int theta_givenup) {
   StrategyCost cost;
   cost.feasible = true;
+  int last_arrival = -1;
   bool loaded = false;
   int idle = 0;
-  for (uint32_t c : validation) {
-    if (c > 0) {
-      if (!loaded) ++cost.cold_starts;
+  const int n = static_cast<int>(validation.size());
+  for (int t = 0; t < n; ++t) {
+    const bool invoked = validation[static_cast<size_t>(t)] > 0;
+    const bool predicted_near =
+        last_arrival >= 0 && model.PredictsNear(last_arrival, t, theta_prewarm);
+    if (invoked) {
+      if (!loaded && !predicted_near) ++cost.cold_starts;
       loaded = true;
       idle = 0;
-    } else if (loaded) {
+      last_arrival = t;
+    } else {
       ++idle;
-      if (idle >= theta) {
-        loaded = false;
-      } else {
+      if (predicted_near) {
+        loaded = true;
         ++cost.wasted_minutes;
+      } else if (loaded) {
+        if (idle >= theta_givenup) {
+          loaded = false;
+        } else {
+          ++cost.wasted_minutes;
+        }
       }
     }
   }
   return cost;
+}
+
+}  // namespace
+
+StrategyCost ReplayPulsed(std::span<const uint32_t> validation, int theta) {
+  return ReplayKeepAlive(validation, PredictiveModel{}, 0, theta);
 }
 
 StrategyCost ReplayCorrelated(
@@ -42,11 +77,12 @@ StrategyCost ReplayCorrelated(
     // pre-warm slightly early (theta_prewarm) and hold briefly.
     for (size_t k = 0; k < candidate_validation.size(); ++k) {
       const int lag = lags[k];
-      const int fire_from = t - lag - theta_prewarm;
-      for (int s = std::max(0, fire_from); s <= t; ++s) {
+      const int64_t window = int64_t{lag} + theta_prewarm;
+      for (int s = static_cast<int>(std::max<int64_t>(0, t - window)); s <= t;
+           ++s) {
         if (s < static_cast<int>(candidate_validation[k].size()) &&
             candidate_validation[k][static_cast<size_t>(s)] > 0 &&
-            t - s <= lag + theta_prewarm) {
+            t - s <= window) {
           hold_until = std::max(hold_until, s + lag + hold);
           break;
         }
@@ -72,54 +108,10 @@ StrategyCost ReplayCorrelated(
 StrategyCost ReplayPossible(std::span<const uint32_t> validation,
                             const PredictiveModel& possible_model,
                             const SpesConfig& config) {
-  StrategyCost cost;
-  if (possible_model.type != FunctionType::kPossible) return cost;
-  cost.feasible = true;
-  const int theta_p = config.theta_prewarm;
-  const int theta_g = config.ScaledGivenUp(config.theta_givenup_default);
-  int last_arrival = -1;
-  bool loaded = false;
-  int idle = 0;
-  const int n = static_cast<int>(validation.size());
-  for (int t = 0; t < n; ++t) {
-    const bool invoked = validation[static_cast<size_t>(t)] > 0;
-    const bool predicted_near =
-        last_arrival >= 0 &&
-        possible_model.PredictsNear(last_arrival, t, theta_p);
-    if (invoked) {
-      if (!loaded && !predicted_near) ++cost.cold_starts;
-      loaded = true;
-      idle = 0;
-      last_arrival = t;
-    } else {
-      ++idle;
-      if (predicted_near) {
-        loaded = true;
-        ++cost.wasted_minutes;
-      } else if (loaded) {
-        if (idle >= theta_g) {
-          loaded = false;
-        } else {
-          ++cost.wasted_minutes;
-        }
-      }
-    }
-  }
-  return cost;
+  if (possible_model.type != FunctionType::kPossible) return {};
+  return ReplayKeepAlive(validation, possible_model, config.theta_prewarm,
+                         config.ScaledGivenUp(config.theta_givenup_default));
 }
-
-namespace {
-
-constexpr int64_t kInfeasibleCost = std::numeric_limits<int64_t>::max() / 4;
-
-int64_t CsOf(const StrategyCost& c) {
-  return c.feasible ? c.cold_starts : kInfeasibleCost;
-}
-int64_t WmOf(const StrategyCost& c) {
-  return c.feasible ? c.wasted_minutes : kInfeasibleCost;
-}
-
-}  // namespace
 
 AssignmentDecision ChooseAssignment(const StrategyCost& pulsed,
                                     const StrategyCost& correlated,

@@ -201,19 +201,4 @@ Table BuildClusterNodeTable(const ClusterOutcome& outcome) {
   return table;
 }
 
-Table BuildTypeBreakdownTable(const std::vector<TypeBreakdownRow>& rows) {
-  Table table({"type", "functions", "invocations", "cold-starts", "mean-CSR",
-               "WMT/invocation"});
-  for (const TypeBreakdownRow& row : rows) {
-    if (row.num_functions == 0) continue;
-    table.AddRow({FunctionTypeToString(row.type),
-                  std::to_string(row.num_functions),
-                  std::to_string(row.invocations),
-                  std::to_string(row.cold_starts),
-                  FormatDouble(row.mean_csr, 4),
-                  FormatDouble(row.wmt_per_invocation, 3)});
-  }
-  return table;
-}
-
 }  // namespace spes

@@ -40,8 +40,6 @@ struct TypeBreakdownRow {
 std::vector<TypeBreakdownRow> BreakdownByType(
     const SpesPolicy& policy, const std::vector<FunctionAccount>& accounts);
 
-Table BuildTypeBreakdownTable(const std::vector<TypeBreakdownRow>& rows);
-
 /// \brief Relative improvement (a - b) / a, e.g. CSR reduction vs baseline.
 double RelativeReduction(double baseline, double improved);
 

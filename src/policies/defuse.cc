@@ -13,54 +13,16 @@ void RegisterDefusePolicy(PolicyRegistry& registry) {
   entry.summary =
       "Defuse: dependency-guided pre-warming over hybrid-histogram "
       "keep-alive";
-  const DefuseOptions defaults;
-  entry.params = {
-      {"dependency_window", ParamType::kInt,
-       ParamValue(defaults.dependency_window),
-       "max minutes between predecessor and dependent", 1, kIntParamMax},
-      {"min_confidence", ParamType::kDouble,
-       ParamValue(defaults.min_confidence),
-       "min P(B within window | A) for a strong dependency", 0.0, 1.0},
-      {"min_support", ParamType::kInt, ParamValue(defaults.min_support),
-       "min predecessor arrivals before confidence is trusted", 0,
-       kIntParamMax},
-      {"prewarm_hold_minutes", ParamType::kInt,
-       ParamValue(defaults.prewarm_hold_minutes),
-       "minutes a dependency pre-warm keeps the target loaded", 0,
-       kIntParamMax},
-      {"fallback_keepalive_minutes", ParamType::kInt,
-       ParamValue(defaults.fallback_keepalive_minutes),
-       "fixed keep-alive for sparse-history functions", 1, kIntParamMax},
-  };
   entry.factory =
-      [](const PolicyParams& params) -> Result<std::unique_ptr<Policy>> {
-    DefuseOptions options;
-    options.dependency_window =
-        static_cast<int>(params.GetInt("dependency_window"));
-    options.min_confidence = params.GetDouble("min_confidence");
-    options.min_support = static_cast<int>(params.GetInt("min_support"));
-    options.prewarm_hold_minutes =
-        static_cast<int>(params.GetInt("prewarm_hold_minutes"));
-    options.fallback_keepalive_minutes =
-        static_cast<int>(params.GetInt("fallback_keepalive_minutes"));
-    return std::unique_ptr<Policy>(std::make_unique<DefusePolicy>(options));
+      [](const PolicyParams&) -> Result<std::unique_ptr<Policy>> {
+    return std::unique_ptr<Policy>(std::make_unique<DefusePolicy>());
   };
   registry.Register(std::move(entry)).CheckOK();
 }
 
-namespace {
-
-HybridOptions KeepAliveOptions(const DefuseOptions& options) {
-  HybridOptions hybrid;
-  hybrid.fallback_keepalive_minutes = options.fallback_keepalive_minutes;
-  return hybrid;
-}
-
-}  // namespace
-
-DefusePolicy::DefusePolicy(DefuseOptions options)
-    : options_(options),
-      keepalive_(HybridGranularity::kFunction, KeepAliveOptions(options)) {}
+DefusePolicy::DefusePolicy()
+    : keepalive_(HybridGranularity::kFunction,
+                 kDefuseFallbackKeepAliveMinutes) {}
 
 std::string DefusePolicy::name() const { return "Defuse"; }
 
@@ -86,7 +48,7 @@ void DefusePolicy::Train(const Trace& trace, int train_minutes) {
     if (members.size() < 2) continue;
     for (size_t a : members) {
       const auto& a_times = arrival_minutes[a];
-      if (static_cast<int>(a_times.size()) < options_.min_support) continue;
+      if (static_cast<int>(a_times.size()) < kDefuseMinSupport) continue;
       for (size_t b : members) {
         if (a == b) continue;
         const auto& b_times = arrival_minutes[b];
@@ -97,14 +59,14 @@ void DefusePolicy::Train(const Trace& trace, int train_minutes) {
         for (int ta : a_times) {
           while (j < b_times.size() && b_times[j] <= ta) ++j;
           if (j < b_times.size() &&
-              b_times[j] - ta <= options_.dependency_window) {
+              b_times[j] - ta <= kDefuseDependencyWindow) {
             ++followed;
           }
         }
         const double confidence =
             static_cast<double>(followed) /
             static_cast<double>(a_times.size());
-        if (confidence >= options_.min_confidence) {
+        if (confidence >= kDefuseMinConfidence) {
           successors_[a].push_back(static_cast<uint32_t>(b));
         }
       }
@@ -121,7 +83,7 @@ void DefusePolicy::OnMinute(int t, const std::vector<Invocation>& arrivals,
   for (const Invocation& inv : arrivals) {
     for (uint32_t succ : successors_[inv.function]) {
       prewarm_hold_until_[succ] = std::max(
-          prewarm_hold_until_[succ], t + options_.prewarm_hold_minutes);
+          prewarm_hold_until_[succ], t + kDefusePrewarmHoldMinutes);
     }
   }
   for (size_t f = 0; f < prewarm_hold_until_.size(); ++f) {

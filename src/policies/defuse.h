@@ -24,25 +24,24 @@
 
 namespace spes {
 
-/// \brief Tuning knobs for Defuse.
-struct DefuseOptions {
-  /// Max minutes between a predecessor firing and the dependent firing.
-  int dependency_window = 10;
-  /// Minimum P(B within window | A) to call A -> B a strong dependency.
-  double min_confidence = 0.5;
-  /// Minimum number of A arrivals before confidence is trusted.
-  int min_support = 10;
-  /// Minutes a dependency-triggered pre-warm keeps the target loaded.
-  int prewarm_hold_minutes = 10;
-  /// Keep-alive fallback for sparse-history functions (original paper
-  /// uses a 10-minute fixed window).
-  int fallback_keepalive_minutes = 10;
-};
+// Defuse's published settings (Shen et al., ICDCS'21).
+
+/// Max minutes between a predecessor firing and the dependent firing.
+inline constexpr int kDefuseDependencyWindow = 10;
+/// Minimum P(B within window | A) to call A -> B a strong dependency.
+inline constexpr double kDefuseMinConfidence = 0.5;
+/// Minimum number of A arrivals before confidence is trusted.
+inline constexpr int kDefuseMinSupport = 10;
+/// Minutes a dependency-triggered pre-warm keeps the target loaded.
+inline constexpr int kDefusePrewarmHoldMinutes = 10;
+/// Keep-alive fallback for sparse-history functions (original paper
+/// uses a 10-minute fixed window).
+inline constexpr int kDefuseFallbackKeepAliveMinutes = 10;
 
 /// \brief Dependency-guided keep-alive/pre-warm scheduler.
 class DefusePolicy : public Policy {
  public:
-  explicit DefusePolicy(DefuseOptions options = {});
+  DefusePolicy();
 
   [[nodiscard]] std::string name() const override;
   void Train(const Trace& trace, int train_minutes) override;
@@ -57,7 +56,6 @@ class DefusePolicy : public Policy {
   [[nodiscard]] int64_t CountFallbackFunctions() const;
 
  private:
-  DefuseOptions options_;
   /// Keep-alive engine: hybrid histogram windows at function granularity.
   HybridHistogramPolicy keepalive_;
   std::vector<std::vector<uint32_t>> successors_;  // A -> {B...}

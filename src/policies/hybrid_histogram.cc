@@ -15,30 +15,9 @@ void RegisterHybridHistogramPolicy(PolicyRegistry& registry) {
   entry.summary =
       "Shahrad et al. hybrid histogram keep-alive/pre-warm (Azure Functions' "
       "adaptive policy)";
-  const HybridOptions defaults;
   entry.params = {
       {"granularity", ParamType::kString, ParamValue("function"),
        "scheduling unit: 'function' (HF) or 'application' (HA)"},
-      {"range_minutes", ParamType::kInt,
-       ParamValue(defaults.histogram_range_minutes),
-       "IAT histogram span in minutes", 1, kIntParamMax},
-      {"head_percentile", ParamType::kDouble,
-       ParamValue(defaults.head_percentile), "pre-warm point percentile", 0.0,
-       100.0},
-      {"tail_percentile", ParamType::kDouble,
-       ParamValue(defaults.tail_percentile), "keep-alive horizon percentile",
-       0.0, 100.0},
-      {"margin_fraction", ParamType::kDouble,
-       ParamValue(defaults.margin_fraction),
-       "safety margin widening [head, tail]", 0.0, 1.0},
-      {"min_samples", ParamType::kInt, ParamValue(defaults.min_samples),
-       "representativeness floor (samples)", 0, kIntParamMax},
-      {"max_oob_fraction", ParamType::kDouble,
-       ParamValue(defaults.max_oob_fraction),
-       "representativeness ceiling (out-of-bounds share)", 0.0, 1.0},
-      {"fallback_keepalive_minutes", ParamType::kInt,
-       ParamValue(defaults.fallback_keepalive_minutes),
-       "fixed keep-alive for non-representative units", 1, kIntParamMax},
   };
   entry.factory =
       [](const PolicyParams& params) -> Result<std::unique_ptr<Policy>> {
@@ -54,25 +33,16 @@ void RegisterHybridHistogramPolicy(PolicyRegistry& registry) {
           "'application', got '" +
           granularity + "'");
     }
-    HybridOptions options;
-    options.histogram_range_minutes =
-        static_cast<int>(params.GetInt("range_minutes"));
-    options.head_percentile = params.GetDouble("head_percentile");
-    options.tail_percentile = params.GetDouble("tail_percentile");
-    options.margin_fraction = params.GetDouble("margin_fraction");
-    options.min_samples = static_cast<int>(params.GetInt("min_samples"));
-    options.max_oob_fraction = params.GetDouble("max_oob_fraction");
-    options.fallback_keepalive_minutes =
-        static_cast<int>(params.GetInt("fallback_keepalive_minutes"));
-    return std::unique_ptr<Policy>(
-        std::make_unique<HybridHistogramPolicy>(unit, options));
+    return std::unique_ptr<Policy>(std::make_unique<HybridHistogramPolicy>(
+        unit, kHybridFallbackKeepAliveMinutes));
   };
   registry.Register(std::move(entry)).CheckOK();
 }
 
 HybridHistogramPolicy::HybridHistogramPolicy(HybridGranularity granularity,
-                                             HybridOptions options)
-    : granularity_(granularity), options_(options) {}
+                                             int fallback_keepalive_minutes)
+    : granularity_(granularity),
+      fallback_keepalive_minutes_(fallback_keepalive_minutes) {}
 
 std::string HybridHistogramPolicy::name() const {
   return granularity_ == HybridGranularity::kApplication
@@ -81,20 +51,19 @@ std::string HybridHistogramPolicy::name() const {
 }
 
 void HybridHistogramPolicy::RefreshWindow(UnitState* unit) const {
-  unit->use_histogram = unit->histogram.Representative(
-      options_.min_samples, options_.max_oob_fraction);
+  unit->use_histogram = unit->histogram.Representative();
   if (!unit->use_histogram) {
     unit->prewarm_after = 0;  // stay loaded from the arrival on
-    unit->unload_after = options_.fallback_keepalive_minutes;
+    unit->unload_after = fallback_keepalive_minutes_;
     return;
   }
-  const int head = unit->histogram.PercentileMinute(options_.head_percentile);
-  const int tail = unit->histogram.PercentileMinute(options_.tail_percentile);
+  const int head = unit->histogram.PercentileMinute(kHybridHeadPercentile);
+  const int tail = unit->histogram.PercentileMinute(kHybridTailPercentile);
   // 10% margin: pre-warm earlier, keep alive longer.
-  int prewarm = static_cast<int>(
-      std::floor(head * (1.0 - options_.margin_fraction)));
-  int unload = static_cast<int>(
-      std::ceil(tail * (1.0 + options_.margin_fraction)));
+  int prewarm =
+      static_cast<int>(std::floor(head * (1.0 - kHybridMarginFraction)));
+  int unload =
+      static_cast<int>(std::ceil(tail * (1.0 + kHybridMarginFraction)));
   if (prewarm < 0) prewarm = 0;
   if (unload <= prewarm) unload = prewarm + 1;
   // A head at/below one minute means the unit re-fires immediately: keep it
@@ -116,7 +85,7 @@ void HybridHistogramPolicy::Train(const Trace& trace, int train_minutes) {
     for (size_t f = 0; f < n; ++f) {
       unit_of_function_[f] = static_cast<uint32_t>(f);
       functions_of_unit_[f] = {static_cast<uint32_t>(f)};
-      units_.emplace_back(options_.histogram_range_minutes);
+      units_.emplace_back();
     }
   } else {
     std::unordered_map<std::string, uint32_t> app_unit;
@@ -125,7 +94,7 @@ void HybridHistogramPolicy::Train(const Trace& trace, int train_minutes) {
       auto [it, inserted] =
           app_unit.emplace(app, static_cast<uint32_t>(units_.size()));
       if (inserted) {
-        units_.emplace_back(options_.histogram_range_minutes);
+        units_.emplace_back();
         functions_of_unit_.emplace_back();
       }
       unit_of_function_[f] = it->second;

@@ -28,24 +28,27 @@ namespace spes {
 /// \brief Scheduling granularity for the hybrid policy.
 enum class HybridGranularity { kApplication, kFunction };
 
-/// \brief Tuning knobs (defaults follow the original paper).
-struct HybridOptions {
-  int histogram_range_minutes = 240;  ///< 4-hour IAT window
-  double head_percentile = 5.0;       ///< pre-warm point
-  double tail_percentile = 99.0;      ///< keep-alive horizon
-  double margin_fraction = 0.10;      ///< widen [head, tail] by +/-10%
-  int min_samples = 10;               ///< representativeness floor
-  double max_oob_fraction = 0.5;      ///< representativeness ceiling
-  /// Units without a representative histogram use the provider's standard
-  /// fixed keep-alive (Azure's default was 20 minutes).
-  int fallback_keepalive_minutes = 20;
-};
+// The policy's published settings (Shahrad et al., ATC'20). The histogram
+// span and representativeness test are IatHistogram's constants.
+
+/// Pre-warm point: the 5th percentile of the unit's IATs.
+inline constexpr double kHybridHeadPercentile = 5.0;
+/// Keep-alive horizon: the 99th percentile of the unit's IATs.
+inline constexpr double kHybridTailPercentile = 99.0;
+/// Safety margin widening [head, tail] by +/-10%.
+inline constexpr double kHybridMarginFraction = 0.10;
+/// Units without a representative histogram use the provider's standard
+/// fixed keep-alive (Azure's default was 20 minutes).
+inline constexpr int kHybridFallbackKeepAliveMinutes = 20;
 
 /// \brief Shahrad et al.'s hybrid histogram keep-alive / pre-warm policy.
 class HybridHistogramPolicy : public Policy {
  public:
+  /// \param fallback_keepalive_minutes keep-alive of units without a
+  /// representative histogram: kHybridFallbackKeepAliveMinutes for the
+  /// registry's `hybrid_histogram`, Defuse's own window for Defuse.
   HybridHistogramPolicy(HybridGranularity granularity,
-                        HybridOptions options = {});
+                        int fallback_keepalive_minutes);
 
   [[nodiscard]] std::string name() const override;
   void Train(const Trace& trace, int train_minutes) override;
@@ -64,15 +67,13 @@ class HybridHistogramPolicy : public Policy {
     int prewarm_after = 0;   // load at last_arrival + prewarm_after
     int unload_after = 0;    // evict at last_arrival + unload_after
     bool use_histogram = false;
-
-    explicit UnitState(int range) : histogram(range) {}
   };
 
   void RefreshWindow(UnitState* unit) const;
   void ApplyUnitSchedule(int t, size_t unit_index, MemSet* mem);
 
   HybridGranularity granularity_;
-  HybridOptions options_;
+  int fallback_keepalive_minutes_;
   std::vector<UnitState> units_;
   /// function index -> unit index
   std::vector<uint32_t> unit_of_function_;

@@ -38,10 +38,9 @@ int IatHistogram::PercentileMinute(double p) const {
   return static_cast<int>(bins_.size());
 }
 
-bool IatHistogram::Representative(int min_samples,
-                                  double max_oob_fraction) const {
-  if (total_ < min_samples) return false;
-  return OutOfBoundsFraction() <= max_oob_fraction;
+bool IatHistogram::Representative() const {
+  if (total_ < kIatMinSamples) return false;
+  return OutOfBoundsFraction() <= kIatMaxOobFraction;
 }
 
 }  // namespace spes

@@ -15,11 +15,20 @@
 
 namespace spes {
 
+/// IAT histogram span: 4 hours, as in Shahrad et al. (ATC'20).
+inline constexpr int kIatHistogramRangeMinutes = 240;
+/// Representativeness floor: fewer recorded IATs than this and the
+/// histogram carries no usable pattern (Shahrad et al., ATC'20).
+inline constexpr int kIatMinSamples = 10;
+/// Representativeness ceiling on the out-of-bounds share of IATs
+/// (Shahrad et al., ATC'20).
+inline constexpr double kIatMaxOobFraction = 0.5;
+
 /// \brief Fixed-range minute-bin IAT histogram with percentile queries.
 class IatHistogram {
  public:
   /// \param range_minutes histogram span; IATs >= range count out-of-bounds.
-  explicit IatHistogram(int range_minutes = 240);
+  explicit IatHistogram(int range_minutes = kIatHistogramRangeMinutes);
 
   /// \brief Records one inter-arrival time (minutes, > 0).
   void Record(int iat_minutes);
@@ -35,13 +44,13 @@ class IatHistogram {
   /// `p` percent of in-range mass. Returns 0 when no in-range samples.
   [[nodiscard]] int PercentileMinute(double p) const;
 
-  /// \brief Whether the histogram is usable for head/tail scheduling:
-  /// enough samples and a bounded out-of-bounds share.
+  /// \brief Whether the histogram is usable for head/tail scheduling: at
+  /// least kIatMinSamples IATs and an out-of-bounds share no larger than
+  /// kIatMaxOobFraction.
   ///
   /// Mirrors the "pattern is representative" test of Shahrad et al.;
   /// policies fall back to a fixed keep-alive otherwise.
-  [[nodiscard]] bool Representative(int min_samples = 10,
-                      double max_oob_fraction = 0.5) const;
+  [[nodiscard]] bool Representative() const;
 
   [[nodiscard]] int range_minutes() const { return static_cast<int>(bins_.size()); }
 

@@ -367,7 +367,7 @@ Status RegisterBuiltins(TransformRegistry& registry) {
   SPES_RETURN_NOT_OK(reg(
       {"merge",
        "self-merges renamed copies of the fleet (k-times-larger workload "
-       "with identical structure); use MergeTraces() for distinct fleets",
+       "with identical structure)",
        {{"copies", ParamType::kInt, ParamValue(2),
          "total copies of the fleet, including the original", 1, 64}},
        MakeMerge}));
@@ -458,28 +458,6 @@ Result<Trace> ApplyTransforms(Trace trace,
     trace = std::move(next).ValueOrDie();
   }
   return trace;
-}
-
-Result<Trace> MergeTraces(const std::vector<const Trace*>& traces) {
-  if (traces.empty()) {
-    return Status::InvalidArgument("MergeTraces requires at least one trace");
-  }
-  const int horizon = traces[0]->num_minutes();
-  for (size_t i = 1; i < traces.size(); ++i) {
-    if (traces[i]->num_minutes() != horizon) {
-      return Status::InvalidArgument(
-          "MergeTraces: trace " + std::to_string(i) + " spans " +
-          std::to_string(traces[i]->num_minutes()) + " minutes, expected " +
-          std::to_string(horizon));
-    }
-  }
-  Trace result(horizon);
-  for (const Trace* trace : traces) {
-    for (const FunctionTrace& function : trace->functions()) {
-      SPES_RETURN_NOT_OK(result.Add(function));
-    }
-  }
-  return result;
 }
 
 }  // namespace spes

@@ -74,14 +74,6 @@ TransformRegistry& TransformRegistry::Global();
 Result<Trace> ApplyTransforms(Trace trace,
                               const std::vector<TransformSpec>& chain);
 
-/// \brief Combines fleets over a common horizon into one trace. All input
-/// traces must share num_minutes() and function names must be unique
-/// across the union (InvalidArgument / AlreadyExists otherwise). The
-/// registry's `merge{copies=}` transform self-merges renamed copies of a
-/// single fleet; this free function combines *distinct* fleets (e.g. a
-/// generated fleet plus a CSV import).
-Result<Trace> MergeTraces(const std::vector<const Trace*>& traces);
-
 }  // namespace spes
 
 #endif  // SPES_TRACE_TRANSFORM_H_

@@ -16,9 +16,13 @@ std::vector<uint32_t> PeriodicRow(int n, int period) {
 
 TEST(HybridHistogramTest, Names) {
   EXPECT_EQ(
-      HybridHistogramPolicy(HybridGranularity::kApplication).name(),
+      HybridHistogramPolicy(HybridGranularity::kApplication,
+                            kHybridFallbackKeepAliveMinutes)
+          .name(),
       "Hybrid-Application");
-  EXPECT_EQ(HybridHistogramPolicy(HybridGranularity::kFunction).name(),
+  EXPECT_EQ(HybridHistogramPolicy(HybridGranularity::kFunction,
+                                  kHybridFallbackKeepAliveMinutes)
+                .name(),
             "Hybrid-Function");
 }
 
@@ -26,7 +30,8 @@ TEST(HybridHistogramTest, PeriodicFunctionGetsPrewarmedNotColdStarted) {
   // 30-minute period, 2 days training + replay.
   const int horizon = 3 * kMinutesPerDay;
   Trace trace = MakeTrace({PeriodicRow(horizon, 30)}, {"a0"});
-  HybridHistogramPolicy policy(HybridGranularity::kFunction);
+  HybridHistogramPolicy policy(HybridGranularity::kFunction,
+                               kHybridFallbackKeepAliveMinutes);
   SimOptions options;
   options.train_minutes = 2 * kMinutesPerDay;
   const auto outcome = Simulate(trace, &policy, options);
@@ -46,7 +51,8 @@ TEST(HybridHistogramTest, SparseFunctionFallsBackToFixedWindow) {
   sparse[100] = 1;                    // training
   sparse[kMinutesPerDay + 500] = 1;   // simulation
   Trace trace = MakeTrace({std::move(sparse)}, {"a0"});
-  HybridHistogramPolicy policy(HybridGranularity::kFunction);
+  HybridHistogramPolicy policy(HybridGranularity::kFunction,
+                               kHybridFallbackKeepAliveMinutes);
   SimOptions options;
   options.train_minutes = kMinutesPerDay;
   const auto outcome = Simulate(trace, &policy, options);
@@ -70,7 +76,8 @@ TEST(HybridHistogramTest, ApplicationGranularitySharesWarmth) {
     if (t + 10 < horizon) b[static_cast<size_t>(t + 10)] = 1;
   }
   Trace trace = MakeTrace({std::move(a), std::move(b)}, {"app"});
-  HybridHistogramPolicy policy(HybridGranularity::kApplication);
+  HybridHistogramPolicy policy(HybridGranularity::kApplication,
+                               kHybridFallbackKeepAliveMinutes);
   SimOptions options;
   options.train_minutes = kMinutesPerDay;
   const auto outcome = Simulate(trace, &policy, options);
@@ -94,12 +101,14 @@ TEST(HybridHistogramTest, ApplicationGranularityUsesMoreMemory) {
 
   Trace trace_ha =
       MakeTrace({busy, silent}, {"app"});
-  HybridHistogramPolicy ha(HybridGranularity::kApplication);
+  HybridHistogramPolicy ha(HybridGranularity::kApplication,
+                           kHybridFallbackKeepAliveMinutes);
   const auto out_ha = Simulate(trace_ha, &ha, options);
   ASSERT_TRUE(out_ha.ok());
 
   Trace trace_hf = MakeTrace({busy, silent}, {"app"});
-  HybridHistogramPolicy hf(HybridGranularity::kFunction);
+  HybridHistogramPolicy hf(HybridGranularity::kFunction,
+                           kHybridFallbackKeepAliveMinutes);
   const auto out_hf = Simulate(trace_hf, &hf, options);
   ASSERT_TRUE(out_hf.ok());
 
@@ -117,7 +126,8 @@ TEST(HybridHistogramTest, OnlineUpdatesAdaptToNewPeriod) {
     counts[static_cast<size_t>(t)] = 1;
   }
   Trace trace = MakeTrace({std::move(counts)}, {"a0"});
-  HybridHistogramPolicy policy(HybridGranularity::kFunction);
+  HybridHistogramPolicy policy(HybridGranularity::kFunction,
+                               kHybridFallbackKeepAliveMinutes);
   SimOptions options;
   options.train_minutes = train;
   const auto outcome = Simulate(trace, &policy, options);

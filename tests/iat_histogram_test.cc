@@ -57,12 +57,12 @@ TEST(IatHistogramTest, PercentilesOfBimodalStream) {
 TEST(IatHistogramTest, RepresentativenessGates) {
   IatHistogram hist(240);
   for (int i = 0; i < 9; ++i) hist.Record(10);
-  EXPECT_FALSE(hist.Representative(10, 0.5));  // too few samples
+  EXPECT_FALSE(hist.Representative());  // too few samples
   hist.Record(10);
-  EXPECT_TRUE(hist.Representative(10, 0.5));
+  EXPECT_TRUE(hist.Representative());
   // Flood with out-of-bounds: representativeness lost.
   for (int i = 0; i < 20; ++i) hist.Record(999);
-  EXPECT_FALSE(hist.Representative(10, 0.5));
+  EXPECT_FALSE(hist.Representative());
 }
 
 TEST(IatHistogramTest, PercentileExcludesOobMass) {

@@ -72,7 +72,8 @@ TEST_F(IntegrationTest, SpesBeatsFixedOnColdStarts) {
 }
 
 TEST_F(IntegrationTest, SpesBeatsHybridFunctionOnColdStarts) {
-  HybridHistogramPolicy hf(HybridGranularity::kFunction);
+  HybridHistogramPolicy hf(HybridGranularity::kFunction,
+                           kHybridFallbackKeepAliveMinutes);
   const FleetMetrics m = Run(&hf);
   EXPECT_LE(spes_->metrics.q3_csr, m.q3_csr);
 }
@@ -92,7 +93,8 @@ TEST_F(IntegrationTest, SpesMemoryCloseToFixed) {
 
 TEST_F(IntegrationTest, SpesEmcrIsHighest) {
   FixedKeepAlivePolicy fixed(10);
-  HybridHistogramPolicy hf(HybridGranularity::kFunction);
+  HybridHistogramPolicy hf(HybridGranularity::kFunction,
+                           kHybridFallbackKeepAliveMinutes);
   DefusePolicy defuse;
   EXPECT_GT(spes_->metrics.emcr, Run(&fixed).emcr);
   EXPECT_GT(spes_->metrics.emcr, Run(&hf).emcr);
@@ -127,7 +129,8 @@ TEST_F(IntegrationTest, SpesHasMostFullyWarmFunctionsAmongFunctionGranular) {
   // inside a pre-warm window), so we assert the ordering and a floor.
   EXPECT_GT(spes_->metrics.zero_cold_fraction, 0.20);
   FixedKeepAlivePolicy fixed(10);
-  HybridHistogramPolicy hf(HybridGranularity::kFunction);
+  HybridHistogramPolicy hf(HybridGranularity::kFunction,
+                           kHybridFallbackKeepAliveMinutes);
   DefusePolicy defuse;
   EXPECT_GT(spes_->metrics.zero_cold_fraction, Run(&fixed).zero_cold_fraction);
   EXPECT_GT(spes_->metrics.zero_cold_fraction, Run(&hf).zero_cold_fraction);

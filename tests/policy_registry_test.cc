@@ -80,14 +80,27 @@ TEST(FormatNamedSpecTest, RoundTripsThroughParse) {
 }
 
 TEST(PolicyRegistryTest, GlobalKnowsAllBuiltinPolicies) {
+  // Each with its parameter count: a setting with one value in use is a
+  // named constant, so of the baselines' published settings only
+  // hybrid_histogram's granularity (HF vs HA) is a parameter.
   const PolicyRegistry& registry = PolicyRegistry::Global();
-  for (const char* name : {"spes", "defuse", "faascache", "fixed_keepalive",
-                           "hybrid_histogram", "oracle"}) {
-    EXPECT_TRUE(registry.Contains(name)) << name;
-    ASSERT_NE(registry.Find(name), nullptr) << name;
-    EXPECT_EQ(registry.Find(name)->canonical_name, name);
+  const struct {
+    const char* name;
+    size_t params;
+  } kPolicies[] = {
+      {"spes", 10},   {"defuse", 0},           {"faascache", 1},
+      {"oracle", 0},  {"hybrid_histogram", 1}, {"fixed_keepalive", 1},
+  };
+  for (const auto& policy : kPolicies) {
+    EXPECT_TRUE(registry.Contains(policy.name)) << policy.name;
+    ASSERT_NE(registry.Find(policy.name), nullptr) << policy.name;
+    EXPECT_EQ(registry.Find(policy.name)->canonical_name, policy.name);
+    EXPECT_EQ(registry.Find(policy.name)->params.size(), policy.params)
+        << policy.name;
   }
   EXPECT_EQ(registry.Names().size(), 6u);
+  EXPECT_EQ(registry.Find("hybrid_histogram")->params.at(0).name,
+            "granularity");
 }
 
 TEST(PolicyRegistryTest, SpecRoundTripsToCanonicalDisplayName) {
@@ -140,6 +153,27 @@ TEST(PolicyRegistryTest, UnknownParameterIsInvalidArgument) {
   EXPECT_NE(result.status().message().find("minuets"), std::string::npos);
   // The error lists the accepted parameter names.
   EXPECT_NE(result.status().message().find("minutes"), std::string::npos);
+
+  // The baselines' published settings are constants, not parameters.
+  const struct {
+    const char* spec;
+    const char* mentions;
+  } kRemoved[] = {
+      {"hybrid_histogram{range_minutes=9999999999}", "range_minutes"},
+      {"defuse{min_confidence=80}", "min_confidence"},
+      {"hybrid_histogram{tail_percentile=101}", "tail_percentile"},
+      {"hybrid_histogram{margin_fraction=-0.1}", "margin_fraction"},
+  };
+  for (const auto& test_case : kRemoved) {
+    const auto removed =
+        PolicyRegistry::Global().CreateFromString(test_case.spec);
+    ASSERT_FALSE(removed.ok()) << test_case.spec;
+    EXPECT_EQ(removed.status().code(), StatusCode::kInvalidArgument)
+        << test_case.spec;
+    EXPECT_NE(removed.status().message().find(test_case.mentions),
+              std::string::npos)
+        << test_case.spec;
+  }
 }
 
 TEST(PolicyRegistryTest, IllTypedParameterIsInvalidArgument) {
@@ -185,12 +219,9 @@ TEST(PolicyRegistryTest, OutOfDomainValuesAreInvalidArgument) {
       {"spes{theta_givenup_default=-1}", "theta_givenup_default"},
       // Values beyond INT_MAX must error, not truncate to int.
       {"fixed_keepalive{minutes=4294967297}", "minutes"},
-      {"hybrid_histogram{range_minutes=9999999999}", "range_minutes"},
-      // Double parameters have domains too (80 would mean 8000%).
-      {"defuse{min_confidence=80}", "min_confidence"},
-      {"hybrid_histogram{tail_percentile=101}", "tail_percentile"},
-      {"hybrid_histogram{margin_fraction=-0.1}", "margin_fraction"},
+      // Double parameters have domains too, at both ends.
       {"spes{alpha=0}", "alpha"},
+      {"spes{alpha=1e10}", "alpha"},
   };
   for (const auto& test_case : kCases) {
     const auto result =

@@ -113,10 +113,10 @@ TEST(SpesPolicyTest, SuccessiveRidesWaves) {
   EXPECT_LT(acc.ColdStartRate(), 0.25);
 }
 
-TEST(SpesPolicyTest, CorrelatedTargetPrewarmedByDriver) {
-  // Driver: 20-minute timer. Target: fires 3 minutes after an aperiodic
-  // subset of driver events — its own WTs are too scattered for any
-  // deterministic rule, but the driver predicts it perfectly.
+// Driver: 20-minute timer. Target: fires 3 minutes after an aperiodic
+// subset of driver events — its own WTs are too scattered for any
+// deterministic rule, but the driver predicts it perfectly.
+Trace DriverAndTargetTrace() {
   const int horizon = 4 * kMinutesPerDay;
   std::vector<uint32_t> driver(static_cast<size_t>(horizon), 0);
   std::vector<uint32_t> target(static_cast<size_t>(horizon), 0);
@@ -129,9 +129,12 @@ TEST(SpesPolicyTest, CorrelatedTargetPrewarmedByDriver) {
     }
     ++k;
   }
-  Trace trace =
-      MakeTrace({std::move(driver), std::move(target)}, {"app"},
-                {TriggerType::kHttp});
+  return MakeTrace({std::move(driver), std::move(target)}, {"app"},
+                   {TriggerType::kHttp});
+}
+
+TEST(SpesPolicyTest, CorrelatedTargetPrewarmedByDriver) {
+  const Trace trace = DriverAndTargetTrace();
   SpesPolicy policy;
   SimOptions options;
   options.train_minutes = 2 * kMinutesPerDay;
@@ -399,6 +402,26 @@ TEST(SpesPolicyTest, GivenUpThresholdSaturatesInsteadOfOverflowing) {
     outcomes.push_back(Simulate(trace, policy.get(), options).ValueOrDie());
   }
   ExpectSameOutcome(outcomes[0], outcomes[1]);
+}
+
+TEST(SpesPolicyTest, PrewarmWindowAtIntMaxDoesNotOverflow) {
+  // The largest theta_prewarm the registry accepts. Training adds it to a
+  // lag in the T-COR precision window and in the correlated replay, and
+  // every driver arrival adds it to the minute and the lag of the target's
+  // hold: each sum must be formed in 64 bits, and the hold saturates.
+  const Trace trace = DriverAndTargetTrace();
+  std::unique_ptr<Policy> policy =
+      PolicyRegistry::Global()
+          .CreateFromString("spes{theta_prewarm=2147483647}")
+          .ValueOrDie();
+  SimOptions options;
+  options.train_minutes = 2 * kMinutesPerDay;
+  const SimulationOutcome outcome =
+      Simulate(trace, policy.get(), options).ValueOrDie();
+  const auto& spes = dynamic_cast<const SpesPolicy&>(*policy);
+  ASSERT_EQ(spes.TypeOf(1), FunctionType::kCorrelated);
+  // The first driver arrival holds the target to the end of time.
+  EXPECT_EQ(outcome.accounts[1].cold_starts, 0u);
 }
 
 // Per function of a SaveState() blob: the online WTs recorded since S2

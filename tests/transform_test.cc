@@ -269,24 +269,6 @@ TEST(MergeTest, ClonesTheFleetUnderFreshNames) {
   EXPECT_EQ(merged.CountApps(), 3 * trace.CountApps());
 }
 
-TEST(MergeTracesTest, CombinesDistinctFleets) {
-  const Trace a = TinyTrace();
-  Trace b(10);
-  b.Add(Fn("x", TriggerType::kEvent, std::vector<uint32_t>(10, 1))).CheckOK();
-  const Trace merged = MergeTraces({&a, &b}).ValueOrDie();
-  EXPECT_EQ(merged.num_functions(), 5u);
-  EXPECT_EQ(FleetTotal(merged), FleetTotal(a) + FleetTotal(b));
-
-  Trace short_trace(5);
-  const auto mismatch = MergeTraces({&a, &short_trace});
-  ASSERT_FALSE(mismatch.ok());
-  EXPECT_EQ(mismatch.status().code(), StatusCode::kInvalidArgument);
-
-  const auto duplicate = MergeTraces({&a, &a});
-  ASSERT_FALSE(duplicate.ok());
-  EXPECT_EQ(duplicate.status().code(), StatusCode::kAlreadyExists);
-}
-
 TEST(InjectBurstTest, AddsLoadOnlyInsideTheWindow) {
   const Trace trace = TinyTrace();
   const Trace burst = Apply(

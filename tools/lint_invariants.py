@@ -67,12 +67,17 @@ docs/correctness.md):
                        observers never see a half-stepped session.
                        Three-argument OnMinute calls are policy and
                        latency steps and are not matched.
-  R10 one-spes-surface Every data member of SpesConfig (src/core/config.h)
-                       is a ParamSpec name in RegisterSpesPolicy
-                       (src/core/spes_policy.cc), and every such name is a
-                       member: a SpesConfig knob no policy spec can set is
-                       a named constant instead. This rule reads the two
-                       files together.
+  R10 declared-equals-read
+                       Every Register*Policy function under src/core/ and
+                       src/policies/ reads, with params.Get*("name"),
+                       exactly the ParamSpec names it declares: a declared
+                       knob its factory ignores, or a read of a name it
+                       never declares, is a finding. Every data member of
+                       SpesConfig (src/core/config.h) is a ParamSpec name
+                       in RegisterSpesPolicy (src/core/spes_policy.cc),
+                       and every such name is a member: a SpesConfig knob
+                       no policy spec can set is a named constant instead.
+                       This rule reads the files together.
 
 Allowlist: a line that would fire R1, R2 or R5 is suppressed when it (or
 the line directly above it) carries a justification comment of the form
@@ -509,15 +514,18 @@ def lint_r9(relpath, lines):
 
 
 # --------------------------------------------------------------------------
-# R10: one SPES parameter surface
+# R10: every policy factory reads exactly what it declares
 # --------------------------------------------------------------------------
 
 R10_CONFIG = "src/core/config.h"
 R10_REGISTRY = "src/core/spes_policy.cc"
+R10_DIRS = ("src/core", "src/policies")
 # A data member: a type, a name, an optional default and the `;`, with no
 # parentheses (member functions are not data).
 R10_MEMBER = re.compile(r"^\s*(?:[\w:<>]+\s+)+(\w+)\s*(?:=[^;()]*)?;")
 R10_SPEC = re.compile(r'\{\s*"(\w+)"\s*,\s*ParamType::')
+R10_READ = re.compile(r'params\.Get\w*\(\s*"(\w+)"')
+R10_REGISTER = re.compile(r"^void\s+(Register\w*Policy)\s*\(")
 
 
 def _r10_members(lines):
@@ -539,37 +547,87 @@ def _r10_members(lines):
     return members
 
 
-def _r10_specs(lines):
-    """{name: line} of the ParamSpecs in RegisterSpesPolicy's body (a spec
-    may break its line between the name and its ParamType)."""
-    body, first = [], None
+def _r10_registrations(lines):
+    """{function: (declared, read)} for every Register*Policy body, each a
+    {name: line} of its ParamSpecs and of its factory's params.Get* reads
+    (a spec may break its line between the name and its ParamType)."""
+    found, name, first, body = {}, None, None, []
+
+    def names(pattern, text):
+        return {
+            match.group(1): first + 1 + text.count("\n", 0, match.start(1))
+            for match in pattern.finditer(text)
+        }
+
     for i, line in enumerate(lines):
         code = line.split("//", 1)[0]
-        if first is None:
-            if re.match(r"^void\s+RegisterSpesPolicy\s*\(", code):
-                first = i + 1
+        if name is None:
+            match = R10_REGISTER.match(code)
+            if match:
+                name, first, body = match.group(1), i + 1, []
             continue
         if code.startswith("}"):
-            break
+            text = "\n".join(body)
+            found[name] = (names(R10_SPEC, text), names(R10_READ, text))
+            name = None
+            continue
         body.append(code)
-    text = "\n".join(body)
-    return {
-        match.group(1): first + 1 + text.count("\n", 0, match.start(1))
-        for match in R10_SPEC.finditer(text)
-    }
+    return found
+
+
+def _r10_read(root, rel):
+    with open(os.path.join(root, rel), encoding="utf-8",
+              errors="replace") as f:
+        return f.read().splitlines()
 
 
 def lint_r10(root):
-    texts = []
+    findings, spes_specs = [], None
+    for top in R10_DIRS:
+        base = os.path.join(root, top)
+        if not os.path.isdir(base):
+            continue
+        for name in sorted(os.listdir(base)):
+            if not name.endswith(".cc"):
+                continue
+            rel = f"{top}/{name}"
+            for function, (declared, read) in sorted(
+                _r10_registrations(_r10_read(root, rel)).items()
+            ):
+                if function == "RegisterSpesPolicy" and rel == R10_REGISTRY:
+                    spes_specs = declared
+                findings += [
+                    Finding(
+                        rel,
+                        line,
+                        "R10",
+                        f'ParamSpec "{spec}" is declared but {function}\'s '
+                        "factory never reads it; a value no spec can change "
+                        "is an inline constexpr constant",
+                    )
+                    for spec, line in sorted(declared.items())
+                    if spec not in read
+                ]
+                findings += [
+                    Finding(
+                        rel,
+                        line,
+                        "R10",
+                        f'params.Get*("{spec}") reads a name {function} '
+                        "never declares",
+                    )
+                    for spec, line in sorted(read.items())
+                    if spec not in declared
+                ]
     for rel in (R10_CONFIG, R10_REGISTRY):
-        path = os.path.join(root, rel)
-        if not os.path.isfile(path):
-            return [Finding(rel, 0, "R10", "missing; R10 cannot compare "
-                            "SpesConfig with the spes ParamSpecs")]
-        with open(path, encoding="utf-8", errors="replace") as f:
-            texts.append(f.read().splitlines())
-    members, specs = _r10_members(texts[0]), _r10_specs(texts[1])
-    findings = [
+        if not os.path.isfile(os.path.join(root, rel)):
+            return findings + [
+                Finding(rel, 0, "R10", "missing; R10 cannot compare "
+                        "SpesConfig with the spes ParamSpecs")
+            ]
+    members = _r10_members(_r10_read(root, R10_CONFIG))
+    specs = spes_specs or {}
+    findings += [
         Finding(
             R10_CONFIG,
             line,
@@ -915,6 +973,46 @@ SELF_TEST_TREE = {
         '      {"orphan_param", ParamType::kInt, ParamValue(1), "x", 0, 9},\n'
         '      // {"commented_out", ParamType::kInt, ...},\n'
         "  };\n"
+        "  entry.factory = [](const PolicyParams& params) {\n"
+        '    config.theta_prewarm = params.GetInt("theta_prewarm");\n'
+        '    config.enable_adjusting = params.GetBool("enable_adjusting");\n'
+        '    (void)params.GetInt("orphan_param");\n'
+        "  };\n"
+        "}\n"
+    ),
+    # R10: a baseline factory that ignores a knob it declares
+    # (declared_unread) and reads one it never declares (read_undeclared).
+    "src/policies/bad_knobs.cc": (
+        "void RegisterBadKnobsPolicy(PolicyRegistry& registry) {\n"
+        '  entry.canonical_name = "bad_knobs";\n'
+        "  entry.params = {\n"
+        '      {"window", ParamType::kInt, ParamValue(10), "w", 1, 99},\n'
+        '      {"declared_unread", ParamType::kDouble, ParamValue(0.5),\n'
+        '       "never read", 0.0, 1.0},\n'
+        "  };\n"
+        "  entry.factory = [](const PolicyParams& params) {\n"
+        '    return Make(params.GetInt("window"),\n'
+        '                params.GetDouble("read_undeclared"));\n'
+        "  };\n"
+        "}\n"
+    ),
+    # R10 (negative): a spec and a read that break their lines, a read in a
+    # comment, and a factory that declares and reads nothing.
+    "src/policies/ok_knobs.cc": (
+        "void RegisterOkKnobsPolicy(PolicyRegistry& registry) {\n"
+        '  entry.canonical_name = "ok_knobs";\n'
+        '  entry.params = {{"granularity",\n'
+        '                   ParamType::kString, ParamValue("function"), "g"}};\n'
+        "  entry.factory = [](const PolicyParams& params) {\n"
+        "    return Make(params.GetString(\n"
+        '        "granularity"));  // not params.GetInt("commented")\n'
+        "  };\n"
+        "}\n"
+    ),
+    "src/policies/ok_no_knobs.cc": (
+        "void RegisterOkNoKnobsPolicy(PolicyRegistry& registry) {\n"
+        '  entry.canonical_name = "ok_no_knobs";\n'
+        "  entry.factory = [](const PolicyParams&) { return Make(); };\n"
         "}\n"
     ),
 }
@@ -942,6 +1040,7 @@ SELF_TEST_EXPECTED = [
     ("R9", "src/policies/bad_observer_call.cc"),
     ("R10", "src/core/config.h"),
     ("R10", "src/core/spes_policy.cc"),
+    ("R10", "src/policies/bad_knobs.cc"),
 ]
 # ...and paths that must stay clean.
 SELF_TEST_CLEAN = [
@@ -966,15 +1065,19 @@ SELF_TEST_CLEAN = [
     "tests/ok_full_trace_test.cc",
     "src/sim/ok_forwarding_observer.cc",
     "tests/ok_observer_test.cc",
+    "src/policies/ok_knobs.cc",
+    "src/policies/ok_no_knobs.cc",
 ]
 # (path, rule, line) findings that must NOT fire in a file that also has a
 # seeded violation: the Simulate() shim's own call in engine.cc.
 SELF_TEST_CLEAN_LINES = [("src/sim/engine.cc", "R7", 4)]
-# The exact R10 findings: the stray field and the orphan spec, nothing
-# else of the two seeded files.
+# The exact R10 findings: the stray field, the orphan spec, the unread
+# spec and the undeclared read, nothing else of the seeded files.
 SELF_TEST_R10 = {
     ("src/core/config.h", 8),
     ("src/core/spes_policy.cc", 7),
+    ("src/policies/bad_knobs.cc", 5),
+    ("src/policies/bad_knobs.cc", 10),
 }
 
 
