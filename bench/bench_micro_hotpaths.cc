@@ -4,10 +4,10 @@
 // histogram update, plus the end-to-end simulation kernel
 // (columnar SimStream vs the kept naive reference loop), and the two
 // cluster hot paths: one latency-lane minute and capped-cluster capacity
-// eviction. These back the RQ2 overhead discussion — every per-invocation
-// operation must be O(1)-ish for the unbillable scheduling window — and
-// pin the simulator's own throughput trajectory
-// (BENCH_micro_hotpaths.json).
+// eviction, and the trace generator that synthesizes every fleet. These
+// back the RQ2 overhead discussion — every per-invocation operation must
+// be O(1)-ish for the unbillable scheduling window — and pin the
+// simulator's own throughput trajectory (BENCH_micro_hotpaths.json).
 //
 // Scale knobs: SPES_BENCH_FUNCTIONS overrides the fleet sizes of the
 // decode/provision/kernel benches (e.g. SPES_BENCH_FUNCTIONS=1000000 for
@@ -58,21 +58,27 @@ std::vector<uint32_t> PeriodicCounts(int n, int period) {
   return counts;
 }
 
+/// The benches' fleet at `num_functions`: seed 7, SPES_BENCH_DAYS days,
+/// SPES_BENCH_RARE_PCT percent forced rare.
+GeneratorConfig FleetConfig(int64_t num_functions) {
+  GeneratorConfig config;
+  config.num_functions = static_cast<int>(num_functions);
+  config.days = static_cast<int>(GetEnvInt("SPES_BENCH_DAYS", 3));
+  if (config.days < 2) config.days = 2;
+  config.seed = 7;
+  config.rare_fraction =
+      static_cast<double>(GetEnvInt("SPES_BENCH_RARE_PCT", 0)) / 100.0;
+  return config;
+}
+
 /// One generated fleet per size, shared across benches (generation at
 /// 1M functions is minutes of work; pay it once).
 const GeneratedTrace& SharedFleet(int64_t num_functions) {
   static std::map<int64_t, std::unique_ptr<GeneratedTrace>> cache;
   std::unique_ptr<GeneratedTrace>& slot = cache[num_functions];
   if (slot == nullptr) {
-    GeneratorConfig config;
-    config.num_functions = static_cast<int>(num_functions);
-    config.days = static_cast<int>(GetEnvInt("SPES_BENCH_DAYS", 3));
-    if (config.days < 2) config.days = 2;
-    config.seed = 7;
-    config.rare_fraction =
-        static_cast<double>(GetEnvInt("SPES_BENCH_RARE_PCT", 0)) / 100.0;
     slot = std::make_unique<GeneratedTrace>(
-        std::move(GenerateTrace(config).ValueOrDie()));
+        std::move(GenerateTrace(FleetConfig(num_functions)).ValueOrDie()));
   }
   return *slot;
 }
@@ -90,6 +96,19 @@ void FleetArgs(benchmark::internal::Benchmark* bench) {
   }
   bench->Arg(1000)->Arg(4000);
 }
+
+// The trace generator itself, on the same fleet every other bench reads
+// (one iteration synthesizes the whole fleet). Items are function-minutes.
+void BM_GenerateTrace(benchmark::State& state) {
+  const GeneratorConfig config = FleetConfig(state.range(0));
+  for (auto _ : state) {
+    auto generated = GenerateTrace(config);
+    benchmark::DoNotOptimize(generated.ValueOrDie().trace.num_functions());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0) *
+                          config.days * kMinutesPerDay);
+}
+BENCHMARK(BM_GenerateTrace)->Apply(FleetArgs)->Unit(benchmark::kMillisecond);
 
 void BM_ExtractSeriesFeatures(benchmark::State& state) {
   const auto counts =

@@ -12,29 +12,9 @@ uint64_t MixNameSeed(const std::string& name, uint64_t seed) {
   return SplitMix64(&state);
 }
 
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(&sm);
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
@@ -50,33 +30,15 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   return lo + static_cast<int64_t>(r % span);
 }
 
-double Rng::UniformDouble() {
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::UniformDouble(double lo, double hi) {
   return lo + (hi - lo) * UniformDouble();
 }
 
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return UniformDouble() < p;
-}
+double Rng::PoissonLimit(double mean) { return std::exp(-mean); }
 
 int64_t Rng::Poisson(double mean) {
+  if (UsesKnuth(mean)) return PoissonBelow(PoissonLimit(mean));
   if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth: multiply uniforms until below e^-mean.
-    const double limit = std::exp(-mean);
-    double product = UniformDouble();
-    int64_t count = 0;
-    while (product > limit) {
-      ++count;
-      product *= UniformDouble();
-    }
-    return count;
-  }
   // Normal approximation, adequate for workload synthesis at high rates.
   const double value = Normal(mean, std::sqrt(mean));
   return value < 0.0 ? 0 : static_cast<int64_t>(std::llround(value));

@@ -40,27 +40,68 @@ class Rng {
   /// Seeds the engine; the same seed always yields the same stream.
   explicit Rng(uint64_t seed);
 
-  /// \brief Next raw 64-bit value.
-  uint64_t NextU64();
+  /// \brief Next raw 64-bit value. Inline (as are UniformDouble() and
+  /// Bernoulli()): the trace generator draws once per function-minute.
+  uint64_t NextU64() {
+    const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// \brief Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
   /// \brief Uniform double in [0, 1).
-  double UniformDouble();
+  double UniformDouble() {
+    return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+  }
 
   /// \brief Uniform double in [lo, hi).
   double UniformDouble(double lo, double hi);
 
   /// \brief True with probability p (clamped to [0,1]).
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return UniformDouble() < p;
+  }
 
   /// \brief Poisson-distributed count with the given mean (>= 0).
   ///
-  /// Uses Knuth's method for small means and a normal approximation with
-  /// rounding for means above 30, which is ample for per-minute invocation
-  /// counts.
+  /// Means where UsesKnuth() holds take Knuth's method,
+  /// `PoissonBelow(PoissonLimit(mean))`; larger means take a normal
+  /// approximation with rounding, which is ample for per-minute invocation
+  /// counts. A caller that draws many counts at one such mean computes the
+  /// limit once and calls PoissonBelow directly: the draws, and the
+  /// stream they leave behind, are the same.
   int64_t Poisson(double mean);
+
+  /// \brief Whether Poisson(mean) takes Knuth's method: mean in (0, 30).
+  static bool UsesKnuth(double mean) { return mean > 0.0 && mean < 30.0; }
+
+  /// \brief Knuth's limit `exp(-mean)` for PoissonBelow, from libm at run
+  /// time (out of line, so a constant mean is never folded at compile time
+  /// into a value libm might round differently).
+  static double PoissonLimit(double mean);
+
+  /// \brief Knuth's Poisson method given `limit` = exp(-mean), for a mean
+  /// where UsesKnuth() holds: multiplies uniforms until the product falls
+  /// to `limit` or below, and returns how many factors came before that.
+  int64_t PoissonBelow(double limit) {
+    double product = UniformDouble();
+    int64_t count = 0;
+    while (product > limit) {
+      ++count;
+      product *= UniformDouble();
+    }
+    return count;
+  }
 
   /// \brief Exponential variate with the given rate (> 0).
   double Exponential(double rate);

@@ -103,20 +103,22 @@ void HybridHistogramPolicy::Train(const Trace& trace, int train_minutes) {
   }
   unit_arrived_.assign(units_.size(), 0);
 
-  // Offline pass: accumulate unit-level IATs over the training window.
-  std::vector<int> last(units_.size(), -1);
-  for (int t = 0; t < train_minutes; ++t) {
-    for (size_t u = 0; u < units_.size(); ++u) {
+  // Offline pass: accumulate unit-level IATs over the training window,
+  // one unit at a time so its members' counts rows are read in order.
+  for (size_t u = 0; u < units_.size(); ++u) {
+    const std::vector<uint32_t>& members = functions_of_unit_[u];
+    int last = -1;
+    for (int t = 0; t < train_minutes; ++t) {
       bool arrived = false;
-      for (uint32_t f : functions_of_unit_[u]) {
+      for (uint32_t f : members) {
         if (trace.function(f).counts[static_cast<size_t>(t)] > 0) {
           arrived = true;
           break;
         }
       }
       if (!arrived) continue;
-      if (last[u] >= 0) units_[u].histogram.Record(t - last[u]);
-      last[u] = t;
+      if (last >= 0) units_[u].histogram.Record(t - last);
+      last = t;
     }
   }
   for (UnitState& unit : units_) RefreshWindow(&unit);

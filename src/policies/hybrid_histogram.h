@@ -60,6 +60,10 @@ class HybridHistogramPolicy : public Policy {
   [[nodiscard]] int64_t CountFallbackUnits() const;
 
  private:
+  /// hybrid_histogram_test's reference: Train's offline pass walked
+  /// minute-major over every unit.
+  friend class MinuteMajorHybridPolicy;
+
   struct UnitState {
     IatHistogram histogram;
     int last_arrival = -1;

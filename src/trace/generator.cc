@@ -1,6 +1,7 @@
 #include "trace/generator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 
@@ -8,13 +9,26 @@ namespace spes {
 
 namespace {
 
+/// sin(2π·m/1440) for every minute of the day m. Filled once, at run time,
+/// by libm, so every entry has the bits a per-minute std::sin call gives.
+const std::array<double, kMinutesPerDay>& DaySines() {
+  static const std::array<double, kMinutesPerDay> table = [] {
+    std::array<double, kMinutesPerDay> sines{};
+    for (int m = 0; m < kMinutesPerDay; ++m) {
+      sines[static_cast<size_t>(m)] =
+          std::sin(2.0 * M_PI * static_cast<double>(m) /
+                   static_cast<double>(kMinutesPerDay));
+    }
+    return sines;
+  }();
+  return table;
+}
+
 /// Diurnal load modulation: a day-periodic sinusoid in [1-amp, 1+amp],
 /// emulating the day/night cycle of human-generated (HTTP) traffic.
 double Diurnal(int minute, double amplitude) {
-  const double phase =
-      2.0 * M_PI * static_cast<double>(minute % kMinutesPerDay) /
-      static_cast<double>(kMinutesPerDay);
-  return 1.0 + amplitude * std::sin(phase);
+  return 1.0 + amplitude * DaySines()[static_cast<size_t>(
+                               minute % kMinutesPerDay)];
 }
 
 std::string HashName(const char* prefix, uint64_t value) {
@@ -53,6 +67,7 @@ const char* PatternKindToString(PatternKind kind) {
 }
 
 void SynthAlwaysWarm(Rng* rng, std::vector<uint32_t>* counts, int begin) {
+  static const double kLimit = Rng::PoissonLimit(3.0);
   for (size_t t = static_cast<size_t>(begin); t < counts->size(); ++t) {
     // At least one invocation virtually every slot; the stray zero slot
     // exercises the paper's "sum of inter-invocation time <= horizon/1000"
@@ -60,7 +75,7 @@ void SynthAlwaysWarm(Rng* rng, std::vector<uint32_t>* counts, int begin) {
     if (rng->Bernoulli(0.0005)) {
       (*counts)[t] = 0;
     } else {
-      (*counts)[t] = 1 + static_cast<uint32_t>(rng->Poisson(3.0));
+      (*counts)[t] = 1 + static_cast<uint32_t>(rng->PoissonBelow(kLimit));
     }
   }
 }
@@ -68,6 +83,7 @@ void SynthAlwaysWarm(Rng* rng, std::vector<uint32_t>* counts, int begin) {
 void SynthRegular(Rng* rng, int period, std::vector<uint32_t>* counts,
                   int begin) {
   if (period < 2) period = 2;
+  static const double kLimit = Rng::PoissonLimit(0.3);
   int t = begin + static_cast<int>(rng->UniformInt(0, period - 1));
   const int horizon = static_cast<int>(counts->size());
   while (t < horizon) {
@@ -77,7 +93,7 @@ void SynthRegular(Rng* rng, int period, std::vector<uint32_t>* counts,
     // Rare dropped event.
     if (!rng->Bernoulli(0.01) && fire_at < horizon) {
       (*counts)[static_cast<size_t>(fire_at)] +=
-          1 + static_cast<uint32_t>(rng->Poisson(0.3));
+          1 + static_cast<uint32_t>(rng->PoissonBelow(kLimit));
     }
     t += period;
   }
@@ -101,16 +117,37 @@ void SynthApproRegular(Rng* rng, int period, std::vector<uint32_t>* counts,
 void SynthDensePoisson(Rng* rng, double rate_per_minute,
                        std::vector<uint32_t>* counts, int begin) {
   if (rate_per_minute <= 0.0) rate_per_minute = 0.5;
-  for (size_t t = static_cast<size_t>(begin); t < counts->size(); ++t) {
-    const double rate =
-        rate_per_minute * Diurnal(static_cast<int>(t), 0.45);
-    (*counts)[t] += static_cast<uint32_t>(rng->Poisson(rate));
+  const int horizon = static_cast<int>(counts->size());
+  if (begin < 0 || begin >= horizon) return;
+  // The mean depends only on the minute of the day, so Knuth's limit is
+  // computed once per minute of day the span covers, not once per minute.
+  // Means outside Knuth's range keep Rng::Poisson.
+  std::array<double, kMinutesPerDay> means{}, limits{};
+  const int first = begin % kMinutesPerDay;
+  const int covered = std::min(horizon - begin, kMinutesPerDay);
+  for (int i = 0, m = first; i < covered; ++i) {
+    const double mean = rate_per_minute * Diurnal(m, 0.45);
+    means[static_cast<size_t>(m)] = mean;
+    if (Rng::UsesKnuth(mean)) {
+      limits[static_cast<size_t>(m)] = Rng::PoissonLimit(mean);
+    }
+    if (++m == kMinutesPerDay) m = 0;
+  }
+  for (int t = begin, m = first; t < horizon; ++t) {
+    const double mean = means[static_cast<size_t>(m)];
+    const int64_t count =
+        Rng::UsesKnuth(mean)
+            ? rng->PoissonBelow(limits[static_cast<size_t>(m)])
+            : rng->Poisson(mean);
+    (*counts)[static_cast<size_t>(t)] += static_cast<uint32_t>(count);
+    if (++m == kMinutesPerDay) m = 0;
   }
 }
 
 void SynthSuccessiveBurst(Rng* rng, double mean_idle_minutes,
                           int min_active_slots, int min_active_count,
                           std::vector<uint32_t>* counts, int begin) {
+  static const double kLimit = Rng::PoissonLimit(2.0);
   const int horizon = static_cast<int>(counts->size());
   int t = begin + static_cast<int>(rng->Exponential(1.0 / mean_idle_minutes));
   while (t < horizon) {
@@ -120,7 +157,7 @@ void SynthSuccessiveBurst(Rng* rng, double mean_idle_minutes,
         min_active_slots + static_cast<int>(rng->UniformInt(0, 6));
     uint32_t total = 0;
     for (int s = 0; s < slots && t + s < horizon; ++s) {
-      const uint32_t c = 1 + static_cast<uint32_t>(rng->Poisson(2.0));
+      const uint32_t c = 1 + static_cast<uint32_t>(rng->PoissonBelow(kLimit));
       (*counts)[static_cast<size_t>(t + s)] += c;
       total += c;
     }

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ios>
+#include <string>
+#include <type_traits>
+#include <vector>
+
 #include "common/stats.h"
 #include "core/series_features.h"
 #include "trace/summary.h"
@@ -227,6 +233,117 @@ TEST(SynthRareRandomTest, BoundedEventCount) {
   uint64_t total = 0;
   for (uint32_t c : counts) total += c;
   EXPECT_EQ(total, 3u);
+}
+
+/// FNV-1a (64-bit) over every byte the generator decides: each
+/// function's name, app, owner, trigger and counts, then its ground truth.
+class GeneratorDigest {
+ public:
+  void Add(const FunctionTrace& f, const GroundTruth& truth) {
+    AddString(f.meta.name);
+    AddString(f.meta.app);
+    AddString(f.meta.owner);
+    AddScalar(static_cast<uint8_t>(f.meta.trigger));
+    AddScalar(static_cast<uint64_t>(f.counts.size()));
+    for (uint32_t c : f.counts) AddScalar(c);
+    AddScalar(static_cast<uint8_t>(truth.kind));
+    AddScalar(static_cast<int32_t>(truth.period));
+    AddScalar(static_cast<int32_t>(truth.shift_minute));
+    AddScalar(truth.chain_driver);
+    AddScalar(static_cast<int32_t>(truth.chain_lag));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void AddByte(uint8_t byte) { hash_ = (hash_ ^ byte) * 1099511628211ULL; }
+  void AddString(const std::string& s) {
+    AddScalar(static_cast<uint64_t>(s.size()));
+    for (unsigned char c : s) AddByte(c);
+  }
+  template <typename T>
+  void AddScalar(T value) {
+    // Little-endian byte order, independent of the host.
+    using Bits = std::make_unsigned_t<T>;
+    auto bits = static_cast<Bits>(value);
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      AddByte(static_cast<uint8_t>(bits & 0xffu));
+      bits = static_cast<Bits>(bits >> 8);
+    }
+  }
+
+  uint64_t hash_ = 1469598103934665603ULL;
+};
+
+struct DigestCase {
+  const char* label;
+  GeneratorConfig config;
+  uint64_t digest;
+};
+
+std::vector<DigestCase> DigestCases() {
+  std::vector<DigestCase> cases;
+  // The default mix at 800 functions over a week: dense, always-warm,
+  // concept-shifted, unseen and chain-follower functions all appear.
+  cases.push_back({"default mix, 800 x 7 days", SmallConfig(800, 7, 2024),
+                   0xe29a2a826007a570ULL});
+  GeneratorConfig rare = SmallConfig(600, 4, 5);
+  rare.rare_fraction = 0.9;
+  cases.push_back(
+      {"rare_fraction 0.9, 600 x 4 days", rare, 0xd23e7f291e50648dULL});
+  cases.push_back({"2-day horizon, 500 functions", SmallConfig(500, 2, 77),
+                   0x6ad024ed28eb07bbULL});
+  return cases;
+}
+
+// Pins the generator's bytes: every (seed, config) pair must keep yielding
+// exactly the same fleet, whatever the synthesizers' internals, through
+// both entry points.
+TEST(GeneratorDigestTest, PinsEveryGeneratedByte) {
+  for (const DigestCase& c : DigestCases()) {
+    SCOPED_TRACE(c.label);
+    const auto generated = GenerateTrace(c.config);
+    ASSERT_TRUE(generated.ok());
+    const GeneratedTrace& g = generated.ValueOrDie();
+    GeneratorDigest digest;
+    for (size_t i = 0; i < g.truth.size(); ++i) {
+      digest.Add(g.trace.function(i), g.truth[i]);
+    }
+    EXPECT_EQ(digest.value(), c.digest)
+        << std::hex << "0x" << digest.value();
+
+    GeneratorDigest streamed;
+    ASSERT_TRUE(GenerateTraceStreamed(
+                    c.config,
+                    [&streamed](FunctionTrace&& f, const GroundTruth& truth) {
+                      streamed.Add(f, truth);
+                      return Status::OK();
+                    })
+                    .ok());
+    EXPECT_EQ(streamed.value(), digest.value());
+  }
+}
+
+// The pinned default-mix fleet must exercise every synthesizer path the
+// digest is meant to cover, or the pin proves less than it claims.
+TEST(GeneratorDigestTest, DefaultMixCoversEveryPath) {
+  const auto generated = GenerateTrace(DigestCases()[0].config);
+  ASSERT_TRUE(generated.ok());
+  int dense = 0, always_warm = 0, dense_shifted_mid_day = 0, unseen = 0,
+      followers = 0;
+  for (const GroundTruth& truth : generated.ValueOrDie().truth) {
+    dense += truth.kind == PatternKind::kDensePoisson;
+    always_warm += truth.kind == PatternKind::kAlwaysWarm;
+    unseen += truth.kind == PatternKind::kUnseen;
+    followers += truth.kind == PatternKind::kChainFollower;
+    dense_shifted_mid_day += truth.kind == PatternKind::kDensePoisson &&
+                             truth.shift_minute > 0 &&
+                             truth.shift_minute % kMinutesPerDay != 0;
+  }
+  EXPECT_GT(dense, 0);
+  EXPECT_GT(always_warm, 0);
+  EXPECT_GT(dense_shifted_mid_day, 0);
+  EXPECT_GT(unseen, 0);
+  EXPECT_GT(followers, 0);
 }
 
 TEST(PatternKindTest, AllKindsHaveNames) {

@@ -2,10 +2,56 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "sim/engine.h"
 #include "tests/make_trace.h"
+#include "tests/same_outcome.h"
+#include "trace/generator.h"
 
 namespace spes {
+
+/// Train's offline pass walked minute-major: every unit visited at every
+/// training minute. HybridHistogramPolicy::Train walks unit-major; each
+/// unit records the same IATs in the same order, so both must leave the
+/// same histograms and simulate identically.
+class MinuteMajorHybridPolicy : public HybridHistogramPolicy {
+ public:
+  using HybridHistogramPolicy::HybridHistogramPolicy;
+
+  void Train(const Trace& trace, int train_minutes) override {
+    HybridHistogramPolicy::Train(trace, 0);  // the units, no IATs yet
+    std::vector<int> last(units_.size(), -1);
+    for (int t = 0; t < train_minutes; ++t) {
+      for (size_t u = 0; u < units_.size(); ++u) {
+        bool arrived = false;
+        for (uint32_t f : functions_of_unit_[u]) {
+          if (trace.function(f).counts[static_cast<size_t>(t)] > 0) {
+            arrived = true;
+            break;
+          }
+        }
+        if (!arrived) continue;
+        if (last[u] >= 0) units_[u].histogram.Record(t - last[u]);
+        last[u] = t;
+      }
+    }
+    for (UnitState& unit : units_) RefreshWindow(&unit);
+  }
+
+  /// Every unit's recorded IAT count, in unit order.
+  static std::vector<int64_t> UnitIatCounts(
+      const HybridHistogramPolicy& policy) {
+    std::vector<int64_t> counts;
+    for (const UnitState& unit : policy.units_) {
+      counts.push_back(unit.histogram.TotalCount());
+    }
+    return counts;
+  }
+};
+
 namespace {
 
 std::vector<uint32_t> PeriodicRow(int n, int period) {
@@ -135,6 +181,48 @@ TEST(HybridHistogramTest, OnlineUpdatesAdaptToNewPeriod) {
   // The histogram absorbs the new 15-minute IATs online, so cold starts
   // stay rare despite the shift.
   EXPECT_LE(outcome.ValueOrDie().accounts[0].ColdStartRate(), 0.25);
+}
+
+TEST(HybridHistogramTest, UnitMajorTrainMatchesMinuteMajorPass) {
+  GeneratorConfig dense;
+  dense.num_functions = 300;
+  dense.days = 3;
+  dense.seed = 21;
+  GeneratorConfig chains = dense;
+  chains.seed = 22;
+  chains.chain_app_fraction = 0.9;
+  SimOptions options;
+  options.train_minutes = 2 * kMinutesPerDay;
+  for (const GeneratorConfig& config : {dense, chains}) {
+    const Trace trace = std::move(GenerateTrace(config).ValueOrDie().trace);
+    for (HybridGranularity granularity :
+         {HybridGranularity::kFunction, HybridGranularity::kApplication}) {
+      HybridHistogramPolicy policy(granularity,
+                                   kHybridFallbackKeepAliveMinutes);
+      MinuteMajorHybridPolicy reference(granularity,
+                                        kHybridFallbackKeepAliveMinutes);
+      const auto outcome = Simulate(trace, &policy, options);
+      const auto expected = Simulate(trace, &reference, options);
+      ASSERT_TRUE(outcome.ok());
+      ASSERT_TRUE(expected.ok());
+      const std::string context =
+          policy.name() + " on seed " + std::to_string(config.seed);
+      ExpectSameOutcome(outcome.ValueOrDie(), expected.ValueOrDie(),
+                        context);
+      EXPECT_EQ(MinuteMajorHybridPolicy::UnitIatCounts(policy),
+                MinuteMajorHybridPolicy::UnitIatCounts(reference))
+          << context;
+      // Both paths must be exercised: histogram-driven and fallback units.
+      EXPECT_EQ(policy.CountFallbackUnits(), reference.CountFallbackUnits())
+          << context;
+      const size_t units = granularity == HybridGranularity::kFunction
+                               ? trace.num_functions()
+                               : trace.GroupByApp().size();
+      EXPECT_GT(policy.CountFallbackUnits(), 0) << context;
+      EXPECT_LT(policy.CountFallbackUnits(), static_cast<int64_t>(units))
+          << context;
+    }
+  }
 }
 
 }  // namespace

@@ -16,6 +16,24 @@ TEST(RngTest, DeterministicForSameSeed) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.NextU64(), b.NextU64());
 }
 
+// The xoshiro256** stream itself, recorded once: any change to seeding or
+// to the core step moves these literals.
+TEST(RngTest, NextU64StreamIsPinned) {
+  const uint64_t kSeed1[8] = {
+      0xb3f2af6d0fc710c5ULL, 0x853b559647364ceaULL, 0x92f89756082a4514ULL,
+      0x642e1c7bc266a3a7ULL, 0xb27a48e29a233673ULL, 0x24c123126ffda722ULL,
+      0x123004ef8df510e6ULL, 0x61954dcc47b1e89dULL};
+  const uint64_t kSeed20240317[8] = {
+      0x2ee89c4ec9f0fd86ULL, 0x17c867f45804d69bULL, 0xe9d4f017478aee3aULL,
+      0x922c0ab120c02907ULL, 0xa4ce8a2bc627b50eULL, 0x387d5b7e28090145ULL,
+      0xbd9a2e653f7550a6ULL, 0xe3687c655305120bULL};
+  Rng a(1), b(20240317);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(a.NextU64(), kSeed1[i]) << "seed 1, draw " << i;
+    EXPECT_EQ(b.NextU64(), kSeed20240317[i]) << "seed 20240317, draw " << i;
+  }
+}
+
 TEST(RngTest, DifferentSeedsDiffer) {
   Rng a(1), b(2);
   int equal = 0;
@@ -81,6 +99,21 @@ TEST(RngTest, PoissonMeanSmall) {
   const int n = 50000;
   for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.Poisson(2.5));
   EXPECT_NEAR(sum / n, 2.5, 0.1);
+}
+
+// PoissonBelow with a precomputed exp(-mean) is Poisson(mean)'s own Knuth
+// path: the same counts, and the stream left in the same state.
+TEST(RngTest, PoissonBelowMatchesPoissonDrawForDraw) {
+  const std::vector<double> means = {0.3, 2.0, 3.0, 9.9, 29.9};
+  for (double mean : means) {
+    const double limit = std::exp(-mean);
+    Rng a(41), b(41);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(a.Poisson(mean), b.PoissonBelow(limit))
+          << "mean " << mean << ", draw " << i;
+    }
+    EXPECT_EQ(a.NextU64(), b.NextU64()) << "mean " << mean;
+  }
 }
 
 TEST(RngTest, PoissonMeanLargeUsesNormalApprox) {
